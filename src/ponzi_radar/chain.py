@@ -1,4 +1,4 @@
-"""Simplified UTXO transaction log: parsing, indexing, validation, USD conversion.
+"""Simplified UTXO transaction log: parsing, validation, USD conversion.
 
 The log is UTF-8 text, one JSON object per line:
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from datetime import date
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -36,7 +36,7 @@ class OutPoint(NamedTuple):
 class TxInput(NamedTuple):
     """An input reference, plus the (address, value) it resolves to.
 
-    `addr`/`value` are None until the log is indexed, and stay None for
+    `addr`/`value` are None until the log resolves the input, and stay None for
     dangling references.
     """
 
@@ -61,19 +61,6 @@ class Transaction:
     def sort_key(self) -> tuple[int, str]:
         # Total deterministic order: timestamp ties broken by txid.
         return (self.timestamp, self.txid)
-
-
-class OutputRef(NamedTuple):
-    addr: str
-    value: int
-    spent_by: str | None
-
-
-class AddrEvent(NamedTuple):
-    txid: str
-    direction: str  # "in" = received by the address, "out" = spent from it
-    value: int
-    timestamp: int
 
 
 class DanglingInput(NamedTuple):
@@ -101,25 +88,20 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class TxLog:
-    """An indexed, immutable transaction log.
+    """An immutable transaction log with resolved inputs.
 
-    `transactions` are sorted by (timestamp, txid); `out_index` maps every
-    output to its OutputRef; `addr_index` lists each address's events in
-    transaction order. Construction resolves inputs in order, so a reference
-    is only valid if its output exists earlier in the sorted log and was not
-    already spent.
+    `transactions` are sorted by (timestamp, txid). Construction resolves
+    inputs in order, so a reference is only valid if its output exists
+    earlier in the sorted log and was not already spent.
     """
 
     transactions: tuple[Transaction, ...]
-    out_index: dict[OutPoint, OutputRef]
-    addr_index: dict[str, list[AddrEvent]]
     _report: ValidationReport = field(repr=False)
 
     @classmethod
     def from_transactions(cls, txs: Iterable[Transaction]) -> "TxLog":
         ordered = sorted(txs, key=Transaction.sort_key)
         outputs: dict[OutPoint, list] = {}  # op -> [addr, value, spent_by|None]
-        addr_index: dict[str, list[AddrEvent]] = {}
         dangling: list[DanglingInput] = []
         extra_spenders: dict[OutPoint, list[str]] = {}
         negative_fees: list[tuple[str, int]] = []
@@ -144,16 +126,10 @@ class TxLog:
                     extra_spenders.setdefault(txin.prev, []).append(tx.txid)
                 new_inputs.append(TxInput(txin.prev, addr, value))
                 in_sum += value
-                addr_index.setdefault(addr, []).append(
-                    AddrEvent(tx.txid, "out", value, tx.timestamp)
-                )
             out_sum = 0
             for idx, txout in enumerate(tx.outputs):
                 outputs[OutPoint(tx.txid, idx)] = [txout.addr, txout.value, None]
                 out_sum += txout.value
-                addr_index.setdefault(txout.addr, []).append(
-                    AddrEvent(tx.txid, "in", txout.value, tx.timestamp)
-                )
             if not tx.coinbase and fully_resolved:
                 fee = in_sum - out_sum
                 fees[tx.txid] = fee
@@ -174,8 +150,7 @@ class TxLog:
             negative_fees=tuple(negative_fees),
             fees=fees,
         )
-        out_index = {op: OutputRef(rec[0], rec[1], rec[2]) for op, rec in outputs.items()}
-        return cls(tuple(resolved), out_index, addr_index, report)
+        return cls(tuple(resolved), report)
 
     def __len__(self) -> int:
         return len(self.transactions)
@@ -251,7 +226,7 @@ def _parse_record(obj: object, line: int) -> Transaction:
 
 
 def parse_tx_log(stream: IO[str] | IO[bytes] | Iterable[str]) -> TxLog:
-    """Parse a line-delimited transaction log into an indexed TxLog.
+    """Parse a line-delimited transaction log into a TxLog.
 
     Malformed lines raise ParseError with the offending line number (and
     column, for JSON syntax errors). Duplicate txids are rejected.
@@ -315,10 +290,6 @@ def write_tx_log(log: TxLog, fp: IO[str]) -> None:
     for line in serialize_tx_log(log):
         fp.write(line)
         fp.write("\n")
-
-
-def utc_date(timestamp: int) -> date:
-    return datetime.fromtimestamp(timestamp, tz=timezone.utc).date()
 
 
 @dataclass(frozen=True)

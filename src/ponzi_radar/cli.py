@@ -20,12 +20,11 @@ from __future__ import annotations
 import argparse
 import logging
 import os
-import random
 import sys
 from typing import IO
 
 from . import chain, clustering, dataset as ds, evaluate, features, learn, rank, synth
-from .errors import PonziRadarError
+from .errors import DataError, PonziRadarError
 
 logger = logging.getLogger(__name__)
 
@@ -152,24 +151,19 @@ def _cmd_dataset(args) -> int:
         log = _load_log(args.log)
         clusters = clustering.build_clusters(log)
         table = dict(enumerate(features.cluster_feature_table(log, clusters)))
-        index_of = clusters.index_of
     elif args.features and args.clusters:
         with _open_in(args.features) as fp:
             table = ds.read_features_csv(fp)
         with _open_in(args.clusters) as fp:
-            index_of = clustering.read_clusters(fp)
+            clusters = clustering.read_clusters(fp)
+        if sorted(table) != list(range(clusters.n_clusters)):
+            raise DataError("feature table cluster ids do not match the cluster dump")
     else:
         raise PonziRadarError("dataset needs --log, or both --features and --clusters")
-    ponzi = _ponzi_cluster_map(index_of, labels)
+    ponzi = _ponzi_cluster_map(clusters.index_of, labels)
     if args.sample is not None:
-        candidates = sorted(set(table) - set(ponzi))
-        if args.sample > len(candidates):
-            raise PonziRadarError(
-                f"cannot sample {args.sample} background clusters "
-                f"from {len(candidates)}"
-            )
-        keep = set(random.Random(args.seed).sample(candidates, args.sample))
-        table = {ci: fv for ci, fv in table.items() if ci in ponzi or ci in keep}
+        keep = ds.sample_background(clusters, args.sample, args.seed, exclude=ponzi)
+        table = {ci: table[ci] for ci in (*ponzi, *keep)}
     built = ds.assemble(table, ponzi)
     out = _out_stream(args.out)
     ds.write_csv(built, out)
@@ -221,13 +215,7 @@ def _cmd_cv(args) -> int:
     )
     rows = [evaluate.report_row(_setting(args), result.confusion, result.metrics)]
     for i, fold in enumerate(result.folds):
-        fold_metrics = evaluate.metrics_from_confusion(fold.confusion)
-        if len(set(fold.labels)) == 2:
-            fold_metrics = evaluate.MetricsReport(
-                fold_metrics.accuracy, fold_metrics.recall, fold_metrics.specificity,
-                fold_metrics.precision, fold_metrics.f_measure, fold_metrics.g_mean,
-                evaluate.roc_auc(fold.scores, fold.labels),
-            )
+        fold_metrics = evaluate.metrics_with_auc(fold.confusion, fold.scores, fold.labels)
         rows.append(evaluate.report_row(
             _setting(args, f"fold{i}"), fold.confusion, fold_metrics))
     out = _out_stream(args.out)

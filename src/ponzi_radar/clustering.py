@@ -151,8 +151,8 @@ def write_clusters(clusters: ClusterSet, fp: IO[str]) -> None:
             writer.writerow([idx, addr])
 
 
-def read_clusters(fp: IO[str]) -> dict[str, int]:
-    """Read a cluster dump back into an address -> cluster index map."""
+def read_clusters(fp: IO[str]) -> ClusterSet:
+    """Read a cluster dump back; its cluster ids must run 0..n-1."""
     reader = csv.reader(fp)
     header = next(reader, None)
     if header != ["cluster_id", "address"]:
@@ -168,7 +168,12 @@ def read_clusters(fp: IO[str]) -> dict[str, int]:
         if row[1] in index_of:
             raise DataError(f"cluster dump row {row_no}: duplicate address {row[1]}")
         index_of[row[1]] = idx
-    return index_of
+    groups: dict[int, list[str]] = {}
+    for addr in sorted(index_of):
+        groups.setdefault(index_of[addr], []).append(addr)
+    if sorted(groups) != list(range(len(groups))):
+        raise DataError(f"cluster dump ids are not 0..{len(groups) - 1}")
+    return ClusterSet(tuple(tuple(groups[i]) for i in range(len(groups))), index_of)
 
 
 def read_seeds(fp: IO[str]) -> list[tuple[str, str]]:

@@ -6,7 +6,8 @@ embedded in the first header cell:
     schema=v1,id,label,n_addr,lifetime_days,...
 
 Integer-valued features round-trip as decimal integers; real-valued features
-are printed with 17 significant digits so read(write(d)) == d exactly.
+are printed with 17 significant digits so read(write(d)) == d exactly. The
+per-cluster feature table (`schema=v1,cluster_id,...`) shares the codec.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ import csv
 import logging
 import random
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from functools import cached_property
+from typing import IO, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .clustering import ClusterSet
 from .errors import DataError, SchemaMismatchError
@@ -40,8 +44,33 @@ class Instance:
 
 @dataclass(frozen=True)
 class Dataset:
+    """Labeled instances, plus the matrix the learners see.
+
+    `instances` is the stored record: integer features stay exact Python
+    ints. `X` and `y` are built from it once, on first use.
+    """
+
     schema: str
     instances: tuple[Instance, ...]
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        """Feature matrix, float64, one row per instance in schema column order."""
+        return np.array([inst.features.as_tuple() for inst in self.instances],
+                        dtype=np.float64).reshape(len(self.instances), len(FEATURE_NAMES))
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        """Label vector, int8, 1 = P."""
+        return np.fromiter((inst.label == LABEL_PONZI for inst in self.instances),
+                           dtype=np.int8, count=len(self.instances))
+
+    def take(self, rows: Sequence[int]) -> "Dataset":
+        """The instances at `rows`, in that order; X and y are sliced, not rebuilt."""
+        rows = np.asarray(rows, dtype=np.intp)
+        subset = Dataset(self.schema, tuple(self.instances[i] for i in rows))
+        subset.__dict__.update(X=self.X[rows], y=self.y[rows])
+        return subset
 
     @property
     def n_ponzi(self) -> int:
@@ -98,83 +127,74 @@ def sample_background(
     return sorted(random.Random(seed).sample(population, n))
 
 
-def _format_value(name: str, value) -> str:
-    if name in INT_FEATURES:
-        return str(value)
-    return format(value, ".17g")
+# One formatter per schema column: exact decimal integers, 17-digit reals.
+_FORMATS = tuple(str if name in INT_FEATURES else "{:.17g}".format for name in FEATURE_NAMES)
+_PARSERS = tuple(int if name in INT_FEATURES else float for name in FEATURE_NAMES)
+
+
+def _write_table(fp: IO[str], schema: str, key_columns: Sequence[str],
+                 rows: Iterable[tuple[Sequence, FeatureVector]]) -> None:
+    writer = csv.writer(fp, lineterminator="\n")
+    writer.writerow([f"schema={schema}", *key_columns, *FEATURE_NAMES])
+    for keys, fv in rows:
+        writer.writerow([*keys, *(fmt(v) for fmt, v in zip(_FORMATS, fv.as_tuple()))])
+
+
+def _read_table(fp: IO[str], key_columns: Sequence[str],
+                what: str) -> Iterator[tuple[int, list[str], FeatureVector]]:
+    """Yield (row number, key cells, features) for each row of a feature CSV."""
+    reader = csv.reader(fp)
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"empty {what} file")
+    expected = [f"schema={SCHEMA_VERSION}", *key_columns, *FEATURE_NAMES]
+    if header != expected:
+        if header and header[0].startswith("schema=") and header[0] != expected[0]:
+            raise SchemaMismatchError(
+                f"{what} schema {header[0]!r} does not match {expected[0]!r}"
+            )
+        raise DataError(f"{what} header does not match the v1 feature schema")
+    n_keys = len(key_columns)
+    n_columns = n_keys + len(FEATURE_NAMES)  # the schema cell heads no column
+    for row_no, row in enumerate(reader, start=2):
+        if len(row) != n_columns:
+            raise DataError(f"{what} row {row_no}: expected {n_columns} columns")
+        try:
+            values = [parse(cell) for parse, cell in zip(_PARSERS, row[n_keys:])]
+        except ValueError as exc:
+            raise DataError(f"{what} row {row_no}: {exc}") from exc
+        yield row_no, row[:n_keys], FeatureVector(*values)
 
 
 def write_csv(dataset: Dataset, fp: IO[str]) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow([f"schema={dataset.schema}", "id", "label", *FEATURE_NAMES])
-    for inst in dataset.instances:
-        row = [inst.id, inst.label]
-        for name, value in zip(FEATURE_NAMES, inst.features.as_tuple()):
-            row.append(_format_value(name, value))
-        writer.writerow(row)
+    _write_table(fp, dataset.schema, ("id", "label"),
+                 (((inst.id, inst.label), inst.features) for inst in dataset.instances))
 
 
 def write_features_csv(features_by_cluster: Mapping[int, FeatureVector], fp: IO[str]) -> None:
     """Per-cluster feature table: `schema=v1,cluster_id,<feature columns>`."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow([f"schema={SCHEMA_VERSION}", "cluster_id", *FEATURE_NAMES])
-    for ci in sorted(features_by_cluster):
-        row = [ci]
-        fv = features_by_cluster[ci]
-        for name, value in zip(FEATURE_NAMES, fv.as_tuple()):
-            row.append(_format_value(name, value))
-        writer.writerow(row)
+    _write_table(fp, SCHEMA_VERSION, ("cluster_id",),
+                 (((ci,), features_by_cluster[ci]) for ci in sorted(features_by_cluster)))
 
 
 def read_features_csv(fp: IO[str]) -> dict[int, FeatureVector]:
-    reader = csv.reader(fp)
-    header = next(reader, None)
-    expected = [f"schema={SCHEMA_VERSION}", "cluster_id", *FEATURE_NAMES]
-    if header != expected:
-        raise DataError("feature table header does not match the v1 schema")
     out: dict[int, FeatureVector] = {}
-    for row_no, row in enumerate(reader, start=2):
-        if len(row) != 1 + len(FEATURE_NAMES):
-            raise DataError(f"feature table row {row_no}: wrong column count")
+    for row_no, (cell,), fv in _read_table(fp, ("cluster_id",), "feature table"):
         try:
-            ci = int(row[0])
-            values = {
-                name: (int(cell) if name in INT_FEATURES else float(cell))
-                for name, cell in zip(FEATURE_NAMES, row[1:])
-            }
+            ci = int(cell)
         except ValueError as exc:
             raise DataError(f"feature table row {row_no}: {exc}") from exc
         if ci in out:
             raise DataError(f"feature table row {row_no}: duplicate cluster id {ci}")
-        out[ci] = FeatureVector(**values)
+        out[ci] = fv
     return out
 
 
 def read_csv(fp: IO[str]) -> Dataset:
-    reader = csv.reader(fp)
-    header = next(reader, None)
-    if header is None:
-        raise DataError("empty dataset file")
-    expected = [f"schema={SCHEMA_VERSION}", "id", "label", *FEATURE_NAMES]
-    if header != expected:
-        if header and header[0].startswith("schema=") and header[0] != expected[0]:
-            raise SchemaMismatchError(
-                f"dataset schema {header[0]!r} does not match {expected[0]!r}"
-            )
-        raise DataError("dataset header does not match the v1 feature schema")
     instances = []
-    for row_no, row in enumerate(reader, start=2):
-        if len(row) != 2 + len(FEATURE_NAMES):
-            raise DataError(f"dataset row {row_no}: expected {2 + len(FEATURE_NAMES)} columns")
-        values = {}
+    for row_no, (id_, label), fv in _read_table(fp, ("id", "label"), "dataset"):
         try:
-            for name, cell in zip(FEATURE_NAMES, row[2:]):
-                values[name] = int(cell) if name in INT_FEATURES else float(cell)
-        except ValueError as exc:
-            raise DataError(f"dataset row {row_no}: {exc}") from exc
-        try:
-            inst = Instance(row[0], row[1], FeatureVector(**values))
+            instances.append(Instance(id_, label, fv))
         except DataError as exc:
             raise DataError(f"dataset row {row_no}: {exc}") from exc
-        instances.append(inst)
     return Dataset(SCHEMA_VERSION, tuple(instances))

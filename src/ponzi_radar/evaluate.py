@@ -9,7 +9,7 @@ reported as explicitly undefined, never silently 0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, ROUND_HALF_EVEN
 from typing import IO, Sequence
 
@@ -22,7 +22,6 @@ from .learn import (
     LearnerSpec,
     Model,
     _check_schema,
-    dataset_matrix,
     derive_seeds,
     train_model,
     undersample,
@@ -82,6 +81,15 @@ def metrics_from_confusion(cm: ConfusionMatrix) -> MetricsReport:
     if recall is not None and specificity is not None:
         g_mean = (recall * specificity) ** 0.5
     return MetricsReport(accuracy, recall, specificity, precision, f_measure, g_mean)
+
+
+def metrics_with_auc(cm: ConfusionMatrix, scores: Sequence[float],
+                     labels: Sequence) -> MetricsReport:
+    """The metrics of `cm`, plus the AUC of `scores` when both classes are present."""
+    metrics = metrics_from_confusion(cm)
+    if len(set(labels)) == 2:
+        metrics = replace(metrics, auc=roc_auc(scores, labels))
+    return metrics
 
 
 def _binary_labels(labels: Sequence) -> np.ndarray:
@@ -187,10 +195,6 @@ class CVResult:
     def scores(self) -> list[float]:
         return [s for f in self.folds for s in f.scores]
 
-    @property
-    def score_labels(self) -> list[str]:
-        return [lbl for f in self.folds for lbl in f.labels]
-
 
 def _confusion_from_predictions(actual: np.ndarray, predicted_p: np.ndarray) -> ConfusionMatrix:
     tp = int(np.sum((actual == 1) & predicted_p))
@@ -217,16 +221,12 @@ def cross_validate(
     """
     seeds = derive_seeds(seed, 1 + 2 * k)
     folds = stratified_folds(dataset, k, seeds[0])
-    X, y = dataset_matrix(dataset)
+    X, y = dataset.X, dataset.y
     outcomes: list[FoldOutcome] = []
     for i, test_idx in enumerate(folds):
-        test_set = set(test_idx)
-        train_instances = tuple(
-            inst for j, inst in enumerate(dataset.instances) if j not in test_set
-        )
-        if not any(inst.label == LABEL_PONZI for inst in train_instances):
+        train_ds = dataset.take(np.setdiff1d(np.arange(len(dataset)), test_idx))
+        if not train_ds.y.any():
             raise DataError(f"fold {i}: training data lost every P instance")
-        train_ds = Dataset(dataset.schema, train_instances)
         if sampling_ratio is not None:
             train_ds = undersample(train_ds, sampling_ratio, seeds[1 + 2 * i])
         model = train_model(train_ds, learner, seeds[2 + 2 * i], threads=threads)
@@ -240,14 +240,10 @@ def cross_validate(
     aggregate = outcomes[0].confusion
     for outcome in outcomes[1:]:
         aggregate = aggregate + outcome.confusion
-    base = metrics_from_confusion(aggregate)
-    auc = roc_auc(
+    metrics = metrics_with_auc(
+        aggregate,
         [s for o in outcomes for s in o.scores],
         [lbl for o in outcomes for lbl in o.labels],
-    )
-    metrics = MetricsReport(
-        base.accuracy, base.recall, base.specificity,
-        base.precision, base.f_measure, base.g_mean, auc,
     )
     return CVResult(aggregate, outcomes, metrics)
 
@@ -269,26 +265,17 @@ class ApplyResult:
 
 def apply_model(model: Model, cost: CostMatrix, dataset: Dataset) -> ApplyResult:
     """Score every instance with a frozen model and apply the cost rule."""
-    X, y = dataset_matrix(dataset)
     if len(dataset) == 0:
         return ApplyResult(ConfusionMatrix(0, 0, 0, 0), [], None)
-    _check_schema(model, X.shape[1])
-    p = model.predict_proba_matrix(X)
+    _check_schema(model, dataset.X.shape[1])
+    p = model.predict_proba_matrix(dataset.X)
     predicted_p = p >= cost.threshold
     predictions = [
         Prediction(inst.id, inst.label, float(p[i]), LABEL_PONZI if predicted_p[i] else "nP")
         for i, inst in enumerate(dataset.instances)
     ]
-    confusion = _confusion_from_predictions(y, predicted_p)
-    metrics = metrics_from_confusion(confusion)
-    auc = None
-    if 0 < int(y.sum()) < len(y):
-        auc = roc_auc([pr.score for pr in predictions], [pr.label for pr in predictions])
-    metrics = MetricsReport(
-        metrics.accuracy, metrics.recall, metrics.specificity,
-        metrics.precision, metrics.f_measure, metrics.g_mean, auc,
-    )
-    return ApplyResult(confusion, predictions, metrics)
+    confusion = _confusion_from_predictions(dataset.y, predicted_p)
+    return ApplyResult(confusion, predictions, metrics_with_auc(confusion, p, dataset.y))
 
 
 _3DP = Decimal("0.001")

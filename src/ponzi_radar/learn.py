@@ -69,17 +69,6 @@ def cost_sensitive_predict(p: float, cm: CostMatrix) -> str:
     return LABEL_PONZI if p >= cm.threshold else "nP"
 
 
-def dataset_matrix(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix (float64) and label vector (1 = P) in instance order."""
-    n = len(dataset)
-    X = np.empty((n, len(FEATURE_NAMES)), dtype=np.float64)
-    y = np.empty(n, dtype=np.int8)
-    for i, inst in enumerate(dataset.instances):
-        X[i, :] = inst.features.as_tuple()
-        y[i] = 1 if inst.label == LABEL_PONZI else 0
-    return X, y
-
-
 def derive_seeds(seed: int, n: int) -> list[int]:
     """Pre-derived child seeds so parallel work reproduces sequential output."""
     rng = np.random.default_rng(seed)
@@ -93,8 +82,8 @@ def undersample(dataset: Dataset, ratio: float, seed: int) -> Dataset:
     """
     if ratio < 1:
         raise ValueError("undersampling ratio must be >= 1")
-    pos = [i for i, inst in enumerate(dataset.instances) if inst.label == LABEL_PONZI]
-    neg = [i for i, inst in enumerate(dataset.instances) if inst.label != LABEL_PONZI]
+    pos = np.flatnonzero(dataset.y == 1).tolist()
+    neg = np.flatnonzero(dataset.y == 0).tolist()
     if not pos or not neg:
         raise DataError("undersampling requires both classes to be present")
     target = int(ratio * len(pos))
@@ -105,9 +94,7 @@ def undersample(dataset: Dataset, ratio: float, seed: int) -> Dataset:
                 target, len(neg),
             )
         return dataset
-    keep = set(pos) | set(random.Random(seed).sample(neg, target))
-    return Dataset(dataset.schema,
-                   tuple(inst for i, inst in enumerate(dataset.instances) if i in keep))
+    return dataset.take(sorted(pos + random.Random(seed).sample(neg, target)))
 
 
 @dataclass(frozen=True)
@@ -258,11 +245,10 @@ def train_tree(
     reweight: CostMatrix | None = None,
 ) -> TreeModel:
     """Grow one decision tree. A single-class dataset yields a single leaf."""
-    X, y = dataset_matrix(dataset)
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
-    w = _class_weights(y, reweight)
-    return _grow_tree(X, y, w, params, np.random.default_rng(seed))
+    w = _class_weights(dataset.y, reweight)
+    return _grow_tree(dataset.X, dataset.y, w, params, np.random.default_rng(seed))
 
 
 def default_forest_params(n_features: int = len(FEATURE_NAMES)) -> TreeParams:
@@ -303,7 +289,7 @@ def train_forest(
     The result is identical for any thread count: every tree's bootstrap
     resample and node-level feature subsets depend only on its own seed.
     """
-    X, y = dataset_matrix(dataset)
+    X, y = dataset.X, dataset.y
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
     if params is None:
@@ -355,7 +341,7 @@ def train_bayes(dataset: Dataset, reweight: CostMatrix | None = None) -> BayesMo
     The floor is 1e-9 times the global feature variance, or 1e-9 absolute
     when a feature is globally constant.
     """
-    X, y = dataset_matrix(dataset)
+    X, y = dataset.X, dataset.y
     if len(np.unique(y)) < 2:
         raise DataError("Bayes training requires both classes")
     w = _class_weights(y, reweight)
@@ -388,7 +374,7 @@ def predict_proba(model: Model, data) -> np.ndarray | float:
         _check_schema(model, X.shape[1])
         return float(model.predict_proba_matrix(X)[0])
     if isinstance(data, Dataset):
-        X, _ = dataset_matrix(data)
+        X = data.X
     else:
         X = np.asarray(data, dtype=np.float64)
     _check_schema(model, X.shape[1])

@@ -17,7 +17,6 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DataError
 from .features import FEATURE_NAMES
-from .learn import dataset_matrix
 
 RANKER_NAMES = ("info_gain", "gain_ratio", "sym_uncertainty", "one_r", "relieff")
 
@@ -137,7 +136,7 @@ def relieff(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    X, y = dataset_matrix(dataset)
+    X, y = dataset.X, dataset.y
     n, n_feat = X.shape
     if n == 0:
         raise DataError("relieff requires a non-empty dataset")
@@ -199,12 +198,6 @@ class Ranking:
     method: str
     entries: tuple[tuple[str, float], ...]  # sorted by score desc, schema-order ties
 
-    def position(self, feature: str) -> int:
-        for i, (name, _) in enumerate(self.entries):
-            if name == feature:
-                return i
-        raise KeyError(feature)
-
 
 def _to_ranking(method: str, scores: Sequence[float]) -> Ranking:
     order = sorted(range(len(FEATURE_NAMES)), key=lambda i: (-scores[i], i))
@@ -222,7 +215,6 @@ def rank_features(
     """Score every feature with one ranker and return the sorted ranking."""
     if method not in RANKER_NAMES:
         raise ValueError(f"unknown ranking method: {method!r}")
-    X, y = dataset_matrix(dataset)
     if method == "relieff":
         return _to_ranking(method, relieff(dataset, k=relieff_k, m=relieff_m, seed=seed).weights)
     scorer = {
@@ -231,6 +223,7 @@ def rank_features(
         "sym_uncertainty": sym_uncertainty,
         "one_r": one_r,
     }[method]
+    X, y = dataset.X, dataset.y
     scores = [scorer(discretize(X[:, i], bins), y) for i in range(X.shape[1])]
     return _to_ranking(method, scores)
 

@@ -33,10 +33,9 @@ class TestParse:
         log = parse_lines([
             tx_line(txid_of("cb"), 500, coinbase=True, outputs=[("A", 50 * BTC)])
         ])
-        events = log.addr_index["A"]
-        assert len(events) == 1
-        assert events[0].direction == "in"
-        assert events[0].value == 5_000_000_000
+        (tx,) = log.transactions
+        assert tx.coinbase and tx.inputs == ()
+        assert [(out.addr, out.value) for out in tx.outputs] == [("A", 5_000_000_000)]
 
     def test_join_transaction_fee(self):
         lines, (t0, t1, t2) = fan_out_then_join_lines()
@@ -161,18 +160,6 @@ class TestInvariants:
                 for out in tx.outputs
             )
             assert sum(report.fees.values()) + redistributed == spent
-
-    def test_addr_index_incoming_totals(self):
-        rng = random.Random(13)
-        log = random_valid_log(rng, 120)
-        for addr, events in log.addr_index.items():
-            via_index = sum(e.value for e in events if e.direction == "in")
-            via_txs = sum(
-                out.value
-                for tx in log.transactions
-                for out in tx.outputs if out.addr == addr
-            )
-            assert via_index == via_txs
 
 
 class TestUsd:

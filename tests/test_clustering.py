@@ -186,8 +186,7 @@ def test_cluster_csv_round_trip(fan_out_then_join):
     buf = io.StringIO()
     write_clusters(clusters, buf)
     buf.seek(0)
-    index_of = read_clusters(buf)
-    assert index_of == clusters.index_of
+    assert read_clusters(buf) == clusters
 
 
 def test_read_seeds_rejects_bad_header():

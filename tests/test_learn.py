@@ -14,7 +14,6 @@ from ponzi_radar.learn import (
     TreeModel,
     TreeParams,
     cost_sensitive_predict,
-    dataset_matrix,
     derive_seeds,
     load_model,
     predict_proba,
@@ -40,10 +39,9 @@ def two_class(p_values, np_values, feature="sum_in"):
 
 
 def training_accuracy(model, dataset):
-    X, y = dataset_matrix(dataset)
-    p = model.predict_proba_matrix(X)
+    p = model.predict_proba_matrix(dataset.X)
     predicted = (p >= 0.5).astype(int)
-    return float((predicted == y).mean())
+    return float((predicted == dataset.y).mean())
 
 
 def tree_depth(tree: TreeModel) -> int:
@@ -101,8 +99,7 @@ class TestTree:
         tree = train_tree(ds, seed=1)
         assert tree.n_nodes == 1
         assert tuple(tree.counts[0]) == (1.0, 3.0)
-        X, _ = dataset_matrix(ds)
-        assert tree.predict_proba_matrix(X)[0] == 0.25
+        assert tree.predict_proba_matrix(ds.X)[0] == 0.25
 
     def test_xor_layout_reaches_full_accuracy(self):
         instances = []
@@ -294,7 +291,7 @@ class TestSerialization:
         save_model(forest, buf)
         buf.seek(0)
         loaded = load_model(buf)
-        X, _ = dataset_matrix(ds)
+        X = ds.X
         assert np.array_equal(loaded.predict_proba_matrix(X),
                               forest.predict_proba_matrix(X))
 
@@ -306,7 +303,7 @@ class TestSerialization:
         buf.seek(0)
         loaded = load_model(buf)
         assert isinstance(loaded, BayesModel)
-        X, _ = dataset_matrix(ds)
+        X = ds.X
         assert np.array_equal(loaded.predict_proba_matrix(X),
                               model.predict_proba_matrix(X))
 
