@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from typing import IO
@@ -61,8 +62,36 @@ def _load_log(path: str) -> chain.TxLog:
         return chain.parse_tx_log(fp)
 
 
-def _cost(text: str) -> learn.CostMatrix:
-    return learn.CostMatrix.parse(text)
+# argparse types: a bad value is a usage error, which _Parser.error exits 1 on.
+def _cost_spec(text: str) -> str:
+    """A valid fn:fp cost spec, kept as text for the report's setting names."""
+    try:
+        learn.CostMatrix.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _ratio(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (value == 0 or 1 <= value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be 0 (off) or at least 1, got {text}")
+    return value
 
 
 def _cmd_synth(args) -> int:
@@ -173,7 +202,7 @@ def _cmd_dataset(args) -> int:
 
 
 def _learner_spec(args) -> learn.LearnerSpec:
-    reweight = _cost(args.reweight_cost) if getattr(args, "reweight_cost", None) else None
+    reweight = learn.CostMatrix.parse(args.reweight_cost) if args.reweight_cost else None
     return learn.LearnerSpec(kind=args.learner, n_trees=args.trees, reweight=reweight)
 
 
@@ -203,7 +232,7 @@ def _setting(args, extra: str = "") -> str:
 def _cmd_cv(args) -> int:
     with _open_in(args.dataset) as fp:
         data = ds.read_csv(fp)
-    cost = _cost(args.cost)
+    cost = learn.CostMatrix.parse(args.cost)
     result = evaluate.cross_validate(
         data,
         _learner_spec(args),
@@ -231,7 +260,7 @@ def _cmd_apply(args) -> int:
         model = learn.load_model(fp)
     with _open_in(args.dataset) as fp:
         data = ds.read_csv(fp)
-    cost = _cost(args.cost)
+    cost = learn.CostMatrix.parse(args.cost)
     result = evaluate.apply_model(model, cost, data)
     out = _out_stream(args.out)
     out.write("id,label,score,predicted\n")
@@ -312,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train and save a model")
     p.add_argument("dataset")
     p.add_argument("--learner", choices=["forest", "bayes"], default="forest")
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--reweight-cost", default=None,
+    p.add_argument("--trees", type=_int_at_least(1), default=100)
+    p.add_argument("--reweight-cost", type=_cost_spec, default=None,
                    help="fn:fp, train with cost-proportional instance weights")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
@@ -323,29 +352,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="stratified k-fold cross-validation")
     p.add_argument("dataset")
     p.add_argument("--learner", choices=["forest", "bayes"], default="forest")
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--cost", default="1:1", help="false-negative:false-positive costs")
-    p.add_argument("--ratio", type=float, default=0,
+    p.add_argument("--trees", type=_int_at_least(1), default=100)
+    p.add_argument("--cost", type=_cost_spec, default="1:1",
+                   help="false-negative:false-positive costs")
+    p.add_argument("--ratio", type=_ratio, default=0,
                    help="undersampling ratio for training folds (0 = off)")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_int_at_least(2), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--reweight-cost", default=None)
+    p.add_argument("--reweight-cost", type=_cost_spec, default=None)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_cv)
 
     p = sub.add_parser("apply", help="apply a frozen model to a dataset")
     p.add_argument("dataset")
     p.add_argument("--model", required=True)
-    p.add_argument("--cost", default="1:1")
+    p.add_argument("--cost", type=_cost_spec, default="1:1")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_apply)
 
     p = sub.add_parser("rank", help="feature relevance rankings")
     p.add_argument("dataset")
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--bins", type=_int_at_least(2), default=10)
     p.add_argument("--top", type=int, default=8)
-    p.add_argument("--relieff-k", type=int, default=10)
+    p.add_argument("--relieff-k", type=_int_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_rank)

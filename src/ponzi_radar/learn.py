@@ -289,6 +289,8 @@ def train_forest(
     The result is identical for any thread count: every tree's bootstrap
     resample and node-level feature subsets depend only on its own seed.
     """
+    if n_trees < 1:
+        raise ValueError(f"a forest needs at least one tree, got n_trees={n_trees}")
     X, y = dataset.X, dataset.y
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
@@ -421,13 +423,34 @@ def _tree_to_dict(tree: TreeModel) -> dict:
 
 
 def _tree_from_dict(d: dict) -> TreeModel:
-    return TreeModel(
+    """Rebuild a tree, rejecting any structure prediction could loop or fail on.
+
+    The grower numbers nodes in pre-order, so every child comes after its
+    parent; that rules out cycles, and with them a prediction that never ends.
+    """
+    tree = TreeModel(
         np.asarray(d["feature"], dtype=np.int32),
         np.asarray(d["threshold"], dtype=np.float64),
         np.asarray(d["left"], dtype=np.int32),
         np.asarray(d["right"], dtype=np.int32),
         np.asarray(d["counts"], dtype=np.float64),
     )
+    n = tree.n_nodes
+    if (n == 0 or tree.counts.shape != (n, 2)
+            or any(a.shape != (n,) for a in (tree.feature, tree.threshold, tree.left, tree.right))):
+        raise DataError("model tree arrays are empty or disagree in length")
+    if np.any(tree.feature < -1) or np.any(tree.feature >= len(FEATURE_NAMES)):
+        raise DataError("model tree has a feature index out of range")
+    split = tree.feature >= 0
+    parent = np.flatnonzero(split)
+    for child in (tree.left[split], tree.right[split]):
+        if np.any(child <= parent) or np.any(child >= n):
+            raise DataError("model tree has a child index out of range or not after its parent")
+    leaf_counts = tree.counts[~split]
+    if (not np.all(np.isfinite(leaf_counts) & (leaf_counts >= 0))
+            or np.any(leaf_counts.sum(axis=1) <= 0)):
+        raise DataError("model tree leaf counts must be finite, non-negative, not all 0")
+    return tree
 
 
 def save_model(model: Model, fp: IO[str]) -> None:
@@ -464,7 +487,14 @@ def save_model(model: Model, fp: IO[str]) -> None:
 
 
 def load_model(fp: IO[str]) -> Model:
-    doc = json.load(fp)
+    """Read a model file; a malformed or inconsistent one raises DataError."""
+    try:
+        return _model_from_doc(json.load(fp))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"malformed model file: {exc!r}") from exc
+
+
+def _model_from_doc(doc) -> Model:
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise DataError("not a model file")
     if doc.get("version") != MODEL_VERSION:
@@ -477,6 +507,8 @@ def load_model(fp: IO[str]) -> Model:
     if kind == "forest":
         p = doc["params"]
         params = TreeParams(p["features_per_split"], p["min_leaf"], p["max_depth"])
+        if not doc["trees"] or len(doc["trees"]) != p["n_trees"]:
+            raise DataError(f"forest has {len(doc['trees'])} trees, expected {p['n_trees']} (>= 1)")
         return ForestModel(
             [_tree_from_dict(t) for t in doc["trees"]],
             seed=doc["seed"],
@@ -488,5 +520,12 @@ def load_model(fp: IO[str]) -> Model:
         return _tree_from_dict(doc["tree"])
     if kind == "bayes":
         b = doc["bayes"]
-        return BayesModel(b["prior_p"], np.asarray(b["mean"]), np.asarray(b["var"]))
+        model = BayesModel(b["prior_p"], np.asarray(b["mean"], dtype=np.float64),
+                           np.asarray(b["var"], dtype=np.float64))
+        shape = (2, len(FEATURE_NAMES))
+        if (not 0 < model.prior_p < 1 or model.mean.shape != shape or model.var.shape != shape
+                or not np.all(np.isfinite(model.mean) & np.isfinite(model.var) & (model.var > 0))):
+            raise DataError("Bayes model needs 0 < prior_p < 1, finite means and positive "
+                            "finite variances, one per class and feature")
+        return model
     raise DataError(f"unknown learner kind in model file: {kind!r}")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ponzi_radar
 from ponzi_radar.cli import main
 
 from conftest import tx_line, txid_of
@@ -135,8 +140,44 @@ def test_missing_input_exits_two(capsys):
     assert main(["validate", "/nonexistent/path.jsonl"]) == 2
 
 
-def test_bad_cost_spec_exits_two(world, capsys):
-    assert main(["cv", str(world / "dataset.csv"), "--cost", "abc"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["cv", "--cost", "abc"],
+    ["cv", "--cost", "1:0"],
+    ["cv", "--reweight-cost", "x"],
+    ["train", "--reweight-cost", "x"],
+    ["cv", "--k", "1"],
+    ["cv", "--ratio", "0.5"],
+    ["cv", "--trees", "0"],
+    ["train", "--trees", "0"],
+    ["rank", "--bins", "1"],
+    ["rank", "--relieff-k", "0"],
+    ["apply", "--model", "model.json", "--cost", "foo"],
+], ids=["cost", "cost_zero", "cv_reweight", "train_reweight", "k", "ratio",
+        "cv_trees", "train_trees", "bins", "relieff_k", "apply_cost"])
+def test_bad_option_value_exits_one(world, argv, capsys):
+    command, *options = argv
+    with pytest.raises(SystemExit) as err:
+        main([command, str(world / "dataset.csv"), *options])
+    assert err.value.code == 1
+
+
+def test_apply_rejects_self_loop_model(world, tmp_path):
+    # Run apart, under a timeout: predicting with this tree would never end.
+    model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
+    assert main(["train", str(world / "dataset.csv"), "--trees", "2", "-o", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    assert doc["trees"][0]["feature"][0] >= 0
+    doc["trees"][0]["left"][0] = 0
+    model.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ponzi_radar.cli", "apply", str(world / "dataset.csv"),
+         "--model", str(model), "-o", str(preds)],
+        env={**os.environ, "PYTHONPATH": str(Path(ponzi_radar.__file__).parents[1])},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "child index" in proc.stderr
+    assert not preds.exists()
 
 
 def test_train_bayes_learner(world, tmp_path):

@@ -319,3 +319,78 @@ class TestSerialization:
     def test_not_a_model(self):
         with pytest.raises(DataError):
             load_model(io.StringIO('{"format": "something-else"}'))
+
+
+def _forest_doc():
+    buf = io.StringIO()
+    save_model(train_forest(make_dataset(6, 30, seed=8), n_trees=3, seed=2), buf)
+    doc = json.loads(buf.getvalue())
+    assert len(doc["trees"][0]["feature"]) > 2 and doc["trees"][0]["feature"][0] >= 0
+    return doc
+
+
+def _self_loop(tree):
+    tree["left"][0] = 0
+
+
+def _child_out_of_range(tree):
+    tree["right"][0] = len(tree["feature"])
+
+
+def _child_before_parent(tree):
+    split = next(i for i, f in enumerate(tree["feature"]) if f >= 0 and i > 0)
+    tree["left"][split] = split - 1
+
+
+def _short_threshold(tree):
+    tree["threshold"].pop()
+
+
+def _feature_out_of_range(tree):
+    tree["feature"][0] = 20
+
+
+def _negative_feature(tree):
+    tree["feature"][0] = -2
+
+
+def _empty_leaf(tree):
+    leaf = tree["feature"].index(-1)
+    tree["counts"][leaf] = [0.0, 0.0]
+
+
+class TestLoadRejectsBadTrees:
+    @pytest.mark.parametrize("corrupt", [
+        _self_loop, _child_out_of_range, _child_before_parent, _short_threshold,
+        _feature_out_of_range, _negative_feature, _empty_leaf,
+    ])
+    def test_corrupt_tree(self, corrupt):
+        doc = _forest_doc()
+        corrupt(doc["trees"][1])
+        with pytest.raises(DataError):
+            load_model(io.StringIO(json.dumps(doc)))
+
+    def test_forest_without_trees(self):
+        doc = _forest_doc()
+        doc["trees"], doc["params"]["n_trees"] = [], 0
+        with pytest.raises(DataError):
+            load_model(io.StringIO(json.dumps(doc)))
+
+    def test_missing_key(self):
+        doc = _forest_doc()
+        del doc["trees"][0]["counts"]
+        with pytest.raises(DataError):
+            load_model(io.StringIO(json.dumps(doc)))
+
+    def test_bayes_variance_must_be_positive(self):
+        buf = io.StringIO()
+        save_model(train_bayes(make_dataset(3, 9, seed=0)), buf)
+        doc = json.loads(buf.getvalue())
+        doc["bayes"]["var"][0][0] = 0.0
+        with pytest.raises(DataError):
+            load_model(io.StringIO(json.dumps(doc)))
+
+
+def test_forest_needs_a_tree():
+    with pytest.raises(ValueError, match="at least one tree"):
+        train_forest(make_dataset(3, 9, seed=0), n_trees=0)
