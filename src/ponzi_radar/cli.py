@@ -18,11 +18,13 @@ Set PONZI_RADAR_LOG=debug|info|warning for logging verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import os
+import secrets
 import sys
-from typing import IO
+from typing import IO, Iterator
 
 from . import chain, clustering, dataset as ds, evaluate, features, learn, rank, synth
 from .errors import DataError, PonziRadarError
@@ -40,21 +42,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _out_stream(path: str | None) -> IO[str]:
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[IO[str]]:
+    """Stdout for None or "-"; otherwise a file that appears only when complete.
+
+    The text goes to a temp file in the target's directory, which replaces
+    the target only after the last write succeeded. A failure part-way
+    leaves no partial file, and any earlier file at `path` untouched.
+    Devices and pipes (such as /dev/null) are written in place.
+    """
     if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="")
+        yield sys.stdout
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fp:
+            yield fp
+        return
+    head, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
+    fp = open(tmp, "x", encoding="utf-8", newline="")  # same mode as "w" gives
+    try:
+        with fp:
+            yield fp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _open_in(path: str) -> IO[str]:
     if path == "-":
         return sys.stdin
     return open(path, "r", encoding="utf-8")
-
-
-def _close(fp: IO[str]) -> None:
-    if fp not in (sys.stdout, sys.stdin):
-        fp.close()
 
 
 def _load_log(path: str) -> chain.TxLog:
@@ -102,10 +122,9 @@ def _cmd_synth(args) -> int:
         hard_mode=args.hard,
     )
     log, labels = synth.generate(params)
-    out = _out_stream(args.out)
-    chain.write_tx_log(log, out)
-    _close(out)
-    with open(args.labels, "w", encoding="utf-8", newline="") as fp:
+    with _output(args.out) as out:
+        chain.write_tx_log(log, out)
+    with _output(args.labels) as fp:
         synth.write_labels(labels, fp)
     logger.info("generated %d transactions, %d labeled clusters", len(log), len(labels))
     return EXIT_OK
@@ -133,9 +152,8 @@ def _cmd_validate(args) -> int:
 def _cmd_cluster(args) -> int:
     log = _load_log(args.log)
     clusters = clustering.build_clusters(log)
-    out = _out_stream(args.out)
-    clustering.write_clusters(clusters, out)
-    _close(out)
+    with _output(args.out) as out:
+        clustering.write_clusters(clusters, out)
     if args.seeds:
         with _open_in(args.seeds) as fp:
             seeds = clustering.read_seeds(fp)
@@ -154,9 +172,8 @@ def _cmd_features(args) -> int:
     log = _load_log(args.log)
     clusters = clustering.build_clusters(log)
     table = features.cluster_feature_table(log, clusters)
-    out = _out_stream(args.out)
-    ds.write_features_csv(dict(enumerate(table)), out)
-    _close(out)
+    with _output(args.out) as out:
+        ds.write_features_csv(dict(enumerate(table)), out)
     return EXIT_OK
 
 
@@ -194,9 +211,8 @@ def _cmd_dataset(args) -> int:
         keep = ds.sample_background(clusters, args.sample, args.seed, exclude=ponzi)
         table = {ci: table[ci] for ci in (*ponzi, *keep)}
     built = ds.assemble(table, ponzi)
-    out = _out_stream(args.out)
-    ds.write_csv(built, out)
-    _close(out)
+    with _output(args.out) as out:
+        ds.write_csv(built, out)
     logger.info("dataset: %d P, %d nP", built.n_ponzi, built.n_other)
     return EXIT_OK
 
@@ -210,9 +226,8 @@ def _cmd_train(args) -> int:
     with _open_in(args.dataset) as fp:
         data = ds.read_csv(fp)
     model = learn.train_model(data, _learner_spec(args), args.seed, threads=args.threads)
-    out = _out_stream(args.out)
-    learn.save_model(model, out)
-    _close(out)
+    with _output(args.out) as out:
+        learn.save_model(model, out)
     return EXIT_OK
 
 
@@ -247,9 +262,8 @@ def _cmd_cv(args) -> int:
         fold_metrics = evaluate.metrics_with_auc(fold.confusion, fold.scores, fold.labels)
         rows.append(evaluate.report_row(
             _setting(args, f"fold{i}"), fold.confusion, fold_metrics))
-    out = _out_stream(args.out)
-    evaluate.write_report_csv(rows, out)
-    _close(out)
+    with _output(args.out) as out:
+        evaluate.write_report_csv(rows, out)
     if args.out and args.out != "-":
         print(evaluate.format_report_table(rows[:1]))
     return EXIT_OK
@@ -262,11 +276,10 @@ def _cmd_apply(args) -> int:
         data = ds.read_csv(fp)
     cost = learn.CostMatrix.parse(args.cost)
     result = evaluate.apply_model(model, cost, data)
-    out = _out_stream(args.out)
-    out.write("id,label,score,predicted\n")
-    for pr in result.predictions:
-        out.write(f"{pr.id},{pr.label},{format(pr.score, '.17g')},{pr.predicted}\n")
-    _close(out)
+    with _output(args.out) as out:
+        out.write("id,label,score,predicted\n")
+        for pr in result.predictions:
+            out.write(f"{pr.id},{pr.label},{format(pr.score, '.17g')},{pr.predicted}\n")
     cm = result.confusion
     print(f"tp={cm.tp} fn={cm.fn} fp={cm.fp} tn={cm.tn}")
     if result.metrics is not None:
@@ -283,14 +296,13 @@ def _cmd_rank(args) -> int:
         data, bins=args.bins, relieff_k=args.relieff_k, seed=args.seed
     )
     consensus = rank.consensus_rank(rankings, top_n=args.top)
-    out = _out_stream(args.out)
-    out.write("method,feature,score,rank\n")
-    for ranking in rankings:
-        for pos, (name, score) in enumerate(ranking.entries, start=1):
-            out.write(f"{ranking.method},{name},{format(score, '.17g')},{pos}\n")
-    for pos, (name, votes, _) in enumerate(consensus, start=1):
-        out.write(f"consensus,{name},{votes},{pos}\n")
-    _close(out)
+    with _output(args.out) as out:
+        out.write("method,feature,score,rank\n")
+        for ranking in rankings:
+            for pos, (name, score) in enumerate(ranking.entries, start=1):
+                out.write(f"{ranking.method},{name},{format(score, '.17g')},{pos}\n")
+        for pos, (name, votes, _) in enumerate(consensus, start=1):
+            out.write(f"consensus,{name},{votes},{pos}\n")
     print(f"consensus (top {args.top} occurrences across {len(rankings)} rankings):")
     for name, votes, mean_rank in consensus[: args.top]:
         print(f"  {name}: in top-{args.top} of {votes}/{len(rankings)}, "
@@ -305,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a labeled synthetic log")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--ponzi", type=int, default=30)
-    p.add_argument("--background", type=int, default=6000)
+    p.add_argument("--ponzi", type=_int_at_least(0), default=30)
+    p.add_argument("--background", type=_int_at_least(0), default=6000)
     p.add_argument("--hard", action="store_true", help="overlap the class distributions")
     p.add_argument("--labels", default="labels.csv", help="labels output path")
     p.add_argument("-o", "--out", default=None, help="log output path (default stdout)")
@@ -332,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default=None, help="precomputed feature table")
     p.add_argument("--clusters", default=None, help="cluster dump for --features")
     p.add_argument("--labels", required=True)
-    p.add_argument("--sample", type=int, default=None,
+    p.add_argument("--sample", type=_int_at_least(0), default=None,
                    help="subsample this many background clusters")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", default=None)
@@ -345,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reweight-cost", type=_cost_spec, default=None,
                    help="fn:fp, train with cost-proportional instance weights")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_train)
 
@@ -359,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="undersampling ratio for training folds (0 = off)")
     p.add_argument("--k", type=_int_at_least(2), default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1)
     p.add_argument("--reweight-cost", type=_cost_spec, default=None)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_cv)
@@ -374,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="feature relevance rankings")
     p.add_argument("dataset")
     p.add_argument("--bins", type=_int_at_least(2), default=10)
-    p.add_argument("--top", type=int, default=8)
+    p.add_argument("--top", type=_int_at_least(1), default=8)
     p.add_argument("--relieff-k", type=_int_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", default=None)

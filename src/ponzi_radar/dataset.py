@@ -118,6 +118,8 @@ def sample_background(
     clusters: ClusterSet, n: int, seed: int, exclude: Iterable[int] = ()
 ) -> list[int]:
     """Sample n cluster indices uniformly without replacement, never excluded ones."""
+    if n < 0:
+        raise ValueError(f"sample size must be non-negative, got {n}")
     excluded = set(exclude)
     population = [i for i in range(clusters.n_clusters) if i not in excluded]
     if n > len(population):

@@ -93,15 +93,20 @@ def metrics_with_auc(cm: ConfusionMatrix, scores: Sequence[float],
 
 
 def _binary_labels(labels: Sequence) -> np.ndarray:
-    return np.asarray([1 if lbl in (1, True, LABEL_PONZI) else 0 for lbl in labels],
-                      dtype=np.int8)
+    """1 for a P label ("P", 1 or True), else 0, as int8."""
+    arr = np.asarray(labels)
+    if arr.dtype.kind in "biuf":
+        return (arr == 1).astype(np.int8)
+    return np.fromiter((lbl in (1, True, LABEL_PONZI) for lbl in labels),
+                       dtype=np.int8, count=len(arr))
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence) -> float:
     """AUC as the Mann-Whitney statistic with tie credit 0.5.
 
     (#{pos > neg} + 0.5 * #{pos == neg}) / (|pos| * |neg|), computed via the
-    rank-sum form with average ranks for ties.
+    rank-sum form with average ranks for ties: a score whose ties occupy
+    sorted positions i..j (0-based) gets rank (i + j) / 2 + 1.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = _binary_labels(labels)
@@ -109,16 +114,10 @@ def roc_auc(scores: Sequence[float], labels: Sequence) -> float:
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC requires at least one positive and one negative")
-    order = np.argsort(s, kind="stable")
-    sorted_s = s[order]
-    ranks = np.empty(len(s), dtype=np.float64)
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i: j + 1]] = (i + j) / 2.0 + 1.0  # average rank, 1-based
-        i = j + 1
+    sorted_s = np.sort(s)
+    first = np.searchsorted(sorted_s, s, side="left")
+    last = np.searchsorted(sorted_s, s, side="right") - 1
+    ranks = (first + last) / 2.0 + 1.0
     rank_sum_pos = float(ranks[y == 1].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

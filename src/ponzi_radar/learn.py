@@ -7,6 +7,17 @@ on bootstrap resamples with per-tree seeds derived up front, so training is
 bit-deterministic regardless of thread count. The Bayes classifier assumes
 conditional independence with per-class Gaussian likelihoods.
 
+Split search works on integer class counts. A bootstrap resample is kept as
+per-row multiplicities (a bincount of the drawn rows), so a node holds each
+distinct training row once, with its count. A node searches all its
+candidate features in one batch: one gather, one argsort per feature row,
+and cumulative integer P and nP counts, which become class masses only when
+multiplied by the costs (c_fn per P row, c_fp per nP row). Integer sums do
+not depend on the order in which tied values were sorted, so the argsort
+need not be stable, and the chosen split depends only on the set of rows at
+the node. Children are split by value (value <= the last value left of the
+cut), never by re-reading the midpoint threshold.
+
 Cost sensitivity is applied by minimum-expected-cost thresholding of the
 predicted probability: predict P iff p >= c_fp / (c_fp + c_fn). Training-set
 reweighting is available as an alternate mode (weights proportional to the
@@ -58,10 +69,10 @@ class CostMatrix:
     @classmethod
     def parse(cls, text: str) -> "CostMatrix":
         try:
-            fn_cost, fp_cost = text.split(":")
-            return cls(float(fn_cost), float(fp_cost))
+            fn_cost, fp_cost = (float(part) for part in text.split(":"))
         except ValueError as exc:
             raise ValueError(f"cost matrix must look like '20:1', got {text!r}") from exc
+        return cls(fn_cost, fp_cost)
 
 
 def cost_sensitive_predict(p: float, cm: CostMatrix) -> str:
@@ -131,103 +142,131 @@ class TreeModel:
         return c[:, 0] / c.sum(axis=1)
 
 
-def _best_split(X, y, w, idx, feats, min_leaf):
-    """Best (score, feature, threshold, split_pos, order) over candidate features.
+def _best_split(XT, rows, counts, feats, min_leaf, costs):
+    """Best (feature, value, threshold) over candidate features, or None.
 
-    Score maximized is sum over children of (P^2 + N^2) / T with weighted
-    class masses, which orders splits identically to Gini impurity decrease.
-    First-encountered maximum wins: features are scanned in ascending index
-    order and thresholds in ascending value order, so ties are deterministic.
+    All candidate features are searched in one batch: a (k, d) gather of the
+    node's d distinct rows, one argsort along each feature's row, and one
+    cumulative sum of the packed integer P/nP counts (see _grow_tree). A cut
+    after sorted position i sends the rows with value <= vs[i] left. The
+    score maximized is the sum over children of (P^2 + N^2) / T with
+    cost-weighted class masses, which orders splits identically to Gini
+    impurity decrease. First-encountered maximum wins in ascending feature
+    order, then ascending value order, so ties are deterministic.
     """
-    best = None
-    m = len(idx)
-    for f in feats:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        cut = np.nonzero(vs[:-1] != vs[1:])[0]
+    c_fn, c_fp = costs
+    k, d = len(feats), len(rows)
+    V = np.take(XT[feats], rows, axis=1)
+    order = np.argsort(V, axis=1)
+    vs = np.take(V, order + np.arange(0, k * d, d)[:, None])
+    cut = np.flatnonzero(vs[:, 1:] != vs[:, :-1])
+    if len(cut) == 0:
+        return None
+    cut += cut // (d - 1)  # flat index of the last row left of each cut
+    node = counts[rows]
+    left = np.cumsum(node[order], axis=1).ravel()[cut]
+    total = int(node.sum())
+    lm, lp = left & _ROWS, left >> 32
+    rm, rp = (total & _ROWS) - lm, (total >> 32) - lp
+    if min_leaf > 1:  # every cut leaves at least one row on each side
+        keep = (lm >= min_leaf) & (rm >= min_leaf)
+        cut, lm, lp, rm, rp = cut[keep], lm[keep], lp[keep], rm[keep], rp[keep]
         if len(cut) == 0:
-            continue
-        valid = (cut + 1 >= min_leaf) & (m - cut - 1 >= min_leaf)
-        cut = cut[valid]
-        if len(cut) == 0:
-            continue
-        ws = w[idx][order]
-        ps = ws * y[idx][order]
-        cum_w = np.cumsum(ws)
-        cum_p = np.cumsum(ps)
-        tw, tp = cum_w[-1], cum_p[-1]
-        lw, lp = cum_w[cut], cum_p[cut]
-        rw, rp = tw - lw, tp - lp
-        ln, rn = lw - lp, rw - rp
-        score = (lp * lp + ln * ln) / lw + (rp * rp + rn * rn) / rw
-        k = int(np.argmax(score))
-        if best is None or score[k] > best[0]:
-            pos = int(cut[k])
-            thr = (vs[pos] + vs[pos + 1]) / 2.0
-            if thr >= vs[pos + 1]:  # guard float rounding at adjacent values
-                thr = float(vs[pos])
-            best = (float(score[k]), int(f), float(thr), pos, order)
-    return best
+            return None
+    lp, ln = c_fn * lp, c_fp * (lm - lp)
+    rp, rn = c_fn * rp, c_fp * (rm - rp)
+    score = (lp * lp + ln * ln) / (lp + ln) + (rp * rp + rn * rn) / (rp + rn)
+    i, at = divmod(int(cut[np.argmax(score)]), d)
+    lo, hi = float(vs.flat[i * d + at]), float(vs.flat[i * d + at + 1])
+    thr = (lo + hi) / 2.0
+    if thr >= hi:  # guard float rounding at adjacent values
+        thr = lo
+    return int(feats[i]), lo, thr
 
 
-def _grow_tree(X, y, w, params: TreeParams, rng: np.random.Generator) -> TreeModel:
-    n_features = X.shape[1]
+def _grow_tree(XT, counts, costs, params: TreeParams,
+               rng: np.random.Generator) -> TreeModel:
+    """Grow one tree on the rows r with counts[r] > 0.
+
+    XT is the feature matrix transposed (features x rows). counts packs each
+    row's integer multiplicity (a bootstrap counts a row once per draw) in
+    its low 32 bits and, for a P row, the same multiplicity again above them
+    (see _packed_counts), so one sum or cumulative sum yields both the row
+    count and the P count. costs = (c_fn, c_fp) weights the two class masses.
+    """
+    n_features = XT.shape[0]
     k = params.features_per_split
-    feature, threshold, left, right, counts = [], [], [], [], []
+    c_fn, c_fp = costs
+    feature, threshold, left, right, masses = [], [], [], [], []
 
-    def new_node():
+    # Explicit pre-order stack (left subtree fully built before the right one)
+    # so trees on large pathological data cannot hit the recursion limit.
+    stack = [(np.flatnonzero(counts), 0, -1, False)]  # rows, depth, parent, is_right
+    while stack:
+        rows, depth, parent, is_right = stack.pop()
+        node = len(feature)
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        counts.append((0.0, 0.0))
-        return len(feature) - 1
-
-    # Explicit pre-order stack (left subtree fully built before the right one)
-    # so trees on large pathological data cannot hit the recursion limit.
-    stack = [(np.arange(len(X)), 0, -1, False)]  # idx, depth, parent, is_right
-    while stack:
-        idx, depth, parent, is_right = stack.pop()
-        node = new_node()
         if parent >= 0:
             (right if is_right else left)[parent] = node
-        pos_w = float(np.sum(w[idx] * y[idx]))
-        tot_w = float(np.sum(w[idx]))
-        counts[node] = (pos_w, tot_w - pos_w)
-        pure = pos_w == 0.0 or pos_w == tot_w
+        total = int(counts[rows].sum())
+        n_rows, n_p = total & _ROWS, total >> 32
+        masses.append((c_fn * n_p, c_fp * (n_rows - n_p)))
         if (
-            pure
-            or len(idx) < 2 * params.min_leaf
+            n_p == 0
+            or n_p == n_rows
+            or n_rows < 2 * params.min_leaf
             or (params.max_depth is not None and depth >= params.max_depth)
         ):
             continue
         if k is not None and k < n_features:
             cands = np.sort(rng.choice(n_features, size=k, replace=False))
-            split = _best_split(X, y, w, idx, cands, params.min_leaf)
+            split = _best_split(XT, rows, counts, cands, params.min_leaf, costs)
             if split is None:
                 # Candidate features were constant here; fall back to the rest
                 # so consistent data always reaches pure leaves.
                 rest = np.setdiff1d(np.arange(n_features), cands)
-                split = _best_split(X, y, w, idx, rest, params.min_leaf)
+                split = _best_split(XT, rows, counts, rest, params.min_leaf, costs)
         else:
-            split = _best_split(X, y, w, idx, np.arange(n_features), params.min_leaf)
+            split = _best_split(XT, rows, counts, np.arange(n_features),
+                                params.min_leaf, costs)
         if split is None:
             continue
-        _, f, thr, pos, order = split
+        f, value, thr = split
         feature[node] = f
         threshold[node] = thr
-        ordered = idx[order]
-        stack.append((ordered[pos + 1:], depth + 1, node, True))
-        stack.append((ordered[: pos + 1], depth + 1, node, False))
+        go_left = XT[f, rows] <= value
+        stack.append((rows[~go_left], depth + 1, node, True))
+        stack.append((rows[go_left], depth + 1, node, False))
 
     return TreeModel(
         np.asarray(feature, dtype=np.int32),
         np.asarray(threshold, dtype=np.float64),
         np.asarray(left, dtype=np.int32),
         np.asarray(right, dtype=np.int32),
-        np.asarray(counts, dtype=np.float64),
+        np.asarray(masses, dtype=np.float64),
     )
+
+
+def _class_costs(reweight: CostMatrix | None) -> tuple[float, float]:
+    """(c_fn, c_fp): the mass of one P and of one nP training row."""
+    if reweight is None:
+        return 1.0, 1.0
+    return float(reweight.c_fn), float(reweight.c_fp)
+
+
+_ROWS = (1 << 32) - 1  # low half of a packed count: the row multiplicity
+
+
+def _packed_counts(y: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Each row's multiplicity, plus the same shifted 32 bits up for a P row.
+
+    Both halves stay exact while a node holds fewer than 2**32 rows, which
+    any feature matrix that fits in memory guarantees.
+    """
+    return mult | ((mult * (y == 1)) << 32)
 
 
 def _class_weights(y: np.ndarray, reweight: CostMatrix | None) -> np.ndarray:
@@ -247,8 +286,10 @@ def train_tree(
     """Grow one decision tree. A single-class dataset yields a single leaf."""
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
-    w = _class_weights(dataset.y, reweight)
-    return _grow_tree(dataset.X, dataset.y, w, params, np.random.default_rng(seed))
+    X, y = dataset.X, dataset.y
+    counts = _packed_counts(y, np.ones(len(y), dtype=np.int64))
+    return _grow_tree(np.ascontiguousarray(X.T), counts, _class_costs(reweight),
+                      params, np.random.default_rng(seed))
 
 
 def default_forest_params(n_features: int = len(FEATURE_NAMES)) -> TreeParams:
@@ -296,15 +337,17 @@ def train_forest(
         raise DataError("cannot train on an empty dataset")
     if params is None:
         params = default_forest_params(X.shape[1])
-    w = _class_weights(y, reweight)
+    XT = np.ascontiguousarray(X.T)
+    costs = _class_costs(reweight)
     tree_seeds = derive_seeds(seed, n_trees)
 
     def build(i: int) -> TreeModel:
         rng = np.random.default_rng(tree_seeds[i])
         if bootstrap:
-            rows = rng.integers(0, len(X), size=len(X))
-            return _grow_tree(X[rows], y[rows], w[rows], params, rng)
-        return _grow_tree(X, y, w, params, rng)
+            mult = np.bincount(rng.integers(0, len(X), size=len(X)), minlength=len(X))
+        else:
+            mult = np.ones(len(X), dtype=np.int64)
+        return _grow_tree(XT, _packed_counts(y, mult), costs, params, rng)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -152,13 +152,92 @@ def test_missing_input_exits_two(capsys):
     ["rank", "--bins", "1"],
     ["rank", "--relieff-k", "0"],
     ["apply", "--model", "model.json", "--cost", "foo"],
+    ["cv", "--threads", "0"],
+    ["train", "--threads", "0"],
+    ["rank", "--top", "-2"],
+    ["rank", "--top", "0"],
 ], ids=["cost", "cost_zero", "cv_reweight", "train_reweight", "k", "ratio",
-        "cv_trees", "train_trees", "bins", "relieff_k", "apply_cost"])
+        "cv_trees", "train_trees", "bins", "relieff_k", "apply_cost",
+        "cv_threads", "train_threads", "top_negative", "top_zero"])
 def test_bad_option_value_exits_one(world, argv, capsys):
     command, *options = argv
     with pytest.raises(SystemExit) as err:
         main([command, str(world / "dataset.csv"), *options])
     assert err.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--ponzi", "-1"],
+    ["synth", "--background", "-5"],
+    ["dataset", "--labels", "labels.csv", "--sample", "-1"],
+], ids=["synth_ponzi", "synth_background", "dataset_sample"])
+def test_bad_count_exits_one(world, tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "-o", str(tmp_path / "out")])
+    assert err.value.code == 1
+    assert "must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cost_usage_error_names_the_fault(world, capsys):
+    with pytest.raises(SystemExit):
+        main(["cv", str(world / "dataset.csv"), "--cost", "1:0"])
+    err = capsys.readouterr().err
+    assert "must be positive" in err and "must look like" not in err
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+def _half_then_raise(*args):
+    fp = args[-1]
+    fp.write("partial output\n" * 1000)
+    fp.flush()
+    raise _Boom("writer failed part-way")
+
+
+@pytest.mark.parametrize("command, target, writer", [
+    ("cv", "report.csv", "ponzi_radar.evaluate.write_report_csv"),
+    ("train", "model.json", "ponzi_radar.learn.save_model"),
+    ("dataset", "dataset.csv", "ponzi_radar.dataset.write_csv"),
+    ("synth", "log.jsonl", "ponzi_radar.chain.write_tx_log"),
+    ("synth", "labels.csv", "ponzi_radar.synth.write_labels"),
+])
+def test_failed_write_leaves_earlier_output_untouched(world, tmp_path, monkeypatch,
+                                                      command, target, writer):
+    out = tmp_path / target
+    out.write_text("earlier run\n")
+    argv = {
+        "cv": ["cv", str(world / "dataset.csv"), "--trees", "2", "--k", "2", "-o", str(out)],
+        "train": ["train", str(world / "dataset.csv"), "--trees", "2", "-o", str(out)],
+        "dataset": ["dataset", "--log", str(world / "log.jsonl"),
+                    "--labels", str(world / "labels.csv"), "-o", str(out)],
+        "synth": ["synth", "--ponzi", "1", "--background", "20",
+                  "-o", str(tmp_path / "log.jsonl"), "--labels", str(tmp_path / "labels.csv")],
+    }[command]
+    monkeypatch.setattr(writer, _half_then_raise)
+    with pytest.raises(_Boom):
+        main(argv)
+    assert out.read_text() == "earlier run\n"
+    leftovers = {p.name for p in tmp_path.iterdir()} - {target, "log.jsonl"}
+    assert leftovers == set()
+
+
+def test_output_mode_follows_umask(world, tmp_path):
+    out = tmp_path / "dataset.csv"
+    old = os.umask(0o027)
+    try:
+        assert main(["dataset", "--log", str(world / "log.jsonl"),
+                     "--labels", str(world / "labels.csv"), "-o", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o640
+
+
+def test_output_to_device_written_in_place(world):
+    assert main(["dataset", "--log", str(world / "log.jsonl"),
+                 "--labels", str(world / "labels.csv"), "-o", os.devnull]) == 0
 
 
 def test_apply_rejects_self_loop_model(world, tmp_path):

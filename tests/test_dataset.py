@@ -144,6 +144,10 @@ class TestSampleBackground:
         with pytest.raises(DataError):
             sample_background(cs, 5, 0, exclude={1})
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_background(singleton_clusters(5), -1, 0)
+
     def test_selection_frequency_is_uniform(self):
         # Binomial oracle: each cluster is chosen with probability n/N, so
         # over many seeds the hit count stays within 3 sigma.

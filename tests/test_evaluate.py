@@ -2,7 +2,9 @@ import io
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ponzi_radar.dataset import Dataset
 from ponzi_radar.errors import DataError
@@ -106,6 +108,42 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             roc_auc([0.1, 0.2], ["P", "P"])
+
+
+def loop_roc_auc(scores, labels):
+    """The rank-sum AUC with tied scores walked one run at a time."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray([1 if lbl in (1, True, "P") else 0 for lbl in labels])
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    order = np.argsort(s, kind="stable")
+    sorted_s = s[order]
+    ranks = np.empty(len(s), dtype=np.float64)
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i: j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    u = float(ranks[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1 / 3, 1e-300, float("inf")]),
+    st.floats(allow_nan=False),
+)
+
+
+@given(st.lists(st.tuples(_SCORES, st.booleans()), min_size=2, max_size=200)
+       .filter(lambda pairs: len({p for _, p in pairs}) == 2))
+def test_roc_auc_equals_loop_oracle_exactly(pairs):
+    scores = [s for s, _ in pairs]
+    labels = ["P" if p else "nP" for _, p in pairs]
+    want = loop_roc_auc(scores, labels)
+    assert roc_auc(scores, labels) == want
+    assert roc_auc(np.array(scores), np.array([int(p) for _, p in pairs], dtype=np.int8)) == want
 
 
 class TestFolds:

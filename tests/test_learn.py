@@ -86,6 +86,17 @@ class TestCostRule:
         with pytest.raises(ValueError):
             CostMatrix.parse("20")
 
+    @pytest.mark.parametrize("text", ["1:0", "-2:1", "nan:1"])
+    def test_parse_names_nonpositive_cost(self, text):
+        with pytest.raises(ValueError, match="must be positive") as err:
+            CostMatrix.parse(text)
+        assert "must look like" not in str(err.value)
+
+    @pytest.mark.parametrize("text", ["20", "a:b", "1:2:3", ""])
+    def test_parse_names_bad_syntax(self, text):
+        with pytest.raises(ValueError, match="must look like"):
+            CostMatrix.parse(text)
+
 
 class TestTree:
     def test_separable_feature_gives_depth_one(self):
