@@ -9,12 +9,21 @@ The log is UTF-8 text, one JSON object per line:
 Each input references a previous output by (txid, index). Amounts are integer
 satoshi end to end; conversion to USD happens only at reporting time through a
 daily rate table, so feature sums never accumulate float drift.
+
+Parsing checks each line into a plain record (timestamp, txid, coinbase,
+input outpoints, outputs). One resolve pass then sorts the records by
+(timestamp, txid) and walks them once: each input is looked up among the
+outputs of the transactions already seen, the spends, dangling references
+and fees of the validation report are noted, and each Transaction is built
+once, with its inputs resolved. `TxLog.from_transactions` turns transactions
+into the same records and runs the same pass.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import date
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
@@ -24,7 +33,10 @@ from .errors import DataError, MissingRateError, ParseError
 
 SATOSHI_PER_BTC = 100_000_000
 _MAX_SATOSHI = 2**63 - 1
-_HEX_DIGITS = set("0123456789abcdef")
+_HEX64 = re.compile("[0-9a-fA-F]{64}")
+_TX_FIELDS = frozenset({"txid", "time", "coinbase", "in", "out"})
+_IN_FIELDS = frozenset({"tx", "idx"})
+_OUT_FIELDS = frozenset({"addr", "val"})
 _CENTS = Decimal("0.01")
 
 
@@ -50,17 +62,13 @@ class TxOutput(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     txid: str
     timestamp: int
     coinbase: bool
     inputs: tuple[TxInput, ...]
     outputs: tuple[TxOutput, ...]
-
-    def sort_key(self) -> tuple[int, str]:
-        # Total deterministic order: timestamp ties broken by txid.
-        return (self.timestamp, self.txid)
 
 
 class DanglingInput(NamedTuple):
@@ -100,69 +108,84 @@ class TxLog:
 
     @classmethod
     def from_transactions(cls, txs: Iterable[Transaction]) -> "TxLog":
-        ordered = sorted(txs, key=Transaction.sort_key)
-        outputs: dict[OutPoint, list] = {}  # op -> [addr, value, spent_by|None]
-        dangling: list[DanglingInput] = []
-        extra_spenders: dict[OutPoint, list[str]] = {}
-        negative_fees: list[tuple[str, int]] = []
-        fees: dict[str, int] = {}
-        resolved: list[Transaction] = []
-
-        for tx in ordered:
-            new_inputs: list[TxInput] = []
-            in_sum = 0
-            fully_resolved = True
-            for i, txin in enumerate(tx.inputs):
-                rec = outputs.get(txin.prev)
-                if rec is None:
-                    dangling.append(DanglingInput(tx.txid, i, txin.prev))
-                    new_inputs.append(TxInput(txin.prev))
-                    fully_resolved = False
-                    continue
-                addr, value, spent_by = rec
-                if spent_by is None:
-                    rec[2] = tx.txid
-                else:
-                    extra_spenders.setdefault(txin.prev, []).append(tx.txid)
-                new_inputs.append(TxInput(txin.prev, addr, value))
-                in_sum += value
-            out_sum = 0
-            for idx, txout in enumerate(tx.outputs):
-                outputs[OutPoint(tx.txid, idx)] = [txout.addr, txout.value, None]
-                out_sum += txout.value
-            if not tx.coinbase and fully_resolved:
-                fee = in_sum - out_sum
-                fees[tx.txid] = fee
-                if fee < 0:
-                    negative_fees.append((tx.txid, fee))
-            resolved.append(
-                Transaction(tx.txid, tx.timestamp, tx.coinbase,
-                            tuple(new_inputs), tx.outputs)
-            )
-
-        double_spends = tuple(
-            DoubleSpend(op, (outputs[op][2], *spenders))
-            for op, spenders in extra_spenders.items()
-        )
-        report = ValidationReport(
-            dangling=tuple(dangling),
-            double_spends=double_spends,
-            negative_fees=tuple(negative_fees),
-            fees=fees,
-        )
-        return cls(tuple(resolved), report)
+        """Resolve the inputs of transactions with unique txids, in any order."""
+        return _resolve([
+            (tx.timestamp, tx.txid, tx.coinbase, tuple(i.prev for i in tx.inputs), tx.outputs)
+            for tx in txs
+        ])
 
     def __len__(self) -> int:
         return len(self.transactions)
 
 
+# (timestamp, txid, coinbase, input outpoints, outputs): one transaction
+# before its inputs are resolved.
+_Record = tuple[int, str, bool, tuple[OutPoint, ...], tuple[TxOutput, ...]]
+
+
+def _resolve(records: list[_Record]) -> TxLog:
+    """The resolve pass: sort the records, then build each Transaction once.
+
+    Txids are unique, so sorting the records sorts by (timestamp, txid). An
+    input resolves to an output of a transaction earlier in that order,
+    looked up through that transaction's txid.
+    """
+    records.sort()
+    outputs_of: dict[str, tuple[TxOutput, ...]] = {}
+    spent_by: dict[OutPoint, str] = {}
+    dangling: list[DanglingInput] = []
+    extra_spenders: dict[OutPoint, list[str]] = {}
+    negative_fees: list[tuple[str, int]] = []
+    fees: dict[str, int] = {}
+    resolved: list[Transaction] = []
+
+    for ts, txid, coinbase, prevs, outputs in records:
+        inputs: list[TxInput] = []
+        in_sum = 0
+        fully_resolved = True
+        for i, prev in enumerate(prevs):
+            prev_txid, idx = prev
+            prev_outputs = outputs_of.get(prev_txid)
+            if prev_outputs is None or not 0 <= idx < len(prev_outputs):
+                dangling.append(DanglingInput(txid, i, prev))
+                inputs.append(TxInput(prev))
+                fully_resolved = False
+                continue
+            addr, value = prev_outputs[idx]
+            if prev in spent_by:
+                extra_spenders.setdefault(prev, []).append(txid)
+            else:
+                spent_by[prev] = txid
+            inputs.append(TxInput(prev, addr, value))
+            in_sum += value
+        outputs_of[txid] = outputs
+        if not coinbase and fully_resolved:
+            fee = in_sum - sum([out[1] for out in outputs])
+            fees[txid] = fee
+            if fee < 0:
+                negative_fees.append((txid, fee))
+        resolved.append(Transaction(txid, ts, coinbase, tuple(inputs), outputs))
+    if len(outputs_of) != len(records):
+        raise ValueError("transaction log has duplicate txids")
+
+    report = ValidationReport(
+        dangling=tuple(dangling),
+        double_spends=tuple(
+            DoubleSpend(op, (spent_by[op], *spenders))
+            for op, spenders in extra_spenders.items()
+        ),
+        negative_fees=tuple(negative_fees),
+        fees=fees,
+    )
+    return TxLog(tuple(resolved), report)
+
+
 def _hex64(value: object, what: str, line: int) -> str:
+    if isinstance(value, str) and _HEX64.fullmatch(value):
+        return value.lower()
     if not isinstance(value, str) or len(value) != 64:
         raise ParseError(f"{what} must be a 64-character hex string", line)
-    low = value.lower()
-    if not set(low) <= _HEX_DIGITS:
-        raise ParseError(f"{what} contains non-hex characters", line)
-    return low
+    raise ParseError(f"{what} contains non-hex characters", line)
 
 
 def _uint(value: object, what: str, line: int) -> int:
@@ -173,15 +196,16 @@ def _uint(value: object, what: str, line: int) -> int:
     return value
 
 
-def _parse_record(obj: object, line: int) -> Transaction:
+def _parse_record(obj: object, line: int) -> _Record:
     if not isinstance(obj, dict):
         raise ParseError("record is not a JSON object", line)
-    unknown = set(obj) - {"txid", "time", "coinbase", "in", "out"}
-    if unknown:
-        raise ParseError(f"unknown field(s): {', '.join(sorted(unknown))}", line)
-    for key in ("txid", "time", "coinbase", "in", "out"):
-        if key not in obj:
-            raise ParseError(f"missing field: {key}", line)
+    if obj.keys() != _TX_FIELDS:
+        unknown = obj.keys() - _TX_FIELDS
+        if unknown:
+            raise ParseError(f"unknown field(s): {', '.join(sorted(unknown))}", line)
+        for key in ("txid", "time", "coinbase", "in", "out"):
+            if key not in obj:
+                raise ParseError(f"missing field: {key}", line)
 
     txid = _hex64(obj["txid"], "txid", line)
     ts = obj["time"]
@@ -194,15 +218,15 @@ def _parse_record(obj: object, line: int) -> Transaction:
     raw_in = obj["in"]
     if not isinstance(raw_in, list):
         raise ParseError("'in' must be a list", line)
-    inputs = []
+    prevs = []
     for entry in raw_in:
-        if not isinstance(entry, dict) or set(entry) != {"tx", "idx"}:
+        if not isinstance(entry, dict) or entry.keys() != _IN_FIELDS:
             raise ParseError("input must be an object with fields tx, idx", line)
-        inputs.append(TxInput(OutPoint(_hex64(entry["tx"], "input tx", line),
-                                       _uint(entry["idx"], "input idx", line))))
-    if coinbase and inputs:
+        prevs.append(OutPoint(_hex64(entry["tx"], "input tx", line),
+                              _uint(entry["idx"], "input idx", line)))
+    if coinbase and prevs:
         raise ParseError("coinbase transaction must have no inputs", line)
-    if not coinbase and not inputs:
+    if not coinbase and not prevs:
         raise ParseError("non-coinbase transaction must have at least one input", line)
 
     raw_out = obj["out"]
@@ -211,18 +235,23 @@ def _parse_record(obj: object, line: int) -> Transaction:
     outputs = []
     total = 0
     for entry in raw_out:
-        if not isinstance(entry, dict) or set(entry) != {"addr", "val"}:
+        if not isinstance(entry, dict) or entry.keys() != _OUT_FIELDS:
             raise ParseError("output must be an object with fields addr, val", line)
         addr = entry["addr"]
         if not isinstance(addr, str) or not addr:
             raise ParseError("output addr must be a non-empty string", line)
+        if not addr.isascii():
+            try:
+                addr.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ParseError(f"output addr is not valid UTF-8: {exc.reason}", line) from exc
         val = _uint(entry["val"], "output val", line)
         total += val
         if total > _MAX_SATOSHI:
             raise ParseError("sum of output values exceeds 63-bit satoshi range", line)
         outputs.append(TxOutput(addr, val))
 
-    return Transaction(txid, ts, coinbase, tuple(inputs), tuple(outputs))
+    return ts, txid, coinbase, tuple(prevs), tuple(outputs)
 
 
 def parse_tx_log(stream: IO[str] | IO[bytes] | Iterable[str]) -> TxLog:
@@ -234,7 +263,7 @@ def parse_tx_log(stream: IO[str] | IO[bytes] | Iterable[str]) -> TxLog:
     if isinstance(stream, str):
         stream = stream.splitlines()
     seen: dict[str, int] = {}
-    txs: list[Transaction] = []
+    records: list[_Record] = []
     for line_no, raw in enumerate(stream, start=1):
         if isinstance(raw, bytes):
             try:
@@ -248,14 +277,17 @@ def parse_tx_log(stream: IO[str] | IO[bytes] | Iterable[str]) -> TxLog:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line_no, exc.colno) from exc
-        tx = _parse_record(obj, line_no)
-        if tx.txid in seen:
-            raise ParseError(
-                f"duplicate txid {tx.txid} (first seen on line {seen[tx.txid]})", line_no
-            )
-        seen[tx.txid] = line_no
-        txs.append(tx)
-    return TxLog.from_transactions(txs)
+        except RecursionError as exc:
+            raise ParseError("invalid JSON: nested too deeply", line_no) from exc
+        except ValueError as exc:  # e.g. an integer beyond the digit limit
+            raise ParseError(f"invalid JSON: {exc}", line_no) from exc
+        record = _parse_record(obj, line_no)
+        txid = record[1]
+        first = seen.setdefault(txid, line_no)
+        if first != line_no:
+            raise ParseError(f"duplicate txid {txid} (first seen on line {first})", line_no)
+        records.append(record)
+    return _resolve(records)
 
 
 def load_tx_log(path: str) -> TxLog:

@@ -31,7 +31,7 @@ LABEL_PONZI = "P"
 LABEL_OTHER = "nP"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     id: str
     label: str  # "P" or "nP"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Sequence
 
 from .chain import TxLog
@@ -55,7 +56,7 @@ INT_FEATURES: frozenset[str] = frozenset({
 SECONDS_PER_DAY = 86_400
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureVector:
     n_addr: int
     lifetime_days: int
@@ -79,10 +80,11 @@ class FeatureVector:
     max_daily_balance_delta: int
 
     def as_tuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in FEATURE_NAMES)
+        return _feature_row(self)
 
 
 assert tuple(f.name for f in fields(FeatureVector)) == FEATURE_NAMES
+_feature_row = attrgetter(*FEATURE_NAMES)
 
 
 def gini(values: Sequence[float] | Sequence[int]) -> float:
@@ -106,7 +108,7 @@ def gini(values: Sequence[float] | Sequence[int]) -> float:
     return weighted / (n * total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEvent:
     timestamp: int
     txid: str
@@ -114,7 +116,7 @@ class LedgerEvent:
     counterparts: frozenset[str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClusterLedger:
     """Money movements of one cluster, aggregated per transaction.
 
@@ -134,6 +136,17 @@ def build_ledger(log: TxLog, clusters: ClusterSet, index: int) -> ClusterLedger:
     if not 0 <= index < clusters.n_clusters:
         raise ValueError(f"cluster index out of range: {index}")
     return build_all_ledgers(log, clusters, only={index})[index]
+
+
+_NO_ADDRS: frozenset[str] = frozenset()
+
+
+def _others(addrs_by_cluster: dict[int, set[str]], ci: int) -> frozenset[str]:
+    """The addresses of every cluster but `ci`: the counterparts of its event."""
+    if len(addrs_by_cluster) == 1:
+        (cj, addrs), = addrs_by_cluster.items()
+        return _NO_ADDRS if cj == ci else frozenset(addrs)
+    return frozenset(a for cj, addrs in addrs_by_cluster.items() if cj != ci for a in addrs)
 
 
 def build_all_ledgers(
@@ -160,30 +173,16 @@ def build_all_ledgers(
             out_by_cluster[ci] = out_by_cluster.get(ci, 0) + txout.value
             out_addrs_by_cluster.setdefault(ci, set()).add(txout.addr)
 
-        spenders = set(in_by_cluster)
-        payees = set(out_by_cluster)
-        for ci in payees:
-            if only is not None and ci not in only:
-                continue
-            if spenders == {ci} and payees == {ci}:
-                continue  # fully internal: no events
-            senders = frozenset(
-                a for cj, addrs in in_addrs_by_cluster.items() if cj != ci for a in addrs
-            )
-            incoming.setdefault(ci, []).append(
-                LedgerEvent(tx.timestamp, tx.txid, out_by_cluster[ci], senders)
-            )
-        for ci in spenders:
-            if only is not None and ci not in only:
-                continue
-            if spenders == {ci} and payees == {ci}:
-                continue
-            receivers = frozenset(
-                a for cj, addrs in out_addrs_by_cluster.items() if cj != ci for a in addrs
-            )
-            outgoing.setdefault(ci, []).append(
-                LedgerEvent(tx.timestamp, tx.txid, in_by_cluster[ci], receivers)
-            )
+        if len(out_by_cluster) == 1 and in_by_cluster.keys() == out_by_cluster.keys():
+            continue  # fully internal: no events
+        for ci, amount in out_by_cluster.items():
+            if only is None or ci in only:
+                incoming.setdefault(ci, []).append(LedgerEvent(
+                    tx.timestamp, tx.txid, amount, _others(in_addrs_by_cluster, ci)))
+        for ci, amount in in_by_cluster.items():
+            if only is None or ci in only:
+                outgoing.setdefault(ci, []).append(LedgerEvent(
+                    tx.timestamp, tx.txid, amount, _others(out_addrs_by_cluster, ci)))
 
     wanted = only if only is not None else range(clusters.n_clusters)
     return {
@@ -250,7 +249,9 @@ def extract_features(ledger: ClusterLedger, n_addr: int) -> FeatureVector:
             daily_tx.setdefault(ev.timestamp // SECONDS_PER_DAY, set()).add(ev.txid)
         max_daily_tx = max(len(txids) for txids in daily_tx.values())
 
-    # End-of-day balances over the event span; deltas between consecutive days.
+    # A day's end-of-day balance minus the previous day's is that day's net
+    # flow, and a quiet day's is 0: the largest delta over the event span is
+    # the largest absolute net flow of an event day after the first.
     max_delta = 0
     if events:
         net_by_day: dict[int, int] = {}
@@ -260,14 +261,9 @@ def extract_features(ledger: ClusterLedger, n_addr: int) -> FeatureVector:
         for ev in ledger.outgoing:
             d = ev.timestamp // SECONDS_PER_DAY
             net_by_day[d] = net_by_day.get(d, 0) - ev.amount
-        first_day, last_day = event_days[0], event_days[-1]
-        balance = 0
-        prev_balance = None
-        for day in range(first_day, last_day + 1):
-            balance += net_by_day.get(day, 0)
-            if prev_balance is not None:
-                max_delta = max(max_delta, abs(balance - prev_balance))
-            prev_balance = balance
+        first_day = event_days[0]
+        max_delta = max((abs(net) for d, net in net_by_day.items() if d != first_day),
+                        default=0)
 
     # Delay of each outgoing event behind the latest incoming at or before it.
     delays: list[int] = []

@@ -49,6 +49,17 @@ def fan_out_then_join_lines():
     ], (t0, t1, t2)
 
 
+# Lines that once escaped as RecursionError, a raw ValueError, or a string
+# that cannot be written back out as UTF-8.
+HOSTILE_LINES = {
+    "deep_nesting": "[" * 100_000,
+    "huge_time": ('{"txid":"' + "a" * 64 + '","time":' + "9" * 5000
+                  + ',"coinbase":true,"in":[],"out":[{"addr":"x","val":1}]}'),
+    "lone_surrogate": ('{"txid":"' + "a" * 64 + '","time":1,"coinbase":true,"in":[],'
+                       '"out":[{"addr":"\\ud800","val":1}]}'),
+}
+
+
 def random_valid_log(rng: random.Random, n_tx: int, n_addrs: int = 24) -> TxLog:
     """A structurally valid random log: every spend hits an existing unspent
     output of a strictly earlier timestamp; timestamps may tie otherwise.
@@ -71,7 +82,7 @@ def random_valid_log(rng: random.Random, n_tx: int, n_addrs: int = 24) -> TxLog:
             for u in picks:
                 utxos.remove(u)
             total = sum(u[2] for u in picks)
-            fee = rng.randint(0, min(total - 1, 1000))
+            fee = rng.randint(0, max(0, min(total - 1, 1000)))
             n_out = rng.randint(1, 3)
             outs, rest = [], total - fee
             for j in range(n_out):

@@ -1,4 +1,5 @@
 import io
+import json
 import random
 from datetime import date
 from decimal import Decimal
@@ -15,6 +16,7 @@ from ponzi_radar.errors import DataError, MissingRateError, ParseError
 
 from conftest import (
     BTC,
+    HOSTILE_LINES,
     canonical_lines,
     fan_out_then_join_lines,
     parse_lines,
@@ -91,6 +93,62 @@ class TestParse:
     def test_missing_field(self):
         with pytest.raises(ParseError, match="missing field"):
             parse_lines(['{"txid": "' + "0" * 64 + '", "time": 1, "coinbase": true, "in": []}'])
+
+
+class TestHostileLines:
+    @pytest.mark.parametrize("name", sorted(HOSTILE_LINES))
+    def test_raises_parse_error_on_its_line(self, name):
+        good = tx_line(txid_of("ok"), 1, coinbase=True, outputs=[("a", 1)])
+        with pytest.raises(ParseError) as err:
+            parse_lines([good, HOSTILE_LINES[name]])
+        assert err.value.line == 2
+        assert str(err.value).startswith("line 2: ")
+
+    def test_nesting_and_digits_are_invalid_json(self):
+        for name in ("deep_nesting", "huge_time"):
+            with pytest.raises(ParseError, match="invalid JSON"):
+                parse_lines([HOSTILE_LINES[name]])
+
+    def test_surrogate_address_named(self):
+        with pytest.raises(ParseError, match="output addr is not valid UTF-8"):
+            parse_lines([HOSTILE_LINES["lone_surrogate"]])
+
+    def test_non_ascii_address_accepted(self):
+        log = parse_lines([tx_line(txid_of("u"), 1, coinbase=True, outputs=[("adresse-é", 1)])])
+        assert log.transactions[0].outputs[0].addr == "adresse-é"
+
+
+class TestParseMessages:
+    def test_uppercase_hex_txid_normalized(self):
+        txid = txid_of("upper")
+        log = parse_lines([tx_line(txid.upper(), 1, coinbase=True, outputs=[("a", 1)])])
+        assert log.transactions[0].txid == txid
+
+    @pytest.mark.parametrize("txid, message", [
+        ("ab" * 31, "64-character"),
+        (7, "64-character"),
+        ("g" * 64, "non-hex"),
+        ("\u0130" + "a" * 63, "non-hex"),
+    ])
+    def test_bad_txid_messages(self, txid, message):
+        line = tx_line("0" * 64, 1, coinbase=True, outputs=[("a", 1)])
+        line = line.replace('"' + "0" * 64 + '"', json.dumps(txid))
+        with pytest.raises(ParseError, match=message):
+            parse_lines([line])
+
+    @pytest.mark.parametrize("record, message", [
+        ({"txid": "0" * 64, "time": 1, "coinbase": True, "in": [], "out": [], "x": 1, "a": 2},
+         "unknown field\\(s\\): a, x"),
+        ({"txid": "0" * 64, "coinbase": True, "out": []}, "missing field: time"),
+        ({"txid": "0" * 64, "time": 1, "coinbase": False, "in": [{"tx": "0" * 64}], "out": []},
+         "input must be an object with fields tx, idx"),
+        ({"txid": "0" * 64, "time": 1, "coinbase": True, "in": [],
+          "out": [{"addr": "a", "val": 1, "x": 0}]},
+         "output must be an object with fields addr, val"),
+    ])
+    def test_field_messages(self, record, message):
+        with pytest.raises(ParseError, match=message):
+            parse_lines([json.dumps(record)])
 
 
 class TestValidate:

@@ -9,7 +9,7 @@ import pytest
 import ponzi_radar
 from ponzi_radar.cli import main
 
-from conftest import tx_line, txid_of
+from conftest import HOSTILE_LINES, tx_line, txid_of
 
 
 def run(argv, capsys=None):
@@ -273,3 +273,16 @@ def test_log_env_var_accepted(world, monkeypatch, capsys):
 
 def test_dataset_without_inputs_exits_two(world):
     assert main(["dataset", "--labels", str(world / "labels.csv")]) == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "cluster", "features"])
+@pytest.mark.parametrize("name", sorted(HOSTILE_LINES))
+def test_hostile_log_line_exits_two(tmp_path, capsys, command, name):
+    log = tmp_path / "log.jsonl"
+    log.write_text(HOSTILE_LINES[name] + "\n")
+    argv = [command, str(log)] + ([] if command == "validate" else ["-o", str(tmp_path / "out")])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ponzi-radar: error: line 1: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
