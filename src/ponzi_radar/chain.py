@@ -22,6 +22,7 @@ into the same records and runs the same pass.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -258,10 +259,11 @@ def parse_tx_log(stream: IO[str] | IO[bytes] | Iterable[str]) -> TxLog:
     """Parse a line-delimited transaction log into a TxLog.
 
     Malformed lines raise ParseError with the offending line number (and
-    column, for JSON syntax errors). Duplicate txids are rejected.
+    column, for JSON syntax errors). Duplicate txids are rejected. A str is
+    split into lines as a text file is read: at LF, CR and CR LF only.
     """
     if isinstance(stream, str):
-        stream = stream.splitlines()
+        stream = io.StringIO(stream, newline=None)
     seen: dict[str, int] = {}
     records: list[_Record] = []
     for line_no, raw in enumerate(stream, start=1):

@@ -4,7 +4,15 @@ The entropy-based rankers (information gain, gain ratio, symmetrical
 uncertainty) and OneR work on discretized columns; discretization is
 equal-frequency binning with cut points snapped to the nearest boundary
 between distinct values, so heavily tied columns simply produce fewer bins.
-ReliefF works on min-max normalized numeric columns directly.
+Their contingency tables come from one bincount over (bin, class) codes.
+
+ReliefF works on min-max normalized numeric columns directly, in blocks of
+sampled rows. Per class, a block's L1 distances are summed one feature at a
+time; every member within EPS of a row's approximate k-th distance is a
+candidate, and the candidates' exact row-wise distances pick and order the
+k neighbours. Means and weights are summed in the order of the per-row loop
+this replaced, so the weights are bit-identical to it (README, "How ReliefF
+is computed").
 """
 
 from __future__ import annotations
@@ -56,13 +64,11 @@ def _entropy_of_counts(counts: np.ndarray) -> float:
 
 
 def _contingency(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    xs = np.unique(x)
-    ys = np.unique(y)
-    table = np.zeros((len(xs), len(ys)), dtype=np.int64)
-    for i, xv in enumerate(xs):
-        for j, yv in enumerate(ys):
-            table[i, j] = int(np.sum((x == xv) & (y == yv)))
-    return table
+    """Counts of each (x value, y value) pair, both in ascending order."""
+    xs, xi = np.unique(x, return_inverse=True)
+    ys, yi = np.unique(y, return_inverse=True)
+    cells = np.bincount(xi * len(ys) + yi, minlength=len(xs) * len(ys))
+    return cells.reshape(len(xs), len(ys))
 
 
 def entropy(labels: Sequence) -> float:
@@ -123,6 +129,13 @@ class ReliefFResult:
     notes: list[str]
 
 
+# Two summation orders of 20 terms in [0, 1] differ by less than 1e-13, so a
+# true neighbour is always within EPS of the approximate k-th distance.
+_EPS = 1e-12
+# Distance cells per class in one block of sampled rows (16 rows at 6 000).
+_BLOCK_CELLS = 100_000
+
+
 def relieff(
     dataset: Dataset, k: int = 10, m: int | None = None, seed: int = 0
 ) -> ReliefFResult:
@@ -132,10 +145,13 @@ def relieff(
     k nearest misses pull each feature's weight down or up by the mean
     per-feature difference; miss contributions are weighted by class prior.
     Distance ties are broken by instance index. m is the number of sampled
-    instances (default: all, in index order).
+    instances (default: all, in index order). Sampled rows are handled in
+    blocks; see the module docstring.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if m is not None and m < 1:
+        raise ValueError("m must be at least 1")
     X, y = dataset.X, dataset.y
     n, n_feat = X.shape
     if n == 0:
@@ -153,44 +169,87 @@ def relieff(
         rng = np.random.default_rng(seed)
         sample = np.sort(rng.choice(n, size=m, replace=False))
 
-    classes, class_counts = np.unique(y, return_counts=True)
-    priors = {int(c): cnt / n for c, cnt in zip(classes, class_counts)}
-    notes: list[str] = []
-    short: set[int] = set()
+    classes, cls, class_counts = np.unique(y, return_inverse=True, return_counts=True)
+    priors = class_counts / n
+    notes = _relieff_notes(classes, class_counts, cls[sample], k)
+    members = [np.nonzero(cls == c)[0] for c in range(len(classes))]
+    columns = [np.ascontiguousarray(Z[rows].T) for rows in members]
+    # A row alone in its class has no hits and contributes nothing.
+    active = sample[class_counts[cls[sample]] > 1]
+    block = max(1, _BLOCK_CELLS // (n + min(k, n) * n_feat))
     weights = np.zeros(n_feat, dtype=np.float64)
-
-    for i in sample:
-        dist = np.abs(Z - Z[i]).sum(axis=1)
-        own = int(y[i])
-        hit_rows = np.nonzero((y == own) & (np.arange(n) != i))[0]
-        if len(hit_rows) == 0:
-            continue
-        if len(hit_rows) < k and own not in short:
-            short.add(own)
-            notes.append(
-                f"class {own}: fewer than k+1 members; using all {len(hit_rows)} hits"
-            )
-        nearest_hits = hit_rows[np.lexsort((hit_rows, dist[hit_rows]))][:k]
-        hit_diff = np.abs(Z[nearest_hits] - Z[i]).mean(axis=0)
-        miss_diff = np.zeros(n_feat, dtype=np.float64)
-        for c in classes:
-            c = int(c)
-            if c == own:
-                continue
-            miss_rows = np.nonzero(y == c)[0]
-            if len(miss_rows) == 0:
-                continue
-            if len(miss_rows) < k and c not in short:
-                short.add(c)
-                notes.append(
-                    f"class {c}: fewer than k members; using all {len(miss_rows)} misses"
-                )
-            nearest = miss_rows[np.lexsort((miss_rows, dist[miss_rows]))][:k]
-            w_c = priors[c] / (1.0 - priors[own])
-            miss_diff += w_c * np.abs(Z[nearest] - Z[i]).mean(axis=0)
-        weights += miss_diff - hit_diff
+    for start in range(0, len(active), block):
+        rows = active[start:start + block]
+        own = cls[rows]
+        hit_diff = np.empty((len(rows), n_feat))
+        miss_diff = np.zeros((len(rows), n_feat))
+        for c, (mem, cols) in enumerate(zip(members, columns)):
+            hit = own == c
+            kk = np.where(hit, min(k, len(mem) - 1), min(k, len(mem)))
+            means = _neighbour_means(Z, rows, hit, mem, cols, kk)
+            hit_diff[hit] = means[hit]
+            miss = ~hit
+            w_c = priors[c] / (1.0 - priors[own[miss]])
+            miss_diff[miss] += w_c[:, None] * means[miss]
+        for diff in miss_diff - hit_diff:  # one row at a time, in sample order
+            weights += diff
     weights /= len(sample)
     return ReliefFResult(weights, notes)
+
+
+def _relieff_notes(classes, class_counts, sample_cls, k) -> list[str]:
+    """Notes for classes too small for k neighbours, in the order the sample meets them."""
+    notes: list[str] = []
+    short: set[int] = set()
+    _, first = np.unique(sample_cls, return_index=True)
+    for own in sample_cls[np.sort(first)].tolist():
+        n_hits = class_counts[own] - 1
+        if n_hits == 0:
+            continue
+        if n_hits < k and own not in short:
+            short.add(own)
+            notes.append(f"class {int(classes[own])}: fewer than k+1 members; "
+                         f"using all {n_hits} hits")
+        for c, count in enumerate(class_counts):
+            if c != own and count < k and c not in short:
+                short.add(c)
+                notes.append(f"class {int(classes[c])}: fewer than k members; "
+                             f"using all {count} misses")
+    return notes
+
+
+def _neighbour_means(Z, rows, hit, members, columns, kk) -> np.ndarray:
+    """Mean |Z[j] - Z[i]| over the kk nearest members j of each row i, i ≠ j.
+
+    Distances are accumulated one feature at a time; every member within EPS
+    of a row's approximate kk-th distance is a candidate, and candidates are
+    ordered by the exact row-wise distance, then by index.
+    """
+    dist = np.zeros((len(rows), len(members)))
+    term = np.empty_like(dist)
+    for f, col in enumerate(columns):
+        np.subtract(col, Z[rows, f, None], out=term)
+        dist += np.abs(term, out=term)
+    self_rows = np.nonzero(hit)[0]
+    dist[self_rows, np.searchsorted(members, rows[self_rows])] = np.inf
+    term[...] = dist
+    term.partition(np.unique(kk) - 1, axis=1)
+    kth = term[np.arange(len(rows)), kk - 1]
+    r, j = np.nonzero(dist <= (kth + _EPS)[:, None])
+    cand = members[j]
+    exact = np.empty(len(cand))
+    step = max(1, _BLOCK_CELLS // Z.shape[1])
+    for s in range(0, len(cand), step):
+        part = slice(s, s + step)
+        exact[part] = np.abs(Z[cand[part]] - Z[rows[r[part]]]).sum(axis=1)
+    cand = cand[np.lexsort((cand, exact, r))]
+    starts = np.searchsorted(r, np.arange(len(rows)))
+    means = np.empty((len(rows), Z.shape[1]))
+    for kv in np.unique(kk):
+        g = np.nonzero(kk == kv)[0]
+        nearest = cand[starts[g, None] + np.arange(kv)]
+        means[g] = np.abs(Z[nearest] - Z[rows[g], None]).mean(axis=1)
+    return means
 
 
 @dataclass(frozen=True)

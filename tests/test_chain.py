@@ -8,6 +8,7 @@ import pytest
 
 from ponzi_radar.chain import (
     RateTable,
+    load_tx_log,
     parse_tx_log,
     to_usd,
     validate_tx_log,
@@ -116,6 +117,43 @@ class TestHostileLines:
     def test_non_ascii_address_accepted(self):
         log = parse_lines([tx_line(txid_of("u"), 1, coinbase=True, outputs=[("adresse-é", 1)])])
         assert log.transactions[0].outputs[0].addr == "adresse-é"
+
+
+def _outcome(parse, source):
+    try:
+        return parse(source).transactions
+    except ParseError as err:
+        return str(err)
+
+
+class TestStringInput:
+    """A str is split into lines exactly as a log file is read."""
+
+    @staticmethod
+    def both_ways(tmp_path, text):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        from_file = _outcome(load_tx_log, str(path))
+        assert _outcome(parse_tx_log, text) == from_file
+        return from_file
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c",
+                                      "\x1c", "\x1d", "\x1e"])
+    def test_line_break_character_inside_address(self, tmp_path, char):
+        lines = [tx_line(txid_of("first"), 1, coinbase=True, outputs=[("a", 1)]),
+                 tx_line(txid_of("second"), 2, coinbase=True,
+                         outputs=[("x|y", 2)]).replace("x|y", f"x{char}y")]
+        outcome = self.both_ways(tmp_path, "\n".join(lines) + "\n")
+        if char < " ":  # JSON strings may not hold raw control characters
+            assert outcome.startswith("line 2, column ")
+        else:
+            assert outcome[1].outputs[0].addr == f"x{char}y"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_newlines(self, tmp_path, newline):
+        lines, _ = fan_out_then_join_lines()
+        outcome = self.both_ways(tmp_path, newline.join(lines) + newline)
+        assert len(outcome) == 3
 
 
 class TestParseMessages:

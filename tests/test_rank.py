@@ -10,6 +10,7 @@ from ponzi_radar.dataset import Dataset, Instance
 from ponzi_radar.features import FEATURE_NAMES
 from ponzi_radar.rank import (
     Ranking,
+    _contingency,
     all_rankings,
     consensus_rank,
     discretize,
@@ -71,7 +72,29 @@ class TestDiscretize:
         assert len(set(discretize(column, bins=10).tolist())) == 2
 
 
+def loop_contingency(x, y):
+    """The previous contingency table: one masked count per (x, y) cell."""
+    xs, ys = np.unique(x), np.unique(y)
+    table = np.zeros((len(xs), len(ys)), dtype=np.int64)
+    for i, xv in enumerate(xs):
+        for j, yv in enumerate(ys):
+            table[i, j] = int(np.sum((x == xv) & (y == yv)))
+    return table
+
+
 class TestEntropyRankers:
+    def test_contingency_equals_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(0, 80))
+            x = rng.integers(-3, int(rng.integers(1, 12)), size=n)
+            if rng.random() < 0.5:
+                x = x * 0.5
+            y = rng.integers(0, int(rng.integers(1, 4)), size=n).astype(np.int8)
+            table = _contingency(x, y)
+            expected = loop_contingency(x, y)
+            assert table.dtype == expected.dtype and np.array_equal(table, expected)
+
     def test_constant_feature_no_gain(self):
         x = [0] * 8
         y = [1, 1, 1, 1, 0, 0, 0, 0]
@@ -188,6 +211,11 @@ class TestReliefF:
         a = relieff(ds, k=3, m=20, seed=5).weights
         b = relieff(ds, k=3, m=20, seed=5).weights
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one_rejected(self, m):
+        with pytest.raises(ValueError, match="^m must be at least 1$"):
+            relieff(make_dataset(3, 10, seed=2), k=3, m=m)
 
     def test_small_class_noted(self):
         ds = make_dataset(2, 30, seed=8)
