@@ -3,55 +3,9 @@
 Parse a transaction log, cluster addresses with the multi-input heuristic,
 extract per-cluster behavioral features, train imbalance-aware classifiers,
 evaluate them with stratified cross-validation, and rank feature relevance.
+Each stage is a module (`ponzi_radar.chain`, `.clustering`, `.features`,
+`.dataset`, `.learn`, `.evaluate`, `.rank`, `.synth`); `ponzi_radar.cli` runs
+them as subcommands.
 """
-
-from .chain import (
-    RateTable,
-    Transaction,
-    TxLog,
-    parse_tx_log,
-    serialize_tx_log,
-    to_usd,
-    validate_tx_log,
-)
-from .clustering import ClusterSet, build_clusters, cluster_of, expand_seeds
-from .dataset import Dataset, Instance, assemble, read_csv, sample_background, write_csv
-from .errors import DataError, MissingRateError, ParseError, PonziRadarError, SchemaMismatchError
-from .evaluate import (
-    ConfusionMatrix,
-    MetricsReport,
-    apply_model,
-    cross_validate,
-    metrics_from_confusion,
-    roc_auc,
-    stratified_folds,
-)
-from .features import (
-    FEATURE_NAMES,
-    SCHEMA_VERSION,
-    ClusterLedger,
-    FeatureVector,
-    build_ledger,
-    extract_features,
-    gini,
-    paid_back_count,
-)
-from .learn import (
-    BayesModel,
-    CostMatrix,
-    ForestModel,
-    LearnerSpec,
-    TreeModel,
-    cost_sensitive_predict,
-    load_model,
-    predict_proba,
-    save_model,
-    train_bayes,
-    train_forest,
-    train_tree,
-    undersample,
-)
-from .rank import consensus_rank, discretize, gain_ratio, info_gain, one_r, relieff, sym_uncertainty
-from .synth import SynthParams, generate
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Simplified UTXO transaction log: parsing, validation, USD conversion.
+"""Simplified UTXO transaction log: parsing, validation, serialization.
 
 The log is UTF-8 text, one JSON object per line:
 
@@ -7,8 +7,7 @@ The log is UTF-8 text, one JSON object per line:
      "out": [{"addr": <string>, "val": <uint satoshi>}, ...]}
 
 Each input references a previous output by (txid, index). Amounts are integer
-satoshi end to end; conversion to USD happens only at reporting time through a
-daily rate table, so feature sums never accumulate float drift.
+satoshi end to end, so feature sums never accumulate float drift.
 
 Parsing checks each line into a plain record (timestamp, txid, coinbase,
 input outpoints, outputs). One resolve pass then sorts the records by
@@ -21,24 +20,19 @@ into the same records and runs the same pass.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import re
 from dataclasses import dataclass, field
-from datetime import date
-from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import DataError, MissingRateError, ParseError
+from .errors import ParseError
 
-SATOSHI_PER_BTC = 100_000_000
 _MAX_SATOSHI = 2**63 - 1
 _HEX64 = re.compile("[0-9a-fA-F]{64}")
 _TX_FIELDS = frozenset({"txid", "time", "coinbase", "in", "out"})
 _IN_FIELDS = frozenset({"tx", "idx"})
 _OUT_FIELDS = frozenset({"addr", "val"})
-_CENTS = Decimal("0.01")
 
 
 class OutPoint(NamedTuple):
@@ -324,52 +318,3 @@ def write_tx_log(log: TxLog, fp: IO[str]) -> None:
     for line in serialize_tx_log(log):
         fp.write(line)
         fp.write("\n")
-
-
-@dataclass(frozen=True)
-class RateTable:
-    """Daily USD-per-BTC average rates keyed by UTC date."""
-
-    rates: dict[date, Decimal]
-
-    def rate(self, day: date) -> Decimal:
-        try:
-            return self.rates[day]
-        except KeyError:
-            raise MissingRateError(f"no exchange rate for {day.isoformat()}") from None
-
-    @classmethod
-    def from_csv(cls, fp: IO[str]) -> "RateTable":
-        reader = csv.reader(fp)
-        header = next(reader, None)
-        if header != ["date", "usd_per_btc"]:
-            raise DataError("rate table must start with header 'date,usd_per_btc'")
-        rates: dict[date, Decimal] = {}
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise DataError(f"rate table row {row_no}: expected 2 columns")
-            try:
-                day = date.fromisoformat(row[0])
-            except ValueError as exc:
-                raise DataError(f"rate table row {row_no}: bad date {row[0]!r}") from exc
-            try:
-                rate = Decimal(row[1])
-            except InvalidOperation as exc:
-                raise DataError(f"rate table row {row_no}: bad rate {row[1]!r}") from exc
-            if rate <= 0:
-                raise DataError(f"rate table row {row_no}: rate must be positive")
-            if day in rates:
-                raise DataError(f"rate table row {row_no}: duplicate date {row[0]}")
-            rates[day] = rate
-        return cls(rates)
-
-
-def to_usd(value: int, day: date, rates: RateTable) -> Decimal:
-    """Convert satoshi to USD at the given day's rate, rounded to cents half-even.
-
-    No interpolation: a missing date raises MissingRateError.
-    """
-    if value < 0:
-        raise ValueError("satoshi value must be non-negative")
-    usd = Decimal(value) * rates.rate(day) / SATOSHI_PER_BTC
-    return usd.quantize(_CENTS, rounding=ROUND_HALF_EVEN)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import logging
 import math
 import os
@@ -193,19 +194,17 @@ def _ponzi_cluster_map(index_of: dict[str, int], labels: dict[str, str]) -> dict
 def _cmd_dataset(args) -> int:
     with _open_in(args.labels) as fp:
         labels = synth.read_labels(fp)
-    if args.log:
+    if args.log is not None:
         log = _load_log(args.log)
         clusters = clustering.build_clusters(log)
         table = dict(enumerate(features.cluster_feature_table(log, clusters)))
-    elif args.features and args.clusters:
+    else:
         with _open_in(args.features) as fp:
             table = ds.read_features_csv(fp)
         with _open_in(args.clusters) as fp:
             clusters = clustering.read_clusters(fp)
         if sorted(table) != list(range(clusters.n_clusters)):
             raise DataError("feature table cluster ids do not match the cluster dump")
-    else:
-        raise PonziRadarError("dataset needs --log, or both --features and --clusters")
     ponzi = _ponzi_cluster_map(clusters.index_of, labels)
     if args.sample is not None:
         keep = ds.sample_background(clusters, args.sample, args.seed, exclude=ponzi)
@@ -292,9 +291,10 @@ def _cmd_apply(args) -> int:
 def _cmd_rank(args) -> int:
     with _open_in(args.dataset) as fp:
         data = ds.read_csv(fp)
-    rankings = rank.all_rankings(
-        data, bins=args.bins, relieff_k=args.relieff_k, seed=args.seed
-    )
+    rankings = [
+        rank.rank_features(data, method, bins=args.bins, relieff_k=args.relieff_k, seed=args.seed)
+        for method in rank.RANKER_NAMES
+    ]
     consensus = rank.consensus_rank(rankings, top_n=args.top)
     with _output(args.out) as out:
         out.write("method,feature,score,rank\n")
@@ -395,6 +395,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_dataset_sources(parser: argparse.ArgumentParser, args) -> None:
+    """`dataset` reads --log, or --features with --clusters: never both, never neither."""
+    pair = (args.features, args.clusters)
+    if args.log is not None and pair != (None, None):
+        parser.error("dataset takes --log or --features/--clusters, not both")
+    if args.log is None and None in pair:
+        parser.error("dataset needs --log, or both --features and --clusters")
+
+
 def _configure_logging() -> None:
     level = os.environ.get("PONZI_RADAR_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
@@ -405,9 +414,11 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "dataset":
+        _check_dataset_sources(parser, args)
     try:
         return args.func(args)
-    except (PonziRadarError, OSError, ValueError) as exc:
+    except (PonziRadarError, OSError, ValueError, csv.Error) as exc:
         print(f"ponzi-radar: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

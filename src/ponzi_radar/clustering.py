@@ -100,13 +100,6 @@ def build_clusters(log: TxLog) -> ClusterSet:
     return _finalize(ids, uf, ids)
 
 
-def cluster_of(clusters: ClusterSet, address: str) -> int:
-    try:
-        return clusters.index_of[address]
-    except KeyError:
-        raise DataError(f"unknown address: {address}") from None
-
-
 class SeedExpansion(NamedTuple):
     by_label: dict[str, tuple[int, ...]]  # label -> sorted cluster indices
     unresolved: tuple[tuple[str, str], ...]  # (label, address) not in the log

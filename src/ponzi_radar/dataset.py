@@ -1,87 +1,94 @@
-"""Labeled instance assembly, CSV persistence, background sampling.
+"""Labeled datasets as arrays, CSV persistence, background sampling.
 
 The on-disk format is CSV with a fixed column order and the schema version
 embedded in the first header cell:
 
     schema=v1,id,label,n_addr,lifetime_days,...
 
-Integer-valued features round-trip as decimal integers; real-valued features
-are printed with 17 significant digits so read(write(d)) == d exactly. The
-per-cluster feature table (`schema=v1,cluster_id,...`) shares the codec.
+Integer-valued features are bounded by 2**53, so float64 holds them exactly,
+and they round-trip as decimal integers; real-valued features are printed
+with 17 significant digits so read(write(d)) == d exactly. A cell that is not
+a finite number >= 0, or in an integer column not an integer from 0 to 2**53,
+is rejected with its row and column.
+The per-cluster feature table (`schema=v1,cluster_id,...`) shares the codec.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from decimal import Decimal
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .clustering import ClusterSet
 from .errors import DataError, SchemaMismatchError
-from .features import FEATURE_NAMES, INT_FEATURES, SCHEMA_VERSION, FeatureVector
+from .features import FEATURE_NAMES, INT_FEATURES, MAX_EXACT_INT, SCHEMA_VERSION, FeatureVector
 
 logger = logging.getLogger(__name__)
 
 LABEL_PONZI = "P"
 LABEL_OTHER = "nP"
+LABEL_OF = (LABEL_OTHER, LABEL_PONZI)  # indexed by y
+
+_N_FEATURES = len(FEATURE_NAMES)
+_INT_COLUMNS = np.array([name in INT_FEATURES for name in FEATURE_NAMES])
 
 
-@dataclass(frozen=True, slots=True)
-class Instance:
-    id: str
-    label: str  # "P" or "nP"
-    features: FeatureVector
-
-    def __post_init__(self):
-        if self.label not in (LABEL_PONZI, LABEL_OTHER):
-            raise DataError(f"instance {self.id}: label must be P or nP, got {self.label!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Labeled instances, plus the matrix the learners see.
+    """Labeled rows: ids, labels and the feature matrix, checked once here.
 
-    `instances` is the stored record: integer features stay exact Python
-    ints. `X` and `y` are built from it once, on first use.
+    `y` is int8 with 1 = P; `X` is float64, one row per id in schema column
+    order, finite and non-negative.
     """
 
-    schema: str
-    instances: tuple[Instance, ...]
+    ids: tuple[str, ...]
+    y: np.ndarray
+    X: np.ndarray
 
-    @cached_property
-    def X(self) -> np.ndarray:
-        """Feature matrix, float64, one row per instance in schema column order."""
-        return np.array([inst.features.as_tuple() for inst in self.instances],
-                        dtype=np.float64).reshape(len(self.instances), len(FEATURE_NAMES))
+    def __post_init__(self):
+        ids = tuple(self.ids)
+        y = np.asarray(self.y)
+        X = np.asarray(self.X, dtype=np.float64)
+        if y.shape != (len(ids),) or X.shape != (len(ids), _N_FEATURES):
+            raise DataError(f"dataset of {len(ids)} ids needs as many labels and rows of "
+                            f"{_N_FEATURES} features, got {y.shape} and {X.shape}")
+        if not np.all((y == 0) | (y == 1)):
+            raise DataError("dataset labels must be 0 (nP) or 1 (P)")
+        if not np.all((X >= 0) & (X < math.inf)):
+            raise DataError("dataset features must be finite and non-negative")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "y", y.astype(np.int8, copy=False))
+        object.__setattr__(self, "X", X)
 
-    @cached_property
-    def y(self) -> np.ndarray:
-        """Label vector, int8, 1 = P."""
-        return np.fromiter((inst.label == LABEL_PONZI for inst in self.instances),
-                           dtype=np.int8, count=len(self.instances))
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.ids == other.ids and np.array_equal(self.y, other.y)
+                and np.array_equal(self.X, other.X))
 
     def take(self, rows: Sequence[int]) -> "Dataset":
-        """The instances at `rows`, in that order; X and y are sliced, not rebuilt."""
+        """The rows at `rows`, in that order."""
         rows = np.asarray(rows, dtype=np.intp)
-        subset = Dataset(self.schema, tuple(self.instances[i] for i in rows))
-        subset.__dict__.update(X=self.X[rows], y=self.y[rows])
-        return subset
+        return Dataset(tuple(self.ids[i] for i in rows.tolist()), self.y[rows], self.X[rows])
 
     @property
     def n_ponzi(self) -> int:
-        return sum(1 for inst in self.instances if inst.label == LABEL_PONZI)
+        return int(np.count_nonzero(self.y))
 
     @property
     def n_other(self) -> int:
-        return len(self.instances) - self.n_ponzi
+        return len(self.ids) - self.n_ponzi
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.ids)
 
 
 def assemble(
@@ -97,18 +104,17 @@ def assemble(
     unknown = sorted(set(ponzi_labels) - set(features_by_cluster))
     if unknown:
         raise DataError(f"label(s) for unknown cluster(s): {unknown}")
-    instances = []
-    used_ids: set[str] = set()
-    for ci in sorted(features_by_cluster):
-        if ci in ponzi_labels:
-            inst = Instance(ponzi_labels[ci], LABEL_PONZI, features_by_cluster[ci])
-        else:
-            inst = Instance(f"c{ci}", LABEL_OTHER, features_by_cluster[ci])
-        if inst.id in used_ids:
-            raise DataError(f"duplicate instance id: {inst.id}")
-        used_ids.add(inst.id)
-        instances.append(inst)
-    ds = Dataset(SCHEMA_VERSION, tuple(instances))
+    order = sorted(features_by_cluster)
+    ids = tuple(ponzi_labels[ci] if ci in ponzi_labels else f"c{ci}" for ci in order)
+    if len(set(ids)) < len(ids):
+        duplicate = next(id_ for id_, n in Counter(ids).items() if n > 1)
+        raise DataError(f"duplicate instance id: {duplicate}")
+    ds = Dataset(
+        ids,
+        np.fromiter((ci in ponzi_labels for ci in order), dtype=np.int8, count=len(order)),
+        np.array([features_by_cluster[ci].as_tuple() for ci in order],
+                 dtype=np.float64).reshape(len(order), _N_FEATURES),
+    )
     if ds.n_ponzi == 0 and len(ds) > 0:
         logger.warning("dataset has no P instances; unusable for training")
     return ds
@@ -129,22 +135,37 @@ def sample_background(
     return sorted(random.Random(seed).sample(population, n))
 
 
-# One formatter per schema column: exact decimal integers, 17-digit reals.
-_FORMATS = tuple(str if name in INT_FEATURES else "{:.17g}".format for name in FEATURE_NAMES)
-_PARSERS = tuple(int if name in INT_FEATURES else float for name in FEATURE_NAMES)
+# The feature cells of one row: exact decimal integers, 17-digit reals. "%d"
+# prints an integral float64 as the integer it holds.
+_ROW_FORMAT = ",".join("%d" if name in INT_FEATURES else "%.17g" for name in FEATURE_NAMES)
+_CHUNK_ROWS = 256  # rows converted to Python floats at a time
 
 
-def _write_table(fp: IO[str], schema: str, key_columns: Sequence[str],
-                 rows: Iterable[tuple[Sequence, FeatureVector]]) -> None:
+def _write_table(fp: IO[str], key_columns: Sequence[str], keys: Iterable[Sequence],
+                 rows: Iterable[Sequence[float]]) -> None:
     writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow([f"schema={schema}", *key_columns, *FEATURE_NAMES])
-    for keys, fv in rows:
-        writer.writerow([*keys, *(fmt(v) for fmt, v in zip(_FORMATS, fv.as_tuple()))])
+    writer.writerow([f"schema={SCHEMA_VERSION}", *key_columns, *FEATURE_NAMES])
+    writer.writerows([*key, *(_ROW_FORMAT % tuple(row)).split(",")]
+                     for key, row in zip(keys, rows))
+
+
+def _cell_ok(cell: str, integer: bool) -> bool:
+    """Whether a feature cell holds a finite number >= 0, an integer <= 2**53 if `integer`."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return False
+    if not 0 <= value < math.inf:
+        return False
+    if integer:
+        exact = Decimal(cell)  # 2**53 + 1 must not pass as the float 2**53
+        return exact == exact.to_integral_value() and exact <= MAX_EXACT_INT
+    return True
 
 
 def _read_table(fp: IO[str], key_columns: Sequence[str],
-                what: str) -> Iterator[tuple[int, list[str], FeatureVector]]:
-    """Yield (row number, key cells, features) for each row of a feature CSV."""
+                what: str) -> tuple[list[list[str]], np.ndarray]:
+    """The key cells of each row of a feature CSV, and its checked feature matrix."""
     reader = csv.reader(fp)
     header = next(reader, None)
     if header is None:
@@ -157,46 +178,70 @@ def _read_table(fp: IO[str], key_columns: Sequence[str],
             )
         raise DataError(f"{what} header does not match the v1 feature schema")
     n_keys = len(key_columns)
-    n_columns = n_keys + len(FEATURE_NAMES)  # the schema cell heads no column
-    for row_no, row in enumerate(reader, start=2):
-        if len(row) != n_columns:
-            raise DataError(f"{what} row {row_no}: expected {n_columns} columns")
-        try:
-            values = [parse(cell) for parse, cell in zip(_PARSERS, row[n_keys:])]
-        except ValueError as exc:
-            raise DataError(f"{what} row {row_no}: {exc}") from exc
-        yield row_no, row[:n_keys], FeatureVector(*values)
+    n_columns = n_keys + _N_FEATURES  # the schema cell heads no column
+    keys: list[list[str]] = []
+    cells: list[list[str]] = []
+    try:
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) != n_columns:
+                raise DataError(f"{what} row {row_no}: expected {n_columns} columns")
+            keys.append(row[:n_keys])
+            cells.append(row[n_keys:])
+    except csv.Error as exc:  # such as a cell beyond the csv module's field limit
+        raise DataError(f"{what} row {len(cells) + 2}: {exc}") from exc
+    try:
+        X = np.array(cells, dtype=np.float64).reshape(len(cells), _N_FEATURES)
+    except ValueError:  # some cell is not a number: look at every cell
+        suspects = itertools.product(range(len(cells)), range(_N_FEATURES))
+    else:
+        ints = X[:, _INT_COLUMNS]
+        suspect = ~((X >= 0) & (X < math.inf))
+        suspect[:, _INT_COLUMNS] |= (ints >= MAX_EXACT_INT) | (ints != np.floor(ints))
+        suspects = np.argwhere(suspect).tolist()  # in file order
+    for i, j in suspects:
+        if not _cell_ok(cells[i][j], _INT_COLUMNS[j]):
+            kind = "an integer from 0 to 2**53" if _INT_COLUMNS[j] else "a finite number >= 0"
+            raise DataError(f"{what} row {i + 2}, column {FEATURE_NAMES[j]}: "
+                            f"{cells[i][j][:40]!r} is not {kind}")
+    return keys, X
 
 
 def write_csv(dataset: Dataset, fp: IO[str]) -> None:
-    _write_table(fp, dataset.schema, ("id", "label"),
-                 (((inst.id, inst.label), inst.features) for inst in dataset.instances))
+    X = dataset.X
+    rows = (row for start in range(0, len(X), _CHUNK_ROWS)
+            for row in X[start:start + _CHUNK_ROWS].tolist())
+    keys = zip(dataset.ids, (LABEL_OF[v] for v in dataset.y.tolist()))
+    _write_table(fp, ("id", "label"), keys, rows)
 
 
 def write_features_csv(features_by_cluster: Mapping[int, FeatureVector], fp: IO[str]) -> None:
     """Per-cluster feature table: `schema=v1,cluster_id,<feature columns>`."""
-    _write_table(fp, SCHEMA_VERSION, ("cluster_id",),
-                 (((ci,), features_by_cluster[ci]) for ci in sorted(features_by_cluster)))
+    order = sorted(features_by_cluster)
+    _write_table(fp, ("cluster_id",), ((ci,) for ci in order),
+                 (features_by_cluster[ci].as_tuple() for ci in order))
+
+
+_FEATURE_TYPES = tuple(int if name in INT_FEATURES else float for name in FEATURE_NAMES)
 
 
 def read_features_csv(fp: IO[str]) -> dict[int, FeatureVector]:
+    keys, X = _read_table(fp, ("cluster_id",), "feature table")
     out: dict[int, FeatureVector] = {}
-    for row_no, (cell,), fv in _read_table(fp, ("cluster_id",), "feature table"):
+    for row_no, ((cell,), row) in enumerate(zip(keys, X.tolist()), start=2):
         try:
             ci = int(cell)
         except ValueError as exc:
             raise DataError(f"feature table row {row_no}: {exc}") from exc
         if ci in out:
             raise DataError(f"feature table row {row_no}: duplicate cluster id {ci}")
-        out[ci] = fv
+        out[ci] = FeatureVector(*[kind(v) for kind, v in zip(_FEATURE_TYPES, row)])
     return out
 
 
 def read_csv(fp: IO[str]) -> Dataset:
-    instances = []
-    for row_no, (id_, label), fv in _read_table(fp, ("id", "label"), "dataset"):
-        try:
-            instances.append(Instance(id_, label, fv))
-        except DataError as exc:
-            raise DataError(f"dataset row {row_no}: {exc}") from exc
-    return Dataset(SCHEMA_VERSION, tuple(instances))
+    keys, X = _read_table(fp, ("id", "label"), "dataset")
+    for row_no, (_, label) in enumerate(keys, start=2):
+        if label not in LABEL_OF:
+            raise DataError(f"dataset row {row_no}: label must be P or nP, got {label!r}")
+    y = np.fromiter((label == LABEL_PONZI for _, label in keys), dtype=np.int8, count=len(keys))
+    return Dataset(tuple(id_ for id_, _ in keys), y, X)

@@ -27,6 +27,3 @@ class DataError(PonziRadarError):
 class SchemaMismatchError(DataError):
     """A model or file declares a feature schema different from the one in use."""
 
-
-class MissingRateError(DataError):
-    """No exchange rate is available for the requested date."""

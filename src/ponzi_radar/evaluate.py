@@ -1,4 +1,4 @@
-"""Stratified cross-validation, confusion matrices, metrics, ROC/AUC.
+"""Stratified cross-validation, confusion matrices, metrics, AUC.
 
 P is the positive class. Cross-validation aggregates the per-fold confusion
 matrices by summing counts (not by averaging metrics), and pools the per-fold
@@ -15,7 +15,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, LABEL_PONZI
+from .dataset import LABEL_OF, LABEL_PONZI, Dataset
 from .errors import DataError
 from .learn import (
     CostMatrix,
@@ -87,7 +87,7 @@ def metrics_with_auc(cm: ConfusionMatrix, scores: Sequence[float],
                      labels: Sequence) -> MetricsReport:
     """The metrics of `cm`, plus the AUC of `scores` when both classes are present."""
     metrics = metrics_from_confusion(cm)
-    if len(set(labels)) == 2:
+    if np.unique(labels).size == 2:
         metrics = replace(metrics, auc=roc_auc(scores, labels))
     return metrics
 
@@ -123,32 +123,6 @@ def roc_auc(scores: Sequence[float], labels: Sequence) -> float:
     return u / (n_pos * n_neg)
 
 
-def roc_curve(scores: Sequence[float], labels: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """ROC points from (0,0) to (1,1), one per distinct score threshold."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = _binary_labels(labels)
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("ROC requires at least one positive and one negative")
-    order = np.argsort(-s, kind="stable")
-    sorted_s = s[order]
-    sorted_y = y[order]
-    cum_tp = np.cumsum(sorted_y)
-    cum_fp = np.cumsum(1 - sorted_y)
-    # Keep only the last point of each tied-score run.
-    last = np.nonzero(np.append(sorted_s[1:] != sorted_s[:-1], True))[0]
-    tpr = np.concatenate(([0.0], cum_tp[last] / n_pos))
-    fpr = np.concatenate(([0.0], cum_fp[last] / n_neg))
-    return fpr, tpr
-
-
-def auc_trapezoid(scores: Sequence[float], labels: Sequence) -> float:
-    """Trapezoidal ROC area; agrees with roc_auc including tie handling."""
-    fpr, tpr = roc_curve(scores, labels)
-    return float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0))
-
-
 def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
     """Partition instance indices into k folds, per-class counts within 1.
 
@@ -159,13 +133,10 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
     if k > len(dataset):
         raise DataError(f"k={k} exceeds dataset size {len(dataset)}")
     rng = random.Random(seed)
-    by_class: dict[str, list[int]] = {}
-    for i, inst in enumerate(dataset.instances):
-        by_class.setdefault(inst.label, []).append(i)
     folds: list[list[int]] = [[] for _ in range(k)]
     cursor = 0  # continues across classes so overall fold sizes stay level
-    for label in sorted(by_class):
-        idxs = by_class[label][:]
+    for cls in (1, 0):  # P rows are dealt first
+        idxs = np.flatnonzero(dataset.y == cls).tolist()
         rng.shuffle(idxs)
         for ix in idxs:
             folds[cursor % k].append(ix)
@@ -176,8 +147,8 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
 @dataclass
 class FoldOutcome:
     confusion: ConfusionMatrix
-    scores: list[float]
-    labels: list[str]
+    scores: np.ndarray  # float64 P-probabilities of the test rows
+    labels: np.ndarray  # int8 labels of the test rows, 1 = P
 
 
 @dataclass
@@ -185,14 +156,6 @@ class CVResult:
     confusion: ConfusionMatrix
     folds: list[FoldOutcome]
     metrics: MetricsReport
-
-    @property
-    def per_fold(self) -> list[ConfusionMatrix]:
-        return [f.confusion for f in self.folds]
-
-    @property
-    def scores(self) -> list[float]:
-        return [s for f in self.folds for s in f.scores]
 
 
 def _confusion_from_predictions(actual: np.ndarray, predicted_p: np.ndarray) -> ConfusionMatrix:
@@ -230,19 +193,16 @@ def cross_validate(
             train_ds = undersample(train_ds, sampling_ratio, seeds[1 + 2 * i])
         model = train_model(train_ds, learner, seeds[2 + 2 * i], threads=threads)
         p = model.predict_proba_matrix(X[test_idx])
-        predicted_p = p >= cost.threshold
+        labels = y[test_idx]
         outcomes.append(FoldOutcome(
-            _confusion_from_predictions(y[test_idx], predicted_p),
-            [float(v) for v in p],
-            [dataset.instances[j].label for j in test_idx],
-        ))
+            _confusion_from_predictions(labels, p >= cost.threshold), p, labels))
     aggregate = outcomes[0].confusion
     for outcome in outcomes[1:]:
         aggregate = aggregate + outcome.confusion
     metrics = metrics_with_auc(
         aggregate,
-        [s for o in outcomes for s in o.scores],
-        [lbl for o in outcomes for lbl in o.labels],
+        np.concatenate([o.scores for o in outcomes]),
+        np.concatenate([o.labels for o in outcomes]),
     )
     return CVResult(aggregate, outcomes, metrics)
 
@@ -270,8 +230,9 @@ def apply_model(model: Model, cost: CostMatrix, dataset: Dataset) -> ApplyResult
     p = model.predict_proba_matrix(dataset.X)
     predicted_p = p >= cost.threshold
     predictions = [
-        Prediction(inst.id, inst.label, float(p[i]), LABEL_PONZI if predicted_p[i] else "nP")
-        for i, inst in enumerate(dataset.instances)
+        Prediction(id_, LABEL_OF[actual], score, LABEL_OF[predicted])
+        for id_, actual, score, predicted
+        in zip(dataset.ids, dataset.y.tolist(), p.tolist(), predicted_p.tolist())
     ]
     confusion = _confusion_from_predictions(dataset.y, predicted_p)
     return ApplyResult(confusion, predictions, metrics_with_auc(confusion, p, dataset.y))

@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .chain import TxLog
 from .clustering import ClusterSet
+from .errors import DataError
 
 SCHEMA_VERSION = "v1"
 
@@ -52,6 +53,9 @@ INT_FEATURES: frozenset[str] = frozenset({
     "sum_in", "sum_out", "count_in", "count_out", "paid_back_addrs",
     "delay_min", "delay_max", "max_daily_balance_delta",
 })
+
+# Integer features above this would not stay exact in a float64 matrix.
+MAX_EXACT_INT = 2**53
 
 SECONDS_PER_DAY = 86_400
 
@@ -132,12 +136,6 @@ class ClusterLedger:
     outgoing: tuple[LedgerEvent, ...]
 
 
-def build_ledger(log: TxLog, clusters: ClusterSet, index: int) -> ClusterLedger:
-    if not 0 <= index < clusters.n_clusters:
-        raise ValueError(f"cluster index out of range: {index}")
-    return build_all_ledgers(log, clusters, only={index})[index]
-
-
 _NO_ADDRS: frozenset[str] = frozenset()
 
 
@@ -149,10 +147,8 @@ def _others(addrs_by_cluster: dict[int, set[str]], ci: int) -> frozenset[str]:
     return frozenset(a for cj, addrs in addrs_by_cluster.items() if cj != ci for a in addrs)
 
 
-def build_all_ledgers(
-    log: TxLog, clusters: ClusterSet, only: set[int] | None = None
-) -> dict[int, ClusterLedger]:
-    """One pass over the log building the ledger of every (selected) cluster."""
+def build_all_ledgers(log: TxLog, clusters: ClusterSet) -> dict[int, ClusterLedger]:
+    """One pass over the log building the ledger of every cluster."""
     incoming: dict[int, list[LedgerEvent]] = {}
     outgoing: dict[int, list[LedgerEvent]] = {}
     idx_of = clusters.index_of
@@ -176,18 +172,15 @@ def build_all_ledgers(
         if len(out_by_cluster) == 1 and in_by_cluster.keys() == out_by_cluster.keys():
             continue  # fully internal: no events
         for ci, amount in out_by_cluster.items():
-            if only is None or ci in only:
-                incoming.setdefault(ci, []).append(LedgerEvent(
-                    tx.timestamp, tx.txid, amount, _others(in_addrs_by_cluster, ci)))
+            incoming.setdefault(ci, []).append(LedgerEvent(
+                tx.timestamp, tx.txid, amount, _others(in_addrs_by_cluster, ci)))
         for ci, amount in in_by_cluster.items():
-            if only is None or ci in only:
-                outgoing.setdefault(ci, []).append(LedgerEvent(
-                    tx.timestamp, tx.txid, amount, _others(out_addrs_by_cluster, ci)))
+            outgoing.setdefault(ci, []).append(LedgerEvent(
+                tx.timestamp, tx.txid, amount, _others(out_addrs_by_cluster, ci)))
 
-    wanted = only if only is not None else range(clusters.n_clusters)
     return {
         ci: ClusterLedger(tuple(incoming.get(ci, ())), tuple(outgoing.get(ci, ())))
-        for ci in wanted
+        for ci in range(clusters.n_clusters)
     }
 
 
@@ -224,7 +217,8 @@ def extract_features(ledger: ClusterLedger, n_addr: int) -> FeatureVector:
     with the latest incoming event at or before it; outgoing events with no
     earlier incoming are skipped. Daily balances are end-of-UTC-day
     cumulative net flow, and the balance delta is the largest absolute
-    day-over-day change within the lifetime.
+    day-over-day change within the lifetime. An integer feature above 2**53
+    raises DataError, as float64 matrices could not hold it exactly.
     """
     events = sorted(
         ledger.incoming + ledger.outgoing, key=lambda e: (e.timestamp, e.txid)
@@ -273,39 +267,38 @@ def extract_features(ledger: ClusterLedger, n_addr: int) -> FeatureVector:
         pos = bisect_right(in_times, ev.timestamp)
         if pos > 0:
             delays.append(ev.timestamp - in_times[pos - 1])
-    if delays:
-        delay_min, delay_max = min(delays), max(delays)
-        delay_avg = math.fsum(delays) / len(delays)
-    else:
-        delay_min = delay_max = 0
-        delay_avg = 0.0
 
-    avg_in, std_in = _mean_std(in_amounts)
-    avg_out, std_out = _mean_std(out_amounts)
-    total_events = count_in + count_out
-    in_share = count_in / total_events if total_events else 0.0
-
-    return FeatureVector(
+    integers = dict(
         n_addr=n_addr,
         lifetime_days=lifetime_days,
         activity_days=activity_days,
         max_daily_tx=max_daily_tx,
-        gini_in=gini(in_amounts),
-        gini_out=gini(out_amounts),
         sum_in=sum(in_amounts),
         sum_out=sum(out_amounts),
         count_in=count_in,
         count_out=count_out,
-        in_share=in_share,
+        paid_back_addrs=paid_back_count(ledger),
+        delay_min=min(delays, default=0),
+        delay_max=max(delays, default=0),
+        max_daily_balance_delta=max_delta,
+    )
+    if max(integers.values()) > MAX_EXACT_INT:
+        name = next(name for name, value in integers.items() if value > MAX_EXACT_INT)
+        raise DataError(f"feature {name} is above 2**53, the bound of integer features")
+
+    avg_in, std_in = _mean_std(in_amounts)
+    avg_out, std_out = _mean_std(out_amounts)
+    total_events = count_in + count_out
+    return FeatureVector(
+        **integers,
+        gini_in=gini(in_amounts),
+        gini_out=gini(out_amounts),
+        in_share=count_in / total_events if total_events else 0.0,
         avg_in=avg_in,
         std_in=std_in,
         avg_out=avg_out,
         std_out=std_out,
-        paid_back_addrs=paid_back_count(ledger),
-        delay_min=delay_min,
-        delay_max=delay_max,
-        delay_avg=delay_avg,
-        max_daily_balance_delta=max_delta,
+        delay_avg=math.fsum(delays) / len(delays) if delays else 0.0,
     )
 
 

@@ -269,14 +269,6 @@ def _packed_counts(y: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return mult | ((mult * (y == 1)) << 32)
 
 
-def _class_weights(y: np.ndarray, reweight: CostMatrix | None) -> np.ndarray:
-    w = np.ones(len(y), dtype=np.float64)
-    if reweight is not None:
-        w[y == 1] = reweight.c_fn
-        w[y == 0] = reweight.c_fp
-    return w
-
-
 def train_tree(
     dataset: Dataset,
     params: TreeParams = TreeParams(),
@@ -389,7 +381,7 @@ def train_bayes(dataset: Dataset, reweight: CostMatrix | None = None) -> BayesMo
     X, y = dataset.X, dataset.y
     if len(np.unique(y)) < 2:
         raise DataError("Bayes training requires both classes")
-    w = _class_weights(y, reweight)
+    w = np.where(y == 1, *_class_costs(reweight))
     global_var = X.var(axis=0)
     floor = np.where(global_var > 0, 1e-9 * global_var, 1e-9)
     mean = np.empty((2, X.shape[1]))
@@ -526,7 +518,7 @@ def save_model(model: Model, fp: IO[str]) -> None:
         }
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    json.dump(doc, fp)
+    json.dump(doc, fp, allow_nan=False)
 
 
 def load_model(fp: IO[str]) -> Model:

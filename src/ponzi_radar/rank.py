@@ -287,20 +287,6 @@ def rank_features(
     return _to_ranking(method, scores)
 
 
-def all_rankings(
-    dataset: Dataset,
-    bins: int = 10,
-    relieff_k: int = 10,
-    relieff_m: int | None = None,
-    seed: int = 0,
-) -> list[Ranking]:
-    return [
-        rank_features(dataset, method, bins=bins,
-                      relieff_k=relieff_k, relieff_m=relieff_m, seed=seed)
-        for method in RANKER_NAMES
-    ]
-
-
 def consensus_rank(rankings: Sequence[Ranking], top_n: int = 8) -> list[tuple[str, int, float]]:
     """Features ordered by how often they land in each ranking's top_n.
 

@@ -13,6 +13,7 @@ byte-identical serialized log.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 from collections import deque
@@ -297,23 +298,27 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
     return TxLog.from_transactions(txs), labels
 
 
+_LABELS_HEADER = ["cluster_seed_address", "label"]
+
+
 def write_labels(labels: dict[str, str], fp: IO[str]) -> None:
-    fp.write("cluster_seed_address,label\n")
-    for addr, label in labels.items():
-        fp.write(f"{addr},{label}\n")
+    writer = csv.writer(fp, lineterminator="\n")
+    writer.writerow(_LABELS_HEADER)
+    writer.writerows(labels.items())
 
 
 def read_labels(fp: IO[str]) -> dict[str, str]:
-    header = fp.readline().strip()
-    if header != "cluster_seed_address,label":
+    """Seed address -> P or nP; blank rows are skipped, repeated addresses rejected."""
+    reader = csv.reader(fp)
+    if next(reader, None) != _LABELS_HEADER:
         raise DataError("labels file must start with header 'cluster_seed_address,label'")
     labels: dict[str, str] = {}
-    for row_no, line in enumerate(fp, start=2):
-        line = line.strip()
-        if not line:
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
             continue
-        parts = line.split(",")
-        if len(parts) != 2 or parts[1] not in ("P", "nP"):
+        if len(row) != 2 or not row[0] or row[1] not in ("P", "nP"):
             raise DataError(f"labels file row {row_no}: expected 'address,P|nP'")
-        labels[parts[0]] = parts[1]
+        if row[0] in labels:
+            raise DataError(f"labels file row {row_no}: repeated address {row[0]!r}")
+        labels[row[0]] = row[1]
     return labels

@@ -6,10 +6,11 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
 
 from ponzi_radar.chain import TxLog, parse_tx_log, serialize_tx_log
-from ponzi_radar.dataset import Dataset, Instance
+from ponzi_radar.dataset import Dataset
 from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES, FeatureVector
 
 BTC = 100_000_000
@@ -105,24 +106,31 @@ def make_features(**overrides) -> FeatureVector:
     return FeatureVector(**values)
 
 
+def dataset_of(rows) -> Dataset:
+    """A Dataset of (id, "P" or "nP", FeatureVector) rows, in that order."""
+    rows = list(rows)
+    return Dataset(tuple(id_ for id_, _, _ in rows),
+                   np.array([label == "P" for _, label, _ in rows], dtype=np.int8),
+                   np.array([fv.as_tuple() for _, _, fv in rows],
+                            dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES)))
+
+
 def make_dataset(n_ponzi: int, n_other: int, seed: int = 0,
                  separable: bool = True) -> Dataset:
     """Small labeled dataset; when separable, sum_in cleanly splits classes."""
     rng = random.Random(seed)
-    instances = []
+    rows = []
     for i in range(n_ponzi):
         base = 1000 + rng.randint(0, 200) if separable else rng.randint(0, 2000)
-        instances.append(Instance(
-            f"p{i}", "P",
-            make_features(sum_in=base, count_in=rng.randint(5, 50),
-                          gini_out=rng.random())))
+        rows.append((f"p{i}", "P",
+                     make_features(sum_in=base, count_in=rng.randint(5, 50),
+                                   gini_out=rng.random())))
     for i in range(n_other):
         base = rng.randint(0, 500) if separable else rng.randint(0, 2000)
-        instances.append(Instance(
-            f"c{i}", "nP",
-            make_features(sum_in=base, count_in=rng.randint(0, 8),
-                          gini_out=rng.random())))
-    return Dataset("v1", tuple(instances))
+        rows.append((f"c{i}", "nP",
+                     make_features(sum_in=base, count_in=rng.randint(0, 8),
+                                   gini_out=rng.random())))
+    return dataset_of(rows)
 
 
 def canonical_lines(log: TxLog) -> list[str]:

@@ -10,10 +10,8 @@ import pytest
 
 from ponzi_radar.cli import main
 from ponzi_radar.clustering import build_clusters
-from ponzi_radar.dataset import Dataset, Instance
 from ponzi_radar.evaluate import (
     ConfusionMatrix,
-    auc_trapezoid,
     metrics_from_confusion,
     roc_auc,
     stratified_folds,
@@ -21,15 +19,17 @@ from ponzi_radar.evaluate import (
 from ponzi_radar.features import FEATURE_NAMES, gini
 from ponzi_radar.learn import CostMatrix, cost_sensitive_predict
 from ponzi_radar.rank import (
-    all_rankings,
+    RANKER_NAMES,
     discretize,
     entropy,
     info_gain,
+    rank_features,
     relieff,
 )
 
-from conftest import make_dataset, make_features, random_valid_log
+from conftest import dataset_of, make_dataset, make_features, random_valid_log
 from test_clustering import co_spend_components, partition_of
+from test_evaluate import auc_trapezoid
 from test_features import gini_pairwise
 
 TOL = 0.0015
@@ -67,9 +67,9 @@ def test_criterion_01_metric_formula_reproduction():
 def test_criterion_02_majority_baseline():
     ds = make_dataset(32, 6400, seed=0, separable=False)
     counts = {"tp": 0, "fn": 0, "fp": 0, "tn": 0}
-    for inst in ds.instances:
+    for actual in ds.y:
         predicted = cost_sensitive_predict(0.0, CostMatrix(1, 1))  # always nP
-        if inst.label == "P":
+        if actual == 1:
             counts["tp" if predicted == "P" else "fn"] += 1
         else:
             counts["fp" if predicted == "P" else "tn"] += 1
@@ -144,9 +144,8 @@ def test_criterion_06_stratification_contract():
             folds = stratified_folds(ds, k, seed=trial)
             flat = sorted(i for fold in folds for i in fold)
             assert flat == list(range(len(ds)))
-            for label in ("P", "nP"):
-                counts = [sum(1 for i in fold if ds.instances[i].label == label)
-                          for fold in folds]
+            for label in (1, 0):
+                counts = [sum(1 for i in fold if ds.y[i] == label) for fold in folds]
                 assert max(counts) - min(counts) <= 1
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -250,18 +249,19 @@ def test_criterion_10_ranker_sanity():
     def build(seed):
         r = random.Random(seed)
         instances = [
-            Instance(f"p{i}", "P",
+            (f"p{i}", "P",
                      make_features(sum_in=1, gini_in=0.0, gini_out=r.random()))
             for i in range(n_p)
         ] + [
-            Instance(f"n{i}", "nP",
+            (f"n{i}", "nP",
                      make_features(sum_in=0, gini_in=0.0, gini_out=r.random()))
             for i in range(n_n)
         ]
-        return Dataset("v1", tuple(instances))
+        return dataset_of(instances)
 
     ds = build(0)
-    rankings = all_rankings(ds, bins=10, relieff_k=10, seed=0)
+    rankings = [rank_features(ds, method, bins=10, relieff_k=10, seed=0)
+                for method in RANKER_NAMES]
     for ranking in rankings:
         assert ranking.entries[0][0] == copy_name, ranking.method
 

@@ -1,19 +1,11 @@
 import io
 import json
 import random
-from datetime import date
-from decimal import Decimal
 
 import pytest
 
-from ponzi_radar.chain import (
-    RateTable,
-    load_tx_log,
-    parse_tx_log,
-    to_usd,
-    validate_tx_log,
-)
-from ponzi_radar.errors import DataError, MissingRateError, ParseError
+from ponzi_radar.chain import load_tx_log, parse_tx_log, validate_tx_log
+from ponzi_radar.errors import ParseError
 
 from conftest import (
     BTC,
@@ -256,40 +248,3 @@ class TestInvariants:
                 for out in tx.outputs
             )
             assert sum(report.fees.values()) + redistributed == spent
-
-
-class TestUsd:
-    RATES = RateTable({
-        date(2014, 3, 1): Decimal("500.00"),
-        date(2014, 3, 2): Decimal("10000.00"),
-    })
-
-    def test_unit_rate(self):
-        assert to_usd(BTC, date(2014, 3, 1), self.RATES) == Decimal("500.00")
-
-    def test_zero(self):
-        assert to_usd(0, date(2014, 3, 1), self.RATES) == Decimal("0.00")
-
-    def test_half_even_cents(self):
-        # 12345 sat * 10000 / 1e8 = 1.2345 -> 1.23
-        assert to_usd(12345, date(2014, 3, 2), self.RATES) == Decimal("1.23")
-        # 12350 sat -> 1.235: half rounds to the even cent, 1.24
-        assert to_usd(12350, date(2014, 3, 2), self.RATES) == Decimal("1.24")
-        # 12450 sat -> 1.245: half rounds down to the even cent, 1.24
-        assert to_usd(12450, date(2014, 3, 2), self.RATES) == Decimal("1.24")
-
-    def test_missing_date(self):
-        with pytest.raises(MissingRateError):
-            to_usd(1, date(1999, 1, 1), self.RATES)
-
-    def test_rate_table_csv(self):
-        table = RateTable.from_csv(io.StringIO(
-            "date,usd_per_btc\n2014-03-01,500.00\n2014-03-02,612.50\n"))
-        assert table.rate(date(2014, 3, 2)) == Decimal("612.50")
-
-    def test_rate_table_rejects_duplicates_and_nonpositive(self):
-        with pytest.raises(DataError, match="duplicate"):
-            RateTable.from_csv(io.StringIO(
-                "date,usd_per_btc\n2014-03-01,500\n2014-03-01,501\n"))
-        with pytest.raises(DataError, match="positive"):
-            RateTable.from_csv(io.StringIO("date,usd_per_btc\n2014-03-01,0\n"))

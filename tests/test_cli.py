@@ -166,6 +166,24 @@ def test_bad_option_value_exits_one(world, argv, capsys):
     assert err.value.code == 1
 
 
+@pytest.mark.parametrize("sources", [
+    [],
+    ["--features", "{dir}/features.csv"],
+    ["--clusters", "{dir}/clusters.csv"],
+    ["--log", "{dir}/log.jsonl", "--features", "/nonexistent/features.csv",
+     "--clusters", "/nonexistent/clusters.csv"],
+    ["--log", "{dir}/log.jsonl", "--clusters", "/nonexistent/clusters.csv"],
+], ids=["neither", "features_only", "clusters_only", "log_and_pair", "log_and_clusters"])
+def test_dataset_sources_exit_one(world, tmp_path, sources, capsys):
+    argv = [a.format(dir=world) for a in sources]
+    with pytest.raises(SystemExit) as err:
+        main(["dataset", "--labels", str(world / "labels.csv"), *argv,
+              "-o", str(tmp_path / "out")])
+    assert err.value.code == 1
+    assert "--log" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--ponzi", "-1"],
     ["synth", "--background", "-5"],
@@ -271,8 +289,12 @@ def test_log_env_var_accepted(world, monkeypatch, capsys):
     assert main(["validate", str(world / "log.jsonl")]) == 0
 
 
-def test_dataset_without_inputs_exits_two(world):
-    assert main(["dataset", "--labels", str(world / "labels.csv")]) == 2
+def test_dataset_without_inputs_exits_two(world, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["dataset", "--labels", str(world / "labels.csv"),
+                 "--features", str(tmp_path / "missing.csv"),
+                 "--clusters", str(tmp_path / "missing_clusters.csv"), "-o", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "cluster", "features"])
@@ -286,3 +308,51 @@ def test_hostile_log_line_exits_two(tmp_path, capsys, command, name):
     assert err.startswith("ponzi-radar: error: line 1: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["cv", "train", "apply", "rank"])
+@pytest.mark.parametrize("column, cell", [
+    ("gini_in", "nan"),
+    ("avg_in", "-inf"),
+    ("sum_in", "9" * 400),
+    ("n_addr", "-3"),
+    ("sum_in", str(2**53 + 1)),
+], ids=["nan", "minus_inf", "400_digits", "negative", "above_2_53"])
+def test_hostile_dataset_cell_exits_two(world, tmp_path, capsys, command, column, cell):
+    lines = (world / "dataset.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[lines[0].split(",").index(column) - 1] = cell  # the schema cell heads no column
+    lines[5] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    if command == "apply":
+        model = tmp_path / "model.json"
+        assert main(["train", str(world / "dataset.csv"), "--trees", "2", "-o", str(model)]) == 0
+        argv = ["apply", str(bad), "--model", str(model)]
+    else:
+        argv = [command, str(bad)]
+    assert main([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"row 6, column {column}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_feature_above_integer_bound_exits_two(tmp_path, capsys):
+    t0 = txid_of("big")
+    log = tmp_path / "log.jsonl"
+    log.write_text(tx_line(t0, 10, coinbase=True,
+                           outputs=[("a", 2**52), ("a", 2**52 + 1)]) + "\n")
+    assert main(["features", str(log), "-o", str(tmp_path / "out")]) == 2
+    assert "feature sum_in is above 2**53" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_oversized_csv_field_exits_two(world, tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("cluster_seed_address,label\n" + "a" * 200_000 + ",P\n")
+    assert main(["dataset", "--log", str(world / "log.jsonl"), "--labels", str(labels),
+                 "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "field larger than field limit" in err and "Traceback" not in err

@@ -1,4 +1,5 @@
 import io
+import logging
 import random
 from collections import deque
 
@@ -6,12 +7,12 @@ import pytest
 
 from ponzi_radar.clustering import (
     build_clusters,
-    cluster_of,
     expand_seeds,
     read_clusters,
     read_seeds,
     write_clusters,
 )
+from ponzi_radar.cli import _ponzi_cluster_map
 from ponzi_radar.errors import DataError
 
 from conftest import parse_lines, random_valid_log, tx_line, txid_of
@@ -72,8 +73,8 @@ def test_join_merges_distinct_change_addresses(fan_out_then_join):
     # heuristic concludes one user controls both.
     log, _ = fan_out_then_join
     clusters = build_clusters(log)
-    assert cluster_of(clusters, "addr_b") == cluster_of(clusters, "addr_b2")
-    assert cluster_of(clusters, "addr_a") != cluster_of(clusters, "addr_b")
+    assert clusters.index_of["addr_b"] == clusters.index_of["addr_b2"]
+    assert clusters.index_of["addr_a"] != clusters.index_of["addr_b"]
 
 
 def test_matches_bfs_components_on_random_logs():
@@ -93,13 +94,19 @@ def test_cluster_of_transitive_chain():
         tx_line(txid_of("t2"), 30, inputs=[(t0, 2), (t0, 3)], outputs=[("y", 20)]),
     ])
     clusters = build_clusters(log)
-    assert cluster_of(clusters, "a") == cluster_of(clusters, "c")
+    assert clusters.index_of["a"] == clusters.index_of["c"]
 
 
-def test_cluster_of_unknown_address(fan_out_then_join):
+def test_cluster_of_unknown_address(fan_out_then_join, caplog):
+    # An address the log never shows is in no cluster: a label seed naming
+    # it is skipped with a warning, not mapped to some cluster.
     log, _ = fan_out_then_join
-    with pytest.raises(DataError, match="unknown address"):
-        cluster_of(build_clusters(log), "never_seen")
+    clusters = build_clusters(log)
+    assert "never_seen" not in clusters.index_of
+    with caplog.at_level(logging.WARNING):
+        ponzi = _ponzi_cluster_map(clusters.index_of, {"never_seen": "P", "addr_a": "P"})
+    assert ponzi == {clusters.index_of["addr_a"]: "addr_a"}
+    assert "never_seen" in caplog.text
 
 
 def test_indices_ordered_by_smallest_member():

@@ -3,12 +3,12 @@ import logging
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ponzi_radar.clustering import ClusterSet
 from ponzi_radar.dataset import (
     Dataset,
-    Instance,
     assemble,
     read_csv,
     read_features_csv,
@@ -17,8 +17,9 @@ from ponzi_radar.dataset import (
     write_features_csv,
 )
 from ponzi_radar.errors import DataError, SchemaMismatchError
+from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES, ClusterLedger, LedgerEvent, extract_features
 
-from conftest import make_features
+from conftest import dataset_of, make_features
 
 
 def singleton_clusters(n):
@@ -32,8 +33,8 @@ class TestAssemble:
         ds = assemble(feats, {0: "scheme_a", 5: "scheme_b"})
         assert ds.n_ponzi == 2
         assert ds.n_other == 10
-        labels = {inst.id: inst.label for inst in ds.instances}
-        assert labels["scheme_a"] == "P" and labels["c3"] == "nP"
+        labels = dict(zip(ds.ids, ds.y.tolist()))
+        assert labels["scheme_a"] == 1 and labels["c3"] == 0
 
     def test_all_np_warns(self, caplog):
         feats = {i: make_features() for i in range(4)}
@@ -61,14 +62,14 @@ class TestAssemble:
 class TestCsv:
     def test_empty_dataset_header_only(self):
         buf = io.StringIO()
-        write_csv(Dataset("v1", ()), buf)
+        write_csv(dataset_of([]), buf)
         text = buf.getvalue()
         assert text.startswith("schema=v1,id,label,n_addr,")
         assert text.count("\n") == 1
 
     def test_single_instance_round_trip(self):
-        ds = Dataset("v1", (Instance("only", "P", make_features(
-            sum_in=12345, gini_in=1 / 3, delay_avg=0.1)),))
+        ds = dataset_of([("only", "P", make_features(
+            sum_in=12345, gini_in=1 / 3, delay_avg=0.1))])
         buf = io.StringIO()
         write_csv(ds, buf)
         assert buf.getvalue().count("\n") == 2
@@ -80,9 +81,9 @@ class TestCsv:
         instances = []
         for i in range(300):
             label = "P" if rng.random() < 0.1 else "nP"
-            instances.append(Instance(f"i{i}", label, make_features(
-                sum_in=rng.randint(0, 2**62),
-                sum_out=rng.randint(0, 2**62),
+            instances.append((f"i{i}", label, make_features(
+                sum_in=rng.randint(0, 2**53),
+                sum_out=rng.randint(0, 2**53),
                 gini_in=rng.random(),
                 in_share=rng.random(),
                 avg_in=rng.random() * 10 ** rng.randint(0, 12),
@@ -90,7 +91,7 @@ class TestCsv:
                 delay_avg=rng.random() * 1e6,
                 lifetime_days=rng.randint(0, 4000),
             )))
-        ds = Dataset("v1", tuple(instances))
+        ds = dataset_of(instances)
         first = io.StringIO()
         write_csv(ds, first)
         first.seek(0)
@@ -105,7 +106,7 @@ class TestCsv:
             read_csv(io.StringIO("schema=v9,id,label\nx,P\n"))
 
     def test_malformed_row_reports_index(self):
-        ds = Dataset("v1", (Instance("a", "P", make_features()),))
+        ds = dataset_of([("a", "P", make_features())])
         buf = io.StringIO()
         write_csv(ds, buf)
         lines = buf.getvalue().splitlines()
@@ -119,6 +120,100 @@ class TestCsv:
         write_features_csv(table, buf)
         buf.seek(0)
         assert read_features_csv(buf) == table
+
+
+def _csv_with_cell(column: str, cell: str) -> str:
+    """A valid two-row dataset CSV whose second row has `cell` in `column`."""
+    buf = io.StringIO()
+    write_csv(dataset_of([("a", "P", make_features(sum_in=5)),
+                          ("b", "nP", make_features(gini_in=0.5))]), buf)
+    header, first, second = buf.getvalue().splitlines()
+    cells = second.split(",")
+    cells[2 + FEATURE_NAMES.index(column)] = cell
+    return "\n".join([header, first, ",".join(cells)]) + "\n"
+
+
+class TestCellChecks:
+    @pytest.mark.parametrize("column, cell", [
+        ("gini_in", "nan"),
+        ("avg_in", "-inf"),
+        ("avg_in", "inf"),
+        ("std_in", "1e400"),
+        ("sum_in", "9" * 400),
+        ("sum_in", str(2**53 + 1)),
+        ("sum_out", "1e16"),
+        ("n_addr", "-3"),
+        ("count_in", "1.5"),
+        ("delay_avg", "abc"),
+        ("delay_min", ""),
+    ], ids=["nan", "minus_inf", "inf", "overflow", "400_digits", "above_2_53", "1e16",
+            "negative", "fraction", "text", "empty"])
+    def test_bad_cell_names_row_and_column(self, column, cell):
+        kind = "an integer from 0 to 2**53" if column in INT_FEATURES else "a finite number >= 0"
+        with pytest.raises(DataError) as err:
+            read_csv(io.StringIO(_csv_with_cell(column, cell)))
+        assert str(err.value) == f"dataset row 3, column {column}: {cell[:40]!r} is not {kind}"
+
+    def test_cell_beyond_csv_field_limit(self):
+        with pytest.raises(DataError, match="dataset row 3: field larger than field limit"):
+            read_csv(io.StringIO(_csv_with_cell("sum_in", "1" * 200_000)))
+
+    def test_feature_table_cells_checked_too(self):
+        buf = io.StringIO()
+        write_features_csv({0: make_features(), 1: make_features()}, buf)
+        text = buf.getvalue().replace("\n1,0,", "\n1,-1,")
+        with pytest.raises(DataError, match="feature table row 3, column n_addr: '-1' is not"):
+            read_features_csv(io.StringIO(text))
+
+    def test_first_bad_cell_in_file_order_is_named(self):
+        text = _csv_with_cell("gini_out", "nan").replace("\na,P,0,", "\na,P,-1,")
+        with pytest.raises(DataError, match="row 2, column n_addr"):
+            read_csv(io.StringIO(text))
+
+    def test_integer_bound_is_exact(self):
+        # 2**53 round-trips exactly; 2**53 + 1, which float64 would round to
+        # 2**53, is rejected by the reader and by extract_features alike.
+        text = _csv_with_cell("sum_in", str(2**53))
+        ds = read_csv(io.StringIO(text))
+        assert ds.X[1, FEATURE_NAMES.index("sum_in")] == 2**53
+        out = io.StringIO()
+        write_csv(ds, out)
+        assert out.getvalue() == text
+        with pytest.raises(DataError, match="column sum_in: '9007199254740993' is not an integer"):
+            read_csv(io.StringIO(_csv_with_cell("sum_in", str(2**53 + 1))))
+
+        def ledger(*amounts):
+            return ClusterLedger(tuple(LedgerEvent(1000 + i, f"t{i}", a, frozenset({"x"}))
+                                       for i, a in enumerate(amounts)), ())
+        assert extract_features(ledger(2**52, 2**52), 1).sum_in == 2**53
+        with pytest.raises(DataError, match="feature sum_in is above 2\\*\\*53"):
+            extract_features(ledger(2**52, 2**52 + 1), 1)
+
+
+class TestDatasetChecks:
+    @pytest.mark.parametrize("ids, y, X", [
+        (("a", "b"), [1], np.zeros((2, 20))),
+        (("a",), [1], np.zeros((2, 20))),
+        (("a",), [1], np.zeros((1, 19))),
+        (("a",), [2], np.zeros((1, 20))),
+        (("a",), [-1], np.zeros((1, 20))),
+        (("a",), [1], np.full((1, 20), np.nan)),
+        (("a",), [1], np.full((1, 20), np.inf)),
+        (("a",), [1], np.full((1, 20), -1.0)),
+    ], ids=["short_y", "long_X", "narrow_X", "label_2", "label_negative",
+            "nan", "inf", "negative"])
+    def test_constructor_rejects(self, ids, y, X):
+        with pytest.raises(DataError):
+            Dataset(ids, y, X)
+
+    def test_dtypes_and_take(self):
+        ds = Dataset(["a", "b", "c"], [1, 0, 1], np.arange(60).reshape(3, 20))
+        assert ds.ids == ("a", "b", "c")
+        assert ds.y.dtype == np.int8 and ds.X.dtype == np.float64
+        assert (ds.n_ponzi, ds.n_other, len(ds)) == (2, 1, 3)
+        sub = ds.take([2, 0])
+        assert sub.ids == ("c", "a") and sub.y.tolist() == [1, 1]
+        assert np.array_equal(sub.X, ds.X[[2, 0]])
 
 
 class TestSampleBackground:

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ponzi_radar.dataset import Dataset
 from ponzi_radar.errors import DataError
 from ponzi_radar.evaluate import (
     ConfusionMatrix,
     apply_model,
-    auc_trapezoid,
     cross_validate,
     format_metric,
     metrics_from_confusion,
@@ -22,7 +20,7 @@ from ponzi_radar.evaluate import (
 )
 from ponzi_radar.learn import CostMatrix, LearnerSpec, cost_sensitive_predict, train_forest
 
-from conftest import make_dataset
+from conftest import dataset_of, make_dataset
 
 
 class TestMetrics:
@@ -110,6 +108,32 @@ class TestAuc:
             roc_auc([0.1, 0.2], ["P", "P"])
 
 
+def roc_curve(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """ROC points from (0,0) to (1,1), one per distinct score threshold."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray([1 if lbl in (1, True, "P") else 0 for lbl in labels])
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DataError("ROC requires at least one positive and one negative")
+    order = np.argsort(-s, kind="stable")
+    sorted_s = s[order]
+    sorted_y = y[order]
+    cum_tp = np.cumsum(sorted_y)
+    cum_fp = np.cumsum(1 - sorted_y)
+    # Keep only the last point of each tied-score run.
+    last = np.nonzero(np.append(sorted_s[1:] != sorted_s[:-1], True))[0]
+    tpr = np.concatenate(([0.0], cum_tp[last] / n_pos))
+    fpr = np.concatenate(([0.0], cum_fp[last] / n_neg))
+    return fpr, tpr
+
+
+def auc_trapezoid(scores, labels) -> float:
+    """Trapezoidal ROC area: the reference that roc_auc must agree with, ties included."""
+    fpr, tpr = roc_curve(scores, labels)
+    return float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0))
+
+
 def loop_roc_auc(scores, labels):
     """The rank-sum AUC with tied scores walked one run at a time."""
     s = np.asarray(scores, dtype=np.float64)
@@ -151,7 +175,7 @@ class TestFolds:
         ds = make_dataset(32, 100, seed=1)
         folds = stratified_folds(ds, 10, seed=4)
         p_counts = sorted(
-            sum(1 for i in fold if ds.instances[i].label == "P") for fold in folds
+            sum(1 for i in fold if ds.y[i] == 1) for fold in folds
         )
         assert p_counts == [3] * 8 + [4] * 2
 
@@ -185,9 +209,9 @@ class TestCrossValidate:
         cm_counts = Counter()
         cm = CostMatrix(1, 1)
         ds = make_dataset(32, 6400, seed=6, separable=False)
-        for inst in ds.instances:
+        for actual in ds.y:
             predicted = cost_sensitive_predict(0.0, cm)
-            cm_counts[(inst.label, predicted)] += 1
+            cm_counts[("P" if actual else "nP", predicted)] += 1
         confusion = ConfusionMatrix(
             tp=cm_counts[("P", "P")], fn=cm_counts[("P", "nP")],
             fp=cm_counts[("nP", "P")], tn=cm_counts[("nP", "nP")],
@@ -210,15 +234,15 @@ class TestCrossValidate:
         result = cross_validate(ds, LearnerSpec(n_trees=5), CostMatrix(10, 1),
                                 k=4, seed=3)
         total = ConfusionMatrix(0, 0, 0, 0)
-        for fold_cm in result.per_fold:
-            total = total + fold_cm
+        for fold in result.folds:
+            total = total + fold.confusion
         assert total == result.confusion
 
     def test_every_instance_scored_once(self):
         ds = make_dataset(6, 30, seed=9)
         result = cross_validate(ds, LearnerSpec(n_trees=3), CostMatrix(1, 1),
                                 k=3, seed=2)
-        assert len(result.scores) == len(ds)
+        assert sum(len(fold.scores) for fold in result.folds) == len(ds)
         assert result.confusion.total == len(ds)
 
     def test_class_distribution_of_tests_untouched_by_sampling(self):
@@ -247,7 +271,8 @@ class TestCrossValidate:
         b = cross_validate(ds, LearnerSpec(n_trees=8), CostMatrix(20, 1),
                            k=4, seed=6, threads=4)
         assert a.confusion == b.confusion
-        assert a.scores == b.scores
+        for fold_a, fold_b in zip(a.folds, b.folds):
+            assert np.array_equal(fold_a.scores, fold_b.scores)
 
 
 class TestApply:
@@ -289,7 +314,7 @@ class TestApply:
     def test_empty_dataset(self):
         ds = make_dataset(4, 10, seed=15)
         model = train_forest(ds, n_trees=3, seed=1)
-        result = apply_model(model, CostMatrix(1, 1), Dataset("v1", ()))
+        result = apply_model(model, CostMatrix(1, 1), dataset_of([]))
         assert result.confusion == ConfusionMatrix(0, 0, 0, 0)
         assert result.predictions == []
 

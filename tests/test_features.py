@@ -4,12 +4,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ponzi_radar.clustering import build_clusters, cluster_of
+from ponzi_radar.clustering import build_clusters
 from ponzi_radar.features import (
     ClusterLedger,
     LedgerEvent,
     build_all_ledgers,
-    build_ledger,
     extract_features,
     gini,
     paid_back_count,
@@ -74,14 +73,36 @@ def _ev(ts, tag, amount, counterparts=()):
     return LedgerEvent(ts, txid_of(tag), amount, frozenset(counterparts))
 
 
+def single_cluster_ledger(log, clusters, idx) -> ClusterLedger:
+    """The ledger of one cluster, from that cluster's view of each transaction."""
+    members = set(clusters.members[idx])
+    incoming, outgoing = [], []
+    for tx in log.transactions:
+        inputs = [i for i in tx.inputs if i.addr is not None]
+        own_in = [i for i in inputs if i.addr in members]
+        own_out = [o for o in tx.outputs if o.addr in members]
+        if (own_in and own_out and len(own_in) == len(inputs)
+                and len(own_out) == len(tx.outputs)):
+            continue  # fully internal
+        if own_out:
+            incoming.append(LedgerEvent(
+                tx.timestamp, tx.txid, sum(o.value for o in own_out),
+                frozenset(i.addr for i in inputs if i.addr not in members)))
+        if own_in:
+            outgoing.append(LedgerEvent(
+                tx.timestamp, tx.txid, sum(i.value for i in own_in),
+                frozenset(o.addr for o in tx.outputs if o.addr not in members)))
+    return ClusterLedger(tuple(incoming), tuple(outgoing))
+
+
 class TestLedger:
     def test_join_wallet_ledger(self, fan_out_then_join):
         # addr_b and addr_b2 form one wallet; it receives from the coinbase
         # and the change-maker, then spends 2.9 BTC in the join.
         log, (t0, t1, t2) = fan_out_then_join
         clusters = build_clusters(log)
-        idx = cluster_of(clusters, "addr_b")
-        ledger = build_ledger(log, clusters, idx)
+        idx = clusters.index_of["addr_b"]
+        ledger = build_all_ledgers(log, clusters)[idx]
         assert [(e.txid, e.amount) for e in ledger.incoming] == [
             (t0, 2 * BTC), (t1, 90_000_000)]
         assert [(e.txid, e.amount) for e in ledger.outgoing] == [(t2, 290_000_000)]
@@ -95,8 +116,8 @@ class TestLedger:
                     outputs=[("u1", 60), ("u2", 40)]),
         ])
         clusters = build_clusters(log)
-        idx = cluster_of(clusters, "u1")
-        ledger = build_ledger(log, clusters, idx)
+        idx = clusters.index_of["u1"]
+        ledger = build_all_ledgers(log, clusters)[idx]
         # Only the funding coinbase shows up; the self-payment is internal.
         assert len(ledger.incoming) == 1
         assert ledger.incoming[0].txid == t0
@@ -108,7 +129,7 @@ class TestLedger:
         clusters = build_clusters(log)
         all_ledgers = build_all_ledgers(log, clusters)
         for idx in range(clusters.n_clusters):
-            assert all_ledgers[idx] == build_ledger(log, clusters, idx)
+            assert all_ledgers[idx] == single_cluster_ledger(log, clusters, idx)
 
     def test_partial_overlap_gives_both_directions(self):
         t0, t1 = txid_of("fund2"), txid_of("spendchange")
@@ -117,8 +138,8 @@ class TestLedger:
             tx_line(t1, 20, inputs=[(t0, 0)], outputs=[("other", 60), ("w", 40)]),
         ])
         clusters = build_clusters(log)
-        idx = cluster_of(clusters, "w")
-        ledger = build_ledger(log, clusters, idx)
+        idx = clusters.index_of["w"]
+        ledger = build_all_ledgers(log, clusters)[idx]
         assert [e.txid for e in ledger.incoming] == [t0, t1]  # change comes back
         assert [e.txid for e in ledger.outgoing] == [t1]
         assert ledger.outgoing[0].amount == 100
@@ -275,8 +296,7 @@ class TestExtract:
             tx_line(t2, 3 * DAY, inputs=[(t0, 0)], outputs=[("other", 90)]),
         ])
         clusters = build_clusters(log)
-        fv = extract_features(
-            build_ledger(log, clusters, cluster_of(clusters, "solo")), 1)
+        fv = extract_features(build_all_ledgers(log, clusters)[clusters.index_of["solo"]], 1)
         assert fv.count_in == 2 and fv.count_out == 1
         assert fv.sum_in == 130 and fv.sum_out == 100
         assert fv.paid_back_addrs == 1  # "other" funded solo, then got paid

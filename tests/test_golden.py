@@ -14,6 +14,8 @@ import pytest
 from ponzi_radar.cli import main
 
 GOLDEN = {
+    "log.jsonl": "b796cd386daa3ed5d2db00d156f771dad38e1990bdd93d1a6d12c724151beb40",
+    "labels.csv": "132d18d47c31f87ea8ea283278fe3952dd3617839426a55902062cc572620587",
     "clusters.csv": "cb3befc5df42f1ab3cd7e84e426b465bbc355646df8f333d9fc76b867a634c5b",
     "features.csv": "1f00010bdca3d7778e08e454cdf37a1278def5803f53bc45f32afe19169b840f",
     "dataset.csv": "4b9c43045e107d518c7332335f2c83e834e0327c3e7e09b1a999f527d621d1ca",
@@ -61,7 +63,7 @@ def artifacts(tmp_path_factory):
     log, labels = root / "log.jsonl", root / "labels.csv"
     assert main(["synth", "--seed", "21", "--ponzi", "10", "--background", "300",
                  "--labels", str(labels), "-o", str(log)]) == 0
-    digests = {}
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (log, labels)}
     for name, argv in STAGES:
         argv = [a.format(log=log, labels=labels, dir=root) for a in argv]
         assert main([*argv, "-o", str(root / name)]) == 0, name
@@ -69,7 +71,7 @@ def artifacts(tmp_path_factory):
     return digests
 
 
-@pytest.mark.parametrize("name", [name for name, _ in STAGES])
+@pytest.mark.parametrize("name", list(GOLDEN))
 def test_artifact_digest(artifacts, name):
     assert artifacts[name] == GOLDEN[name]
 

@@ -16,7 +16,6 @@ import random
 import numpy as np
 import pytest
 
-from ponzi_radar.dataset import Dataset, Instance
 from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES
 from ponzi_radar.learn import (
     CostMatrix,
@@ -29,7 +28,7 @@ from ponzi_radar.learn import (
     train_tree,
 )
 
-from conftest import make_features
+from conftest import dataset_of, make_features
 
 
 def oracle_best_split(X, y, w, idx, feats, min_leaf):
@@ -147,8 +146,8 @@ def random_dataset(n, seed, p_share=0.3):
             for j, name in enumerate(FEATURE_NAMES)
         }
         label = "P" if rng.random() < p_share else "nP"
-        instances.append(Instance(f"r{i}", label, make_features(**values)))
-    return Dataset("v1", tuple(instances))
+        instances.append((f"r{i}", label, make_features(**values)))
+    return dataset_of(instances)
 
 
 def assert_same_trees(got, want):

@@ -5,7 +5,6 @@ import random
 import numpy as np
 import pytest
 
-from ponzi_radar.dataset import Dataset, Instance
 from ponzi_radar.errors import DataError, SchemaMismatchError
 from ponzi_radar.learn import (
     BayesModel,
@@ -24,18 +23,18 @@ from ponzi_radar.learn import (
     undersample,
 )
 
-from conftest import make_dataset, make_features
+from conftest import dataset_of, make_dataset, make_features
 
 
 def two_class(p_values, np_values, feature="sum_in"):
     instances = [
-        Instance(f"p{i}", "P", make_features(**{feature: v}))
+        (f"p{i}", "P", make_features(**{feature: v}))
         for i, v in enumerate(p_values)
     ] + [
-        Instance(f"n{i}", "nP", make_features(**{feature: v}))
+        (f"n{i}", "nP", make_features(**{feature: v}))
         for i, v in enumerate(np_values)
     ]
-    return Dataset("v1", tuple(instances))
+    return dataset_of(instances)
 
 
 def training_accuracy(model, dataset):
@@ -116,9 +115,9 @@ class TestTree:
         instances = []
         for i, (a, b) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)] * 3):
             label = "P" if a != b else "nP"
-            instances.append(Instance(
+            instances.append((
                 f"i{i}_{a}{b}", label, make_features(sum_in=a * 1000, count_in=b * 1000)))
-        ds = Dataset("v1", tuple(instances))
+        ds = dataset_of(instances)
         tree = train_tree(ds, seed=3)
         assert training_accuracy(tree, ds) == 1.0
         assert tree_depth(tree) >= 2
@@ -128,11 +127,11 @@ class TestTree:
         for trial in range(10):
             n = rng.randint(2, 60)
             instances = [
-                Instance(f"r{i}", rng.choice(["P", "nP"]),
+                (f"r{i}", rng.choice(["P", "nP"]),
                          make_features(sum_in=i, count_in=rng.randint(0, 5)))
                 for i in range(n)
             ]
-            ds = Dataset("v1", tuple(instances))
+            ds = dataset_of(instances)
             for params in (TreeParams(), TreeParams(features_per_split=2)):
                 tree = train_tree(ds, params=params, seed=trial)
                 assert training_accuracy(tree, ds) == 1.0
@@ -145,7 +144,7 @@ class TestTree:
 
     def test_single_class_dataset(self):
         ds = two_class([5, 6], [])
-        tree = train_tree(Dataset("v1", ds.instances[:2]), seed=0)
+        tree = train_tree(ds.take([0, 1]), seed=0)
         assert tree.n_nodes == 1
 
     def test_structural_invariants(self):
@@ -207,10 +206,10 @@ class TestPredict:
         # P prototype is pure P and the vote average is exactly 1.
         p_proto = dict(sum_in=1000, count_in=30, gini_out=0.9)
         instances = tuple(
-            [Instance(f"p{i}", "P", make_features(**p_proto)) for i in range(20)]
-            + [Instance(f"n{i}", "nP", make_features()) for i in range(80)]
+            [(f"p{i}", "P", make_features(**p_proto)) for i in range(20)]
+            + [(f"n{i}", "nP", make_features()) for i in range(80)]
         )
-        forest = train_forest(Dataset("v1", instances), n_trees=20, seed=6)
+        forest = train_forest(dataset_of(instances), n_trees=20, seed=6)
         assert predict_proba(forest, make_features(**p_proto)) == 1.0
 
     def test_two_tree_mean(self):
@@ -260,7 +259,7 @@ class TestBayes:
     def test_single_class_rejected(self):
         ds = two_class([1, 2], [])
         with pytest.raises(DataError):
-            train_bayes(Dataset("v1", ds.instances[:2]))
+            train_bayes(ds.take([0, 1]))
 
 
 class TestUndersample:
@@ -317,6 +316,12 @@ class TestSerialization:
         X = ds.X
         assert np.array_equal(loaded.predict_proba_matrix(X),
                               model.predict_proba_matrix(X))
+
+    def test_non_finite_value_not_written(self):
+        model = train_bayes(make_dataset(6, 30, seed=8))
+        model.var[0, 0] = np.nan
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_model(model, io.StringIO())
 
     def test_mismatched_schema_rejected(self):
         ds = make_dataset(3, 9, seed=0)

@@ -1,17 +1,23 @@
-"""Properties of the ingest path over generated inputs."""
+"""Properties of the ingest path and of the data-file readers over generated inputs."""
 
+import contextlib
+import csv
+import io
 import json
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ponzi_radar.chain import parse_tx_log, serialize_tx_log
+from ponzi_radar.cli import main
 from ponzi_radar.clustering import build_clusters
+from ponzi_radar.dataset import write_csv
 from ponzi_radar.errors import ParseError
 from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES, cluster_feature_table
 
-from conftest import random_valid_log
+from conftest import make_dataset, random_valid_log
 
 # Every code point, lone surrogates included.
 _ANY_TEXT = st.text(st.characters(blacklist_categories=()), max_size=40)
@@ -95,3 +101,63 @@ def test_features_finite_and_integer_columns_int(seed, n_tx, n_addrs):
                 assert type(value) is int, name
             else:
                 assert type(value) is float and math.isfinite(value), name
+
+
+@pytest.fixture(scope="module")
+def valid_dataset(tmp_path_factory):
+    """A valid dataset CSV's rows, and a model trained on it, in a fresh directory."""
+    root = tmp_path_factory.mktemp("cells")
+    with open(root / "dataset.csv", "w", encoding="utf-8", newline="") as fp:
+        write_csv(make_dataset(6, 30, seed=3), fp)
+    assert main(["train", str(root / "dataset.csv"), "--trees", "2",
+                 "-o", str(root / "model.json")]) == 0
+    with open(root / "dataset.csv", encoding="utf-8", newline="") as fp:
+        return root, list(csv.reader(fp))
+
+
+def _not_a_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def _bad_cell(draw):
+    """(feature index, a cell that the column must reject)."""
+    j = draw(st.integers(0, len(FEATURE_NAMES) - 1))
+    bad = [
+        st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e999", "", " "]),
+        st.floats(max_value=-1e-300).map(repr),
+        st.integers(max_value=-1).map(str),
+        # A CR or LF would break the row rather than the cell.
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                max_size=8).filter(_not_a_float),
+    ]
+    if FEATURE_NAMES[j] in INT_FEATURES:
+        bad += [st.integers(min_value=2**53 + 1, max_value=10**500).map(str),
+                st.floats(0.001, 1e12).filter(lambda v: v != int(v)).map(repr)]
+    return j, draw(st.one_of(bad))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 36), _bad_cell())
+def test_one_bad_cell_fails_every_reading_stage(valid_dataset, row, bad):
+    root, rows = valid_dataset
+    j, cell = bad
+    rows = [list(r) for r in rows]
+    rows[row][2 + j] = cell
+    target = root / "bad.csv"
+    with open(target, "w", encoding="utf-8", newline="") as fp:
+        csv.writer(fp, lineterminator="\n").writerows(rows)
+    for argv in (["cv", str(target), "--trees", "2", "--k", "2"],
+                 ["train", str(target), "--trees", "2"],
+                 ["apply", str(target), "--model", str(root / "model.json")],
+                 ["rank", str(target)]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main([*argv, "-o", str(root / "out")]) == 2, argv
+        assert f"row {row + 1}, column {FEATURE_NAMES[j]}: " in err.getvalue(), argv
+        assert "Traceback" not in err.getvalue()
+        assert not (root / "out").exists()

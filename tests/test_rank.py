@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ponzi_radar.dataset import Dataset, Instance
 from ponzi_radar.features import FEATURE_NAMES
 from ponzi_radar.rank import (
+    RANKER_NAMES,
     Ranking,
     _contingency,
-    all_rankings,
     consensus_rank,
     discretize,
     entropy,
@@ -23,7 +22,7 @@ from ponzi_radar.rank import (
     sym_uncertainty,
 )
 
-from conftest import make_dataset, make_features
+from conftest import dataset_of, make_dataset, make_features
 
 
 def info_gain_oracle(x, y):
@@ -180,14 +179,14 @@ class TestReliefF:
         for seed in range(10):
             instances = []
             for i in range(12):
-                instances.append(Instance(f"p{i}", "P", make_features(
+                instances.append((f"p{i}", "P", make_features(
                     sum_in=1000 + rng.randint(0, 10),
                     gini_in=rng.random())))
             for i in range(24):
-                instances.append(Instance(f"n{i}", "nP", make_features(
+                instances.append((f"n{i}", "nP", make_features(
                     sum_in=rng.randint(0, 10),
                     gini_in=rng.random())))
-            ds = Dataset("v1", tuple(instances))
+            ds = dataset_of(instances)
             weights = relieff(ds, k=5, seed=seed).weights
             assert (weights[FEATURE_NAMES.index("sum_in")]
                     > weights[FEATURE_NAMES.index("gini_in")])
@@ -199,9 +198,9 @@ class TestReliefF:
             v = rng.randint(0, 100)
             label = "P" if rng.random() < 0.4 else "nP"
             # sum_in and sum_out carry identical values
-            instances.append(Instance(f"i{i}", label,
+            instances.append((f"i{i}", label,
                                       make_features(sum_in=v, sum_out=v)))
-        ds = Dataset("v1", tuple(instances))
+        ds = dataset_of(instances)
         weights = relieff(ds, k=4).weights
         assert weights[FEATURE_NAMES.index("sum_in")] == pytest.approx(
             weights[FEATURE_NAMES.index("sum_out")], abs=1e-12)
@@ -226,7 +225,8 @@ class TestReliefF:
 class TestRankings:
     def test_ranking_sorted_with_schema_tiebreak(self):
         ds = make_dataset(6, 30, seed=9)
-        for ranking in all_rankings(ds, bins=5, relieff_k=3, seed=0):
+        for method in RANKER_NAMES:
+            ranking = rank_features(ds, method, bins=5, relieff_k=3, seed=0)
             scores = [s for _, s in ranking.entries]
             assert scores == sorted(scores, reverse=True)
             names = {name for name, _ in ranking.entries}
@@ -268,7 +268,7 @@ class TestRankings:
                       lifetime_days=30 + rng.randint(0, 4),
                       activity_days=25 + rng.randint(0, 4),
                       sum_in=rng.randint(0, 5))
-            instances.append(Instance(f"p{i}", "P", make_features(**kw)))
+            instances.append((f"p{i}", "P", make_features(**kw)))
         for i in range(100):
             kw = dict(gini_out=rng.random() / 4, in_share=0.5,
                       avg_out=10.0 + rng.random(), std_out=1.0 + rng.random(),
@@ -276,8 +276,9 @@ class TestRankings:
                       lifetime_days=rng.randint(100, 400),
                       activity_days=rng.randint(1, 8),
                       sum_in=rng.randint(0, 5))
-            instances.append(Instance(f"n{i}", "nP", make_features(**kw)))
-        ds = Dataset("v1", tuple(instances))
-        consensus = consensus_rank(all_rankings(ds, bins=10, relieff_k=5), top_n=8)
+            instances.append((f"n{i}", "nP", make_features(**kw)))
+        ds = dataset_of(instances)
+        rankings = [rank_features(ds, method, bins=10, relieff_k=5) for method in RANKER_NAMES]
+        consensus = consensus_rank(rankings, top_n=8)
         top7 = {name for name, _, _ in consensus[:7]}
         assert set(signal) == top7

@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ponzi_radar.dataset import Dataset, Instance
+from ponzi_radar.dataset import Dataset
 from ponzi_radar.errors import DataError
 from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES
 from ponzi_radar.rank import relieff
 
-from conftest import make_dataset, make_features
+from conftest import dataset_of, make_dataset, make_features
 
 N_FEAT = len(FEATURE_NAMES)
 
@@ -87,8 +87,8 @@ def matrix_dataset(rows, labels) -> Dataset:
     for i, (row, label) in enumerate(zip(rows, labels)):
         values = {name: (int(v) if name in INT_FEATURES else float(v))
                   for name, v in zip(FEATURE_NAMES, row)}
-        instances.append(Instance(f"r{i}", "P" if label else "nP", make_features(**values)))
-    return Dataset("v1", tuple(instances))
+        instances.append((f"r{i}", "P" if label else "nP", make_features(**values)))
+    return dataset_of(instances)
 
 
 def assert_matches_loop(ds, k=10, m=None, seed=0):
@@ -187,7 +187,7 @@ class TestSmallClasses:
 
     def test_class_smaller_than_k_met_first_as_misses(self):
         ds = make_dataset(6, 40, seed=4)
-        ds = Dataset(ds.schema, ds.instances[::-1])  # nP rows come first
+        ds = ds.take(np.arange(len(ds))[::-1])  # nP rows come first
         result = assert_matches_loop(ds, k=8)
         assert result.notes == ["class 1: fewer than k members; using all 6 misses"]
 
@@ -230,7 +230,7 @@ class TestDegenerate:
 
     def test_empty_dataset(self):
         with pytest.raises(DataError):
-            relieff(Dataset("v1", ()), k=3)
+            relieff(dataset_of([]), k=3)
 
 
 @st.composite

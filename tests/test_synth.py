@@ -87,3 +87,25 @@ def test_labels_csv_round_trip(small_world):
     write_labels(labels, buf)
     buf.seek(0)
     assert read_labels(buf) == labels
+
+
+def test_labels_csv_quoting():
+    labels = {"plain": "P", "with,comma": "nP", 'with"quote': "P"}
+    buf = io.StringIO()
+    write_labels(labels, buf)
+    assert buf.getvalue().splitlines()[:2] == ["cluster_seed_address,label", "plain,P"]
+    buf.seek(0)
+    assert read_labels(buf) == labels
+    text = 'cluster_seed_address,label\n"bg00001x0",P\n\nbg00002x0,nP\n'
+    assert read_labels(io.StringIO(text)) == {"bg00001x0": "P", "bg00002x0": "nP"}
+
+
+@pytest.mark.parametrize("rows, match", [
+    ("x,P\nx,nP\n", "row 3: repeated address 'x'"),
+    ("x,P\n,nP\n", "row 3: expected"),
+    ("x,Q\n", "row 2: expected"),
+    ("x,P,extra\n", "row 2: expected"),
+])
+def test_labels_csv_rejects_bad_rows(rows, match):
+    with pytest.raises(DataError, match=match):
+        read_labels(io.StringIO("cluster_seed_address,label\n" + rows))
