@@ -224,7 +224,7 @@ def _learner_spec(args) -> learn.LearnerSpec:
 def _cmd_train(args) -> int:
     with _open_in(args.dataset) as fp:
         data = ds.read_csv(fp)
-    model = learn.train_model(data, _learner_spec(args), args.seed, threads=args.threads)
+    model = learn.train_model(data, _learner_spec(args), args.seed)
     with _output(args.out) as out:
         learn.save_model(model, out)
     return EXIT_OK
@@ -254,7 +254,6 @@ def _cmd_cv(args) -> int:
         k=args.k,
         seed=args.seed,
         sampling_ratio=args.ratio if args.ratio else None,
-        threads=args.threads,
     )
     rows = [evaluate.report_row(_setting(args), result.confusion, result.metrics)]
     for i, fold in enumerate(result.folds):
@@ -357,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reweight-cost", type=_cost_spec, default=None,
                    help="fn:fp, train with cost-proportional instance weights")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
+                   help="no effect, trees grow one at a time; kept for old scripts")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_train)
 
@@ -371,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="undersampling ratio for training folds (0 = off)")
     p.add_argument("--k", type=_int_at_least(2), default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_int_at_least(1), default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
+                   help="no effect, trees grow one at a time; kept for old scripts")
     p.add_argument("--reweight-cost", type=_cost_spec, default=None)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_cv)

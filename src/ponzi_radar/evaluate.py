@@ -179,7 +179,8 @@ def cross_validate(
 
     Undersampling, when requested, is applied to the training folds only.
     All randomness (fold assignment, per-fold sampling, per-fold training)
-    derives from `seed`, so results are reproducible and thread-independent.
+    derives from `seed`, so results are reproducible. `threads` is ignored:
+    folds and trees are trained one at a time.
     """
     seeds = derive_seeds(seed, 1 + 2 * k)
     folds = stratified_folds(dataset, k, seeds[0])
@@ -191,7 +192,7 @@ def cross_validate(
             raise DataError(f"fold {i}: training data lost every P instance")
         if sampling_ratio is not None:
             train_ds = undersample(train_ds, sampling_ratio, seeds[1 + 2 * i])
-        model = train_model(train_ds, learner, seeds[2 + 2 * i], threads=threads)
+        model = train_model(train_ds, learner, seeds[2 + 2 * i])
         p = model.predict_proba_matrix(X[test_idx])
         labels = y[test_idx]
         outcomes.append(FoldOutcome(

@@ -3,20 +3,25 @@
 Trees are grown from scratch: greedy binary splits chosen to maximize the
 Gini impurity decrease over a random feature subset per node, midpoint
 thresholds, class-frequency leaves. A forest is a bag of such trees trained
-on bootstrap resamples with per-tree seeds derived up front, so training is
-bit-deterministic regardless of thread count. The Bayes classifier assumes
+on bootstrap resamples with per-tree seeds derived up front, grown one after
+another, so training is bit-deterministic. The Bayes classifier assumes
 conditional independence with per-class Gaussian likelihoods.
 
-Split search works on integer class counts. A bootstrap resample is kept as
-per-row multiplicities (a bincount of the drawn rows), so a node holds each
-distinct training row once, with its count. A node searches all its
-candidate features in one batch: one gather, one argsort per feature row,
-and cumulative integer P and nP counts, which become class masses only when
-multiplied by the costs (c_fn per P row, c_fp per nP row). Integer sums do
-not depend on the order in which tied values were sorted, so the argsort
-need not be stable, and the chosen split depends only on the set of rows at
-the node. Children are split by value (value <= the last value left of the
-cut), never by re-reading the midpoint threshold.
+Split search works on value codes and integer class counts. Once per fit,
+each feature is coded: its sorted distinct values go into a table, and each
+row gets its rank in that table, in 8 or 16 bits up to 65 536 rows (wider
+above). A bootstrap resample is kept as per-row multiplicities (a bincount
+of the drawn rows), so a node holds each distinct training row once, with
+its count. A node searches all its candidate features in one batch: one
+gather of codes, one stable argsort per feature row (a radix sort on 8- and
+16-bit codes), and cumulative integer P and nP counts, which become class
+masses only when multiplied by the costs (c_fn per P row, c_fp per nP row).
+Codes keep the order and equality of the values, and integer sums do not
+depend on the order of tied rows, so the chosen split depends only on the
+set of rows at the node, exactly as a search on the float values would. The
+threshold is the midpoint of the table values either side of the cut, and
+children are split by code (code <= the last code left of the cut), never by
+re-reading the threshold.
 
 Cost sensitivity is applied by minimum-expected-cost thresholding of the
 predicted probability: predict P iff p >= c_fp / (c_fp + c_fn). Training-set
@@ -30,7 +35,6 @@ import json
 import logging
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO
 
@@ -58,8 +62,8 @@ class CostMatrix:
     c_fp: float
 
     def __post_init__(self):
-        if not (self.c_fn > 0 and self.c_fp > 0):
-            raise ValueError("both misclassification costs must be positive")
+        if not (0 < self.c_fn < math.inf and 0 < self.c_fp < math.inf):
+            raise ValueError("both misclassification costs must be positive and finite")
 
     @property
     def threshold(self) -> float:
@@ -81,7 +85,7 @@ def cost_sensitive_predict(p: float, cm: CostMatrix) -> str:
 
 
 def derive_seeds(seed: int, n: int) -> list[int]:
-    """Pre-derived child seeds so parallel work reproduces sequential output."""
+    """n child seeds, derived up front so each unit of work owns its stream."""
     rng = np.random.default_rng(seed)
     return [int(s) for s in rng.integers(0, 2**63, size=n)]
 
@@ -142,29 +146,47 @@ class TreeModel:
         return c[:, 0] / c.sum(axis=1)
 
 
-def _best_split(XT, rows, counts, feats, min_leaf, costs):
-    """Best (feature, value, threshold) over candidate features, or None.
+def _value_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each feature's sorted distinct values, and each row's dense rank among them.
+
+    The ranks are stored features x rows, in the smallest unsigned dtype that
+    holds len(X) - 1: up to 65 536 rows that is 8 or 16 bits, which a stable
+    argsort sorts by radix. Ranks keep the order and the equality of the
+    values they code, so 0.0 and -0.0 share one.
+    """
+    codes = np.empty((X.shape[1], len(X)), dtype=np.min_scalar_type(max(len(X) - 1, 0)))
+    values = []
+    for f in range(X.shape[1]):
+        distinct, codes[f] = np.unique(X[:, f], return_inverse=True)
+        values.append(distinct)
+    return codes, values
+
+
+def _best_split(codes, values, rows, counts, feats, min_leaf, costs):
+    """Best (feature, code, threshold) over candidate features, or None.
 
     All candidate features are searched in one batch: a (k, d) gather of the
-    node's d distinct rows, one argsort along each feature's row, and one
-    cumulative sum of the packed integer P/nP counts (see _grow_tree). A cut
-    after sorted position i sends the rows with value <= vs[i] left. The
-    score maximized is the sum over children of (P^2 + N^2) / T with
-    cost-weighted class masses, which orders splits identically to Gini
-    impurity decrease. First-encountered maximum wins in ascending feature
-    order, then ascending value order, so ties are deterministic.
+    value codes of the node's d distinct rows, one stable (radix) argsort
+    along each feature's row, and one cumulative sum of the packed integer
+    P/nP counts (see _grow_tree). A cut after sorted position i sends the
+    rows with code <= cs[i] left. The score maximized is the sum over
+    children of (P^2 + N^2) / T with cost-weighted class masses, which orders
+    splits identically to Gini impurity decrease. First-encountered maximum
+    wins in ascending feature order, then ascending value order, so ties are
+    deterministic. The threshold is the midpoint of the two values either
+    side of the cut, read from the feature's table in `values`.
     """
     c_fn, c_fp = costs
     k, d = len(feats), len(rows)
-    V = np.take(XT[feats], rows, axis=1)
-    order = np.argsort(V, axis=1)
-    vs = np.take(V, order + np.arange(0, k * d, d)[:, None])
-    cut = np.flatnonzero(vs[:, 1:] != vs[:, :-1])
+    C = np.take(codes[feats], rows, axis=1)
+    order = np.argsort(C, axis=1, kind="stable")
+    cs = np.take(C, order + np.arange(0, k * d, d)[:, None])
+    cut = np.flatnonzero(cs[:, 1:] != cs[:, :-1])
     if len(cut) == 0:
         return None
     cut += cut // (d - 1)  # flat index of the last row left of each cut
     node = counts[rows]
-    left = np.cumsum(node[order], axis=1).ravel()[cut]
+    left = np.cumsum(np.take(node, order), axis=1).ravel()[cut]
     total = int(node.sum())
     lm, lp = left & _ROWS, left >> 32
     rm, rp = (total & _ROWS) - lm, (total >> 32) - lp
@@ -173,28 +195,40 @@ def _best_split(XT, rows, counts, feats, min_leaf, costs):
         cut, lm, lp, rm, rp = cut[keep], lm[keep], lp[keep], rm[keep], rp[keep]
         if len(cut) == 0:
             return None
-    lp, ln = c_fn * lp, c_fp * (lm - lp)
-    rp, rn = c_fn * rp, c_fp * (rm - rp)
-    score = (lp * lp + ln * ln) / (lp + ln) + (rp * rp + rn * rn) / (rp + rn)
+    lm -= lp  # nP rows left
+    rm -= rp
+    # (lp^2 + ln^2) / (lp + ln) + (rp^2 + rn^2) / (rp + rn), in place, in the
+    # order that the expression would evaluate it.
+    lp, ln, rp, rn = c_fn * lp, c_fp * lm, c_fn * rp, c_fp * rm
+    score, tmp = lp * lp, ln * ln
+    score += tmp
+    score /= np.add(lp, ln, out=tmp)
+    right, tmp = rp * rp, np.multiply(rn, rn, out=tmp)
+    right += tmp
+    right /= np.add(rp, rn, out=tmp)
+    score += right
     i, at = divmod(int(cut[np.argmax(score)]), d)
-    lo, hi = float(vs.flat[i * d + at]), float(vs.flat[i * d + at + 1])
+    lo_code = int(cs.flat[i * d + at])
+    f = int(feats[i])
+    lo, hi = float(values[f][lo_code]), float(values[f][cs.flat[i * d + at + 1]])
     thr = (lo + hi) / 2.0
     if thr >= hi:  # guard float rounding at adjacent values
         thr = lo
-    return int(feats[i]), lo, thr
+    return f, lo_code, thr
 
 
-def _grow_tree(XT, counts, costs, params: TreeParams,
+def _grow_tree(codes, values, counts, costs, params: TreeParams,
                rng: np.random.Generator) -> TreeModel:
     """Grow one tree on the rows r with counts[r] > 0.
 
-    XT is the feature matrix transposed (features x rows). counts packs each
-    row's integer multiplicity (a bootstrap counts a row once per draw) in
-    its low 32 bits and, for a P row, the same multiplicity again above them
-    (see _packed_counts), so one sum or cumulative sum yields both the row
-    count and the P count. costs = (c_fn, c_fp) weights the two class masses.
+    codes and values are the fit's value codes (see _value_codes). counts
+    packs each row's integer multiplicity (a bootstrap counts a row once per
+    draw) in its low 32 bits and, for a P row, the same multiplicity again
+    above them (see _packed_counts), so one sum or cumulative sum yields both
+    the row count and the P count. costs = (c_fn, c_fp) weights the two
+    class masses.
     """
-    n_features = XT.shape[0]
+    n_features = codes.shape[0]
     k = params.features_per_split
     c_fn, c_fp = costs
     feature, threshold, left, right, masses = [], [], [], [], []
@@ -221,23 +255,23 @@ def _grow_tree(XT, counts, costs, params: TreeParams,
             or (params.max_depth is not None and depth >= params.max_depth)
         ):
             continue
+        search = (codes, values, rows, counts)
         if k is not None and k < n_features:
             cands = np.sort(rng.choice(n_features, size=k, replace=False))
-            split = _best_split(XT, rows, counts, cands, params.min_leaf, costs)
+            split = _best_split(*search, cands, params.min_leaf, costs)
             if split is None:
                 # Candidate features were constant here; fall back to the rest
                 # so consistent data always reaches pure leaves.
                 rest = np.setdiff1d(np.arange(n_features), cands)
-                split = _best_split(XT, rows, counts, rest, params.min_leaf, costs)
+                split = _best_split(*search, rest, params.min_leaf, costs)
         else:
-            split = _best_split(XT, rows, counts, np.arange(n_features),
-                                params.min_leaf, costs)
+            split = _best_split(*search, np.arange(n_features), params.min_leaf, costs)
         if split is None:
             continue
-        f, value, thr = split
+        f, lo_code, thr = split
         feature[node] = f
         threshold[node] = thr
-        go_left = XT[f, rows] <= value
+        go_left = codes[f, rows] <= lo_code
         stack.append((rows[~go_left], depth + 1, node, True))
         stack.append((rows[go_left], depth + 1, node, False))
 
@@ -278,9 +312,8 @@ def train_tree(
     """Grow one decision tree. A single-class dataset yields a single leaf."""
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
-    X, y = dataset.X, dataset.y
-    counts = _packed_counts(y, np.ones(len(y), dtype=np.int64))
-    return _grow_tree(np.ascontiguousarray(X.T), counts, _class_costs(reweight),
+    counts = _packed_counts(dataset.y, np.ones(len(dataset), dtype=np.int64))
+    return _grow_tree(*_value_codes(dataset.X), counts, _class_costs(reweight),
                       params, np.random.default_rng(seed))
 
 
@@ -315,12 +348,11 @@ def train_forest(
     params: TreeParams | None = None,
     bootstrap: bool = True,
     reweight: CostMatrix | None = None,
-    threads: int = 1,
 ) -> ForestModel:
     """Train a random forest with per-tree derived seeds.
 
-    The result is identical for any thread count: every tree's bootstrap
-    resample and node-level feature subsets depend only on its own seed.
+    Every tree's bootstrap resample and node-level feature subsets depend
+    only on its own seed. The features are coded once for all the trees.
     """
     if n_trees < 1:
         raise ValueError(f"a forest needs at least one tree, got n_trees={n_trees}")
@@ -329,23 +361,16 @@ def train_forest(
         raise DataError("cannot train on an empty dataset")
     if params is None:
         params = default_forest_params(X.shape[1])
-    XT = np.ascontiguousarray(X.T)
+    codes, values = _value_codes(X)
     costs = _class_costs(reweight)
-    tree_seeds = derive_seeds(seed, n_trees)
-
-    def build(i: int) -> TreeModel:
-        rng = np.random.default_rng(tree_seeds[i])
+    trees = []
+    for tree_seed in derive_seeds(seed, n_trees):
+        rng = np.random.default_rng(tree_seed)
         if bootstrap:
             mult = np.bincount(rng.integers(0, len(X), size=len(X)), minlength=len(X))
         else:
             mult = np.ones(len(X), dtype=np.int64)
-        return _grow_tree(XT, _packed_counts(y, mult), costs, params, rng)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(build, range(n_trees)))
-    else:
-        trees = [build(i) for i in range(n_trees)]
+        trees.append(_grow_tree(codes, values, _packed_counts(y, mult), costs, params, rng))
     return ForestModel(trees, seed, n_trees, params, bootstrap)
 
 
@@ -434,6 +459,7 @@ class LearnerSpec:
 
 
 def train_model(dataset: Dataset, spec: LearnerSpec, seed: int, threads: int = 1) -> Model:
+    """Train what `spec` names. `threads` is ignored: trees grow one at a time."""
     if spec.kind == "forest":
         return train_forest(
             dataset,
@@ -442,7 +468,6 @@ def train_model(dataset: Dataset, spec: LearnerSpec, seed: int, threads: int = 1
             params=spec.params,
             bootstrap=spec.bootstrap,
             reweight=spec.reweight,
-            threads=threads,
         )
     return train_bayes(dataset, reweight=spec.reweight)
 

