@@ -163,9 +163,16 @@ def _cell_ok(cell: str, integer: bool) -> bool:
     return True
 
 
+_BLOCK_ROWS = 512  # rows held as strings at a time while reading
+
+
 def _read_table(fp: IO[str], key_columns: Sequence[str],
                 what: str) -> tuple[list[list[str]], np.ndarray]:
-    """The key cells of each row of a feature CSV, and its checked feature matrix."""
+    """The key cells of each row of a feature CSV, and its checked feature matrix.
+
+    Feature cells are converted a block of rows at a time, so that only one
+    block is ever held as strings.
+    """
     reader = csv.reader(fp)
     header = next(reader, None)
     if header is None:
@@ -180,6 +187,7 @@ def _read_table(fp: IO[str], key_columns: Sequence[str],
     n_keys = len(key_columns)
     n_columns = n_keys + _N_FEATURES  # the schema cell heads no column
     keys: list[list[str]] = []
+    blocks: list[np.ndarray] = []
     cells: list[list[str]] = []
     try:
         for row_no, row in enumerate(reader, start=2):
@@ -187,8 +195,17 @@ def _read_table(fp: IO[str], key_columns: Sequence[str],
                 raise DataError(f"{what} row {row_no}: expected {n_columns} columns")
             keys.append(row[:n_keys])
             cells.append(row[n_keys:])
+            if len(cells) == _BLOCK_ROWS:
+                blocks.append(_convert_block(cells, row_no - len(cells) + 1, what))
+                cells = []
     except csv.Error as exc:  # such as a cell beyond the csv module's field limit
-        raise DataError(f"{what} row {len(cells) + 2}: {exc}") from exc
+        raise DataError(f"{what} row {len(keys) + 2}: {exc}") from exc
+    blocks.append(_convert_block(cells, len(keys) - len(cells) + 2, what))
+    return keys, np.concatenate(blocks)
+
+
+def _convert_block(cells: list[list[str]], first_row: int, what: str) -> np.ndarray:
+    """The feature cells of consecutive rows as a matrix; the first bad cell is named."""
     try:
         X = np.array(cells, dtype=np.float64).reshape(len(cells), _N_FEATURES)
     except ValueError:  # some cell is not a number: look at every cell
@@ -201,9 +218,9 @@ def _read_table(fp: IO[str], key_columns: Sequence[str],
     for i, j in suspects:
         if not _cell_ok(cells[i][j], _INT_COLUMNS[j]):
             kind = "an integer from 0 to 2**53" if _INT_COLUMNS[j] else "a finite number >= 0"
-            raise DataError(f"{what} row {i + 2}, column {FEATURE_NAMES[j]}: "
+            raise DataError(f"{what} row {first_row + i}, column {FEATURE_NAMES[j]}: "
                             f"{cells[i][j][:40]!r} is not {kind}")
-    return keys, X
+    return X
 
 
 def write_csv(dataset: Dataset, fp: IO[str]) -> None:
