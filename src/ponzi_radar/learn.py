@@ -162,13 +162,13 @@ def _value_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return codes, values
 
 
-def _best_split(codes, values, rows, counts, feats, min_leaf, costs):
+def _best_split(codes, values, rows, node, total, feats, min_leaf, costs):
     """Best (feature, code, threshold) over candidate features, or None.
 
     All candidate features are searched in one batch: a (k, d) gather of the
     value codes of the node's d distinct rows, one stable (radix) argsort
-    along each feature's row, and one cumulative sum of the packed integer
-    P/nP counts (see _grow_tree). A cut after sorted position i sends the
+    along each feature's row, and one cumulative sum of the rows' packed
+    integer P/nP counts `node`, which add up to `total` (see _grow_tree). A cut after sorted position i sends the
     rows with code <= cs[i] left. The score maximized is the sum over
     children of (P^2 + N^2) / T with cost-weighted class masses, which orders
     splits identically to Gini impurity decrease. First-encountered maximum
@@ -185,9 +185,7 @@ def _best_split(codes, values, rows, counts, feats, min_leaf, costs):
     if len(cut) == 0:
         return None
     cut += cut // (d - 1)  # flat index of the last row left of each cut
-    node = counts[rows]
     left = np.cumsum(np.take(node, order), axis=1).ravel()[cut]
-    total = int(node.sum())
     lm, lp = left & _ROWS, left >> 32
     rm, rp = (total & _ROWS) - lm, (total >> 32) - lp
     if min_leaf > 1:  # every cut leaves at least one row on each side
@@ -245,7 +243,8 @@ def _grow_tree(codes, values, counts, costs, params: TreeParams,
         right.append(-1)
         if parent >= 0:
             (right if is_right else left)[parent] = node
-        total = int(counts[rows].sum())
+        node_counts = counts[rows]
+        total = int(node_counts.sum())
         n_rows, n_p = total & _ROWS, total >> 32
         masses.append((c_fn * n_p, c_fp * (n_rows - n_p)))
         if (
@@ -255,7 +254,7 @@ def _grow_tree(codes, values, counts, costs, params: TreeParams,
             or (params.max_depth is not None and depth >= params.max_depth)
         ):
             continue
-        search = (codes, values, rows, counts)
+        search = (codes, values, rows, node_counts, total)
         if k is not None and k < n_features:
             cands = np.sort(rng.choice(n_features, size=k, replace=False))
             split = _best_split(*search, cands, params.min_leaf, costs)
