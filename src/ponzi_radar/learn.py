@@ -168,8 +168,8 @@ def _best_split(codes, values, rows, node, total, feats, min_leaf, costs):
     All candidate features are searched in one batch: a (k, d) gather of the
     value codes of the node's d distinct rows, one stable (radix) argsort
     along each feature's row, and one cumulative sum of the rows' packed
-    integer P/nP counts `node`, which add up to `total` (see _grow_tree). A cut after sorted position i sends the
-    rows with code <= cs[i] left. The score maximized is the sum over
+    integer P/nP counts `node`, which add up to `total` (see _grow_tree). A
+    cut after sorted position i sends the rows with code <= cs[i] left. The score maximized is the sum over
     children of (P^2 + N^2) / T with cost-weighted class masses, which orders
     splits identically to Gini impurity decrease. First-encountered maximum
     wins in ascending feature order, then ascending value order, so ties are
@@ -195,8 +195,8 @@ def _best_split(codes, values, rows, node, total, feats, min_leaf, costs):
             return None
     lm -= lp  # nP rows left
     rm -= rp
-    # (lp^2 + ln^2) / (lp + ln) + (rp^2 + rn^2) / (rp + rn), in place, in the
-    # order that the expression would evaluate it.
+    # (lp^2 + ln^2) / (lp + ln) + (rp^2 + rn^2) / (rp + rn), in place but in
+    # the order that the expression evaluates, so every score keeps its bits.
     lp, ln, rp, rn = c_fn * lp, c_fp * lm, c_fn * rp, c_fp * rm
     score, tmp = lp * lp, ln * ln
     score += tmp
@@ -458,7 +458,11 @@ class LearnerSpec:
 
 
 def train_model(dataset: Dataset, spec: LearnerSpec, seed: int, threads: int = 1) -> Model:
-    """Train what `spec` names. `threads` is ignored: trees grow one at a time."""
+    """Train what `spec` names.
+
+    `threads` is ignored, as trees grow one at a time; it stays for callers
+    that still pass it.
+    """
     if spec.kind == "forest":
         return train_forest(
             dataset,
