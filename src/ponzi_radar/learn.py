@@ -169,12 +169,13 @@ def _best_split(codes, values, rows, node, total, feats, min_leaf, costs):
     value codes of the node's d distinct rows, one stable (radix) argsort
     along each feature's row, and one cumulative sum of the rows' packed
     integer P/nP counts `node`, which add up to `total` (see _grow_tree). A
-    cut after sorted position i sends the rows with code <= cs[i] left. The score maximized is the sum over
-    children of (P^2 + N^2) / T with cost-weighted class masses, which orders
-    splits identically to Gini impurity decrease. First-encountered maximum
-    wins in ascending feature order, then ascending value order, so ties are
-    deterministic. The threshold is the midpoint of the two values either
-    side of the cut, read from the feature's table in `values`.
+    cut after sorted position i sends the rows with code <= cs[i] left. The
+    score maximized is the sum over children of (P^2 + N^2) / T with
+    cost-weighted class masses, which orders splits identically to Gini
+    impurity decrease. First-encountered maximum wins in ascending feature
+    order, then ascending value order, so ties are deterministic. The
+    threshold is the midpoint of the two values either side of the cut, read
+    from the feature's table in `values`.
     """
     c_fn, c_fp = costs
     k, d = len(feats), len(rows)
