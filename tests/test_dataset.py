@@ -172,21 +172,6 @@ class TestCellChecks:
         with pytest.raises(DataError, match="row 2, column n_addr"):
             read_csv(io.StringIO(text))
 
-    def test_first_bad_cell_across_blocks_is_named(self):
-        # Rows are converted a block at a time: a bad cell in a later block
-        # must not hide one in an earlier block, and row numbers run on.
-        n = 3 * _BLOCK_ROWS
-        ds = dataset_of([(f"r{i}", "nP", make_features(n_addr=i)) for i in range(n)])
-        buf = io.StringIO()
-        write_csv(ds, buf)
-        lines = buf.getvalue().splitlines(keepends=True)
-        for row in (2 * _BLOCK_ROWS + 5, _BLOCK_ROWS + 2):  # file rows; the header is row 1
-            lines[row - 1] = lines[row - 1].replace(",nP,", ",nP,x", 1)
-            with pytest.raises(DataError) as err:
-                read_csv(io.StringIO("".join(lines)))
-            assert str(err.value).startswith(f"dataset row {row}, column n_addr: 'x")
-        assert len(read_csv(io.StringIO(buf.getvalue()))) == n
-
     def test_integer_bound_is_exact(self):
         # 2**53 round-trips exactly; 2**53 + 1, which float64 would round to
         # 2**53, is rejected by the reader and by extract_features alike.
@@ -205,6 +190,22 @@ class TestCellChecks:
         assert extract_features(ledger(2**52, 2**52), 1).sum_in == 2**53
         with pytest.raises(DataError, match="feature sum_in is above 2\\*\\*53"):
             extract_features(ledger(2**52, 2**52 + 1), 1)
+
+
+def test_first_bad_cell_across_blocks_is_named():
+    # Rows are converted a block at a time: a bad cell in a later block
+    # must not hide one in an earlier block, and row numbers run on.
+    n = 3 * _BLOCK_ROWS
+    ds = dataset_of([(f"r{i}", "nP", make_features(n_addr=i)) for i in range(n)])
+    buf = io.StringIO()
+    write_csv(ds, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    for row in (2 * _BLOCK_ROWS + 5, _BLOCK_ROWS + 2):  # file rows; the header is row 1
+        lines[row - 1] = lines[row - 1].replace(",nP,", ",nP,x", 1)
+        with pytest.raises(DataError) as err:
+            read_csv(io.StringIO("".join(lines)))
+        assert str(err.value).startswith(f"dataset row {row}, column n_addr: 'x")
+    assert len(read_csv(io.StringIO(buf.getvalue()))) == n
 
 
 def test_read_peak_memory_is_bounded(tmp_path):
