@@ -196,11 +196,11 @@ def _read_table(fp: IO[str], key_columns: Sequence[str],
             keys.append(row[:n_keys])
             cells.append(row[n_keys:])
             if len(cells) == _BLOCK_ROWS:
-                blocks.append(_convert_block(cells, row_no - len(cells) + 1, what))
+                blocks.append(_convert_block(cells, len(blocks) * _BLOCK_ROWS + 2, what))
                 cells = []
     except csv.Error as exc:  # such as a cell beyond the csv module's field limit
         raise DataError(f"{what} row {len(keys) + 2}: {exc}") from exc
-    blocks.append(_convert_block(cells, len(keys) - len(cells) + 2, what))
+    blocks.append(_convert_block(cells, len(blocks) * _BLOCK_ROWS + 2, what))
     return keys, np.concatenate(blocks)
 
 
