@@ -12,6 +12,8 @@ import csv
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
+import numpy as np
+
 from .chain import TxLog
 from .errors import DataError
 
@@ -61,43 +63,37 @@ class ClusterSet:
         return len(self.members)
 
 
-def _finalize(addresses: Iterable[str], uf: UnionFind, ids: dict[str, int]) -> ClusterSet:
-    groups: dict[int, list[str]] = {}
-    for addr in addresses:
-        groups.setdefault(uf.find(ids[addr]), []).append(addr)
-    components = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-    members = tuple(tuple(g) for g in components)
-    index_of = {addr: i for i, group in enumerate(members) for addr in group}
-    return ClusterSet(members, index_of)
-
-
 def build_clusters(log: TxLog) -> ClusterSet:
-    """Partition the log's addresses by the multi-input heuristic."""
-    ids: dict[str, int] = {}
+    """Partition the log's addresses by the multi-input heuristic.
 
-    def intern(addr: str) -> int:
-        if addr not in ids:
-            ids[addr] = len(ids)
-        return ids[addr]
+    Union-find runs on address ids, over one edge from the first resolved
+    input of each non-coinbase transaction to each of its other resolved
+    inputs.
+    """
+    spends = np.flatnonzero((log.in_addr >= 0) & ~log.coinbase[log.in_tx])
+    tx, addr = log.in_tx[spends], log.in_addr[spends]
+    first = np.ones(len(tx), dtype=bool)
+    first[1:] = tx[1:] != tx[:-1]
+    first_addr = addr[np.maximum.accumulate(np.where(first, np.arange(len(tx)), 0))]
+    uf = UnionFind(len(log.addresses))
+    for a, b in zip(first_addr[~first].tolist(), addr[~first].tolist()):
+        uf.union(a, b)
 
-    for tx in log.transactions:
-        for out in tx.outputs:
-            intern(out.addr)
-        for txin in tx.inputs:
-            if txin.addr is not None:
-                intern(txin.addr)
-
-    uf = UnionFind(len(ids))
-    for tx in log.transactions:
-        if tx.coinbase:
-            continue
-        in_addrs = [i.addr for i in tx.inputs if i.addr is not None]
-        if len(in_addrs) < 2:
-            continue
-        first = ids[in_addrs[0]]
-        for addr in in_addrs[1:]:
-            uf.union(first, ids[addr])
-    return _finalize(ids, uf, ids)
+    root = np.array(uf.parent, dtype=np.int64)
+    while not np.array_equal(root, root[root]):
+        root = root[root]
+    # Number the clusters by their smallest member address.
+    names = log.addresses
+    by_name = np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.int64)
+    _, first_seen, group = np.unique(root[by_name], return_index=True, return_inverse=True)
+    number = np.empty(len(first_seen), dtype=np.int64)
+    number[np.argsort(first_seen)] = np.arange(len(first_seen))
+    cluster = number[group]
+    grouped = np.argsort(cluster, kind="stable")
+    ordered = [names[a] for a in by_name[grouped].tolist()]
+    ends = np.cumsum(np.bincount(cluster, minlength=len(first_seen))).tolist()
+    members = tuple(tuple(ordered[lo:hi]) for lo, hi in zip([0, *ends], ends))
+    return ClusterSet(members, dict(zip(ordered, cluster[grouped].tolist())))
 
 
 class SeedExpansion(NamedTuple):

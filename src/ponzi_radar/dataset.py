@@ -77,7 +77,8 @@ class Dataset:
     def take(self, rows: Sequence[int]) -> "Dataset":
         """The rows at `rows`, in that order."""
         rows = np.asarray(rows, dtype=np.intp)
-        return Dataset(tuple(self.ids[i] for i in rows.tolist()), self.y[rows], self.X[rows])
+        return Dataset(tuple(map(self.ids.__getitem__, rows.tolist())), self.y[rows],
+                       self.X[rows])
 
     @property
     def n_ponzi(self) -> int:

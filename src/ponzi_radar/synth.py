@@ -22,7 +22,7 @@ from typing import IO
 
 import numpy as np
 
-from .chain import OutPoint, Transaction, TxInput, TxLog, TxOutput
+from .chain import LogBuilder, OutPoint, TxLog
 from .errors import DataError
 
 T0 = 1_483_228_800  # 2017-01-01T00:00:00Z
@@ -191,18 +191,14 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
 
     # Materialize in time order; the clock is strictly increasing so the
     # sorted log order always sees an output before the input that spends it.
-    txs: list[Transaction] = []
+    log = LogBuilder()
     clock = 0
 
     def emit(t: float, coinbase: bool, inputs: list, outputs: list) -> str:
         nonlocal clock
         clock = max(clock + 1, int(t))
-        txid = hashlib.sha256(f"{p.seed}:{len(txs)}".encode()).hexdigest()
-        txs.append(Transaction(
-            txid, clock, coinbase,
-            tuple(TxInput(op) for op in inputs),
-            tuple(TxOutput(addr, val) for addr, val in outputs),
-        ))
+        txid = hashlib.sha256(f"{p.seed}:{len(log.txids)}".encode()).hexdigest()
+        log.add(txid, clock, coinbase, inputs, outputs)
         return txid
 
     def fee_for(total: int) -> int:
@@ -295,7 +291,7 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
         labels[scheme.addrs[0]] = "P"
     for user in users:
         labels[user.addrs[0]] = "nP"
-    return TxLog.from_transactions(txs), labels
+    return log.build(), labels
 
 
 _LABELS_HEADER = ["cluster_seed_address", "label"]

@@ -74,6 +74,14 @@ class TestParse:
         with pytest.raises(ParseError, match="timestamp"):
             parse_lines([bad])
 
+    @pytest.mark.parametrize("time", [2**62, -(2**62), 10**30])
+    def test_timestamp_out_of_range_names_its_line(self, time):
+        good = tx_line(txid_of("ok"), 1, coinbase=True, outputs=[("a", 1)])
+        bad = tx_line(txid_of("far"), time, coinbase=True, outputs=[("a", 1)])
+        with pytest.raises(ParseError, match="timestamp out of range") as err:
+            parse_lines([good, bad])
+        assert err.value.line == 2
+
     def test_coinbase_with_inputs_rejected(self):
         with pytest.raises(ParseError, match="coinbase"):
             parse_lines([tx_line(txid_of("cbin"), 5, coinbase=True,

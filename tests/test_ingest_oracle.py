@@ -1,19 +1,26 @@
-"""The ingest path against the simpler code it replaced, kept here as references.
+"""The columnar ingest path against the per-object code it replaced, kept here
+as references.
 
-`reference_parse` is the former two-step parser: it builds every record as a
-Transaction, then `reference_from_transactions` rebuilds each one with its
-inputs resolved through an OutPoint-keyed output map. `reference_ledgers` is
-the former `build_all_ledgers`, and `reference_balance_delta` walks every
-calendar day of a cluster's lifetime. The current code must give equal
-transactions, validation reports, ledgers and feature vectors.
+`reference_parse` builds every record as a Transaction, and
+`reference_from_transactions` resolves each one through an OutPoint-keyed
+output map. `reference_clusters` interns address strings per transaction,
+`reference_ledgers` walks each transaction into per-cluster LedgerEvents, and
+`reference_features` is the per-cluster Python feature code, with
+`reference_balance_delta` walking every calendar day of a lifetime. The
+current code must give equal transactions, validation reports, clusters,
+ledgers and feature vectors, and raise the same DataError for a row whose
+integer feature is above 2**53.
 """
 
-import dataclasses
+import bisect
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ponzi_radar import chain, features
 from ponzi_radar.chain import (
     DanglingInput,
     DoubleSpend,
@@ -26,11 +33,14 @@ from ponzi_radar.chain import (
     parse_tx_log,
     validate_tx_log,
 )
-from ponzi_radar.clustering import ClusterSet, build_clusters
-from ponzi_radar.errors import ParseError
+from ponzi_radar.cli import main
+from ponzi_radar.clustering import ClusterSet, UnionFind, build_clusters
+from ponzi_radar.errors import DataError, ParseError
 from ponzi_radar.features import (
+    MAX_EXACT_INT,
     SECONDS_PER_DAY,
     ClusterLedger,
+    FeatureVector,
     LedgerEvent,
     build_all_ledgers,
     extract_features,
@@ -152,9 +162,117 @@ def reference_balance_delta(ledger):
     return max_delta
 
 
+def reference_clusters(log):
+    ids = {}
+    for tx in log.transactions:
+        for out in tx.outputs:
+            ids.setdefault(out.addr, len(ids))
+        for txin in tx.inputs:
+            if txin.addr is not None:
+                ids.setdefault(txin.addr, len(ids))
+    uf = UnionFind(len(ids))
+    for tx in log.transactions:
+        in_addrs = [i.addr for i in tx.inputs if i.addr is not None]
+        if tx.coinbase or len(in_addrs) < 2:
+            continue
+        for addr in in_addrs[1:]:
+            uf.union(ids[in_addrs[0]], ids[addr])
+    groups = {}
+    for addr in ids:
+        groups.setdefault(uf.find(ids[addr]), []).append(addr)
+    members = tuple(tuple(g) for g in sorted((sorted(g) for g in groups.values()),
+                                             key=lambda g: g[0]))
+    return ClusterSet(members, {a: i for i, group in enumerate(members) for a in group})
+
+
+def reference_gini(values):
+    n = len(values)
+    if n == 0:
+        return 0.0
+    ordered = sorted(values)
+    total = math.fsum(ordered)
+    if total == 0:
+        return 0.0
+    weighted = math.fsum((2 * i - n - 1) * x for i, x in enumerate(ordered, start=1))
+    return weighted / (n * total)
+
+
+def reference_paid_back(ledger):
+    first_paid_in = {}
+    for ev in ledger.incoming:
+        for addr in ev.counterparts:
+            if addr not in first_paid_in or ev.timestamp < first_paid_in[addr]:
+                first_paid_in[addr] = ev.timestamp
+    return len({addr for ev in ledger.outgoing for addr in ev.counterparts
+                if addr in first_paid_in and ev.timestamp > first_paid_in[addr]})
+
+
+def reference_mean_std(amounts):
+    if not amounts:
+        return 0.0, 0.0
+    n = len(amounts)
+    mean = math.fsum(amounts) / n
+    return mean, math.sqrt(math.fsum((a - mean) ** 2 for a in amounts) / n)
+
+
 def reference_features(ledger, n_addr):
-    fv = extract_features(ledger, n_addr)
-    return dataclasses.replace(fv, max_daily_balance_delta=reference_balance_delta(ledger))
+    """The per-cluster feature code, on one ledger's event objects."""
+    events = sorted(ledger.incoming + ledger.outgoing, key=lambda e: (e.timestamp, e.txid))
+    in_amounts = [e.amount for e in ledger.incoming]
+    out_amounts = [e.amount for e in ledger.outgoing]
+    event_days = [e.timestamp // SECONDS_PER_DAY for e in events]
+    lifetime_days = 0
+    if ledger.incoming:
+        lifetime_days = event_days[-1] - min(e.timestamp // SECONDS_PER_DAY
+                                             for e in ledger.incoming)
+    daily_tx, net_by_day = {}, {}
+    for ev in events:
+        daily_tx.setdefault(ev.timestamp // SECONDS_PER_DAY, set()).add(ev.txid)
+    for sign, side in ((1, ledger.incoming), (-1, ledger.outgoing)):
+        for ev in side:
+            d = ev.timestamp // SECONDS_PER_DAY
+            net_by_day[d] = net_by_day.get(d, 0) + sign * ev.amount
+    in_times = sorted(e.timestamp for e in ledger.incoming)
+    delays = []
+    for ev in ledger.outgoing:
+        pos = bisect.bisect_right(in_times, ev.timestamp)
+        if pos > 0:
+            delays.append(ev.timestamp - in_times[pos - 1])
+    integers = dict(
+        n_addr=n_addr,
+        lifetime_days=lifetime_days,
+        activity_days=len(set(event_days)),
+        max_daily_tx=max((len(t) for t in daily_tx.values()), default=0),
+        sum_in=sum(in_amounts),
+        sum_out=sum(out_amounts),
+        count_in=len(in_amounts),
+        count_out=len(out_amounts),
+        paid_back_addrs=reference_paid_back(ledger),
+        delay_min=min(delays, default=0),
+        delay_max=max(delays, default=0),
+        max_daily_balance_delta=max((abs(net) for d, net in net_by_day.items()
+                                     if d != event_days[0]), default=0),
+    )
+    for name, value in integers.items():
+        if value > MAX_EXACT_INT:
+            raise DataError(f"feature {name} is above 2**53, the bound of integer features")
+    avg_in, std_in = reference_mean_std(in_amounts)
+    avg_out, std_out = reference_mean_std(out_amounts)
+    total = len(in_amounts) + len(out_amounts)
+    return FeatureVector(
+        **integers, gini_in=reference_gini(in_amounts), gini_out=reference_gini(out_amounts),
+        in_share=len(in_amounts) / total if total else 0.0, avg_in=avg_in, std_in=std_in,
+        avg_out=avg_out, std_out=std_out,
+        delay_avg=math.fsum(delays) / len(delays) if delays else 0.0,
+    )
+
+
+def outcome(compute, *args):
+    """The result, or the message of the DataError raised."""
+    try:
+        return compute(*args)
+    except DataError as err:
+        return f"DataError: {err}"
 
 
 # --- inputs ---------------------------------------------------------------
@@ -215,13 +333,23 @@ def assert_ingest_matches(lines, clusters=None):
     ref_txs, ref_report = reference_parse(lines)
     assert log.transactions == ref_txs
     assert validate_tx_log(log) == ref_report
+    assert build_clusters(log) == reference_clusters(log)
     clusters = clusters or build_clusters(log)
     ledgers = build_all_ledgers(log, clusters)
     ref_ledgers = reference_ledgers(log, clusters)
-    assert ledgers == ref_ledgers
+    # Features first, so that the views' events are built after the columns.
     for ci, ledger in ledgers.items():
         n_addr = len(clusters.members[ci])
-        assert extract_features(ledger, n_addr) == reference_features(ledger, n_addr)
+        expected = outcome(reference_features, ref_ledgers[ci], n_addr)
+        assert outcome(extract_features, ledger, n_addr) == expected
+        # A ledger built by hand goes through a batch of one.
+        assert outcome(extract_features, ClusterLedger(ref_ledgers[ci].incoming,
+                                                       ref_ledgers[ci].outgoing),
+                       n_addr) == expected
+        first, last, _ = ledger_days(ref_ledgers[ci])
+        if isinstance(expected, FeatureVector) and last - first < 10_000:
+            assert expected.max_daily_balance_delta == reference_balance_delta(ref_ledgers[ci])
+    assert ledgers == ref_ledgers
     return log, clusters
 
 
@@ -315,3 +443,135 @@ def test_out_of_range_input_index_dangles():
     assert log.transactions == ref_txs
     assert validate_tx_log(log) == ref_report
     assert len(ref_report.dangling) == 1
+
+
+# --- amounts and times at the edges of int64 ---------------------------------
+
+_DAY = SECONDS_PER_DAY
+# UTC-day boundaries on both sides of the epoch, times at the bound of the
+# log, and ordinary times.
+_TIMES = st.one_of(
+    st.builds(lambda k, dt: k * _DAY + dt, st.integers(-3, 3), st.sampled_from([-1, 0, 1])),
+    st.sampled_from([-(2**62) + 1, 2**62 - 1, -(2**53), 2**53 + 1]),
+    st.integers(-5 * _DAY, 5 * _DAY),
+)
+# Amounts whose sums pass 2**53 (the bound of integer features) and 2**63
+# (int64), and ordinary ones.
+_VALUES = st.one_of(
+    st.sampled_from([0, 1, 2**52, 2**52 + 1, 2**53 - 1, 2**53, 2**53 + 1, 2**62, 2**63 - 1]),
+    st.integers(0, 2**63 - 1),
+    st.integers(0, 10**9),
+)
+
+
+@st.composite
+def edge_logs(draw):
+    """Log lines over a few addresses, so counterparts repeat, with inputs
+    that may dangle, spend twice or spend a later output; and a partition of
+    the addresses into up to three clusters, so a transaction can spend from
+    several."""
+    addrs = [f"e{i}" for i in range(draw(st.integers(1, 5)))]
+    lines, outpoints = [], []
+    for i in range(draw(st.integers(1, 9))):
+        txid = txid_of(("edge", i))
+        coinbase = not outpoints or draw(st.integers(0, 3)) == 0
+        prevs = [] if coinbase else draw(st.lists(st.sampled_from(outpoints), min_size=1,
+                                                  max_size=4))
+        outs, total = [], 0
+        for _ in range(draw(st.integers(0, 4))):
+            value = min(draw(_VALUES), 2**63 - 1 - total)
+            total += value
+            outs.append((draw(st.sampled_from(addrs)), value))
+        lines.append(tx_line(txid, draw(_TIMES), coinbase=coinbase, inputs=prevs,
+                             outputs=outs))
+        outpoints += [(txid, k) for k in range(len(outs))]
+    owner = draw(st.lists(st.integers(0, 2), min_size=len(addrs), max_size=len(addrs)))
+    return lines, dict(zip(addrs, owner))
+
+
+def partition(log, owner):
+    groups = {}
+    for addr in sorted({out.addr for tx in log.transactions for out in tx.outputs}):
+        groups.setdefault(owner[addr], []).append(addr)
+    members = tuple(tuple(g) for g in sorted(groups.values()))
+    return ClusterSet(members, {a: i for i, g in enumerate(members) for a in g})
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_logs())
+def test_edge_amounts_and_times_match_references(drawn):
+    lines, owner = drawn
+    log, _ = assert_ingest_matches(lines)
+    assert_ingest_matches(lines, partition(log, owner))
+
+
+def test_sums_past_int64_match_references():
+    # Two outputs of 2**63 - 1 spent together: the fee, the outgoing event
+    # and the cluster sums pass int64, and only the fee stays exact in a row.
+    top = 2**63 - 1
+    t0, t1, t2 = txid_of("big0"), txid_of("big1"), txid_of("join")
+    lines = [
+        tx_line(t0, -_DAY, coinbase=True, outputs=[("a", top)]),
+        tx_line(t1, -1, coinbase=True, outputs=[("b", top)]),
+        tx_line(t2, 0, inputs=[(t0, 0), (t1, 0)], outputs=[("c", 5)]),
+    ]
+    log, clusters = assert_ingest_matches(lines)
+    assert validate_tx_log(log).fees[t2] == 2 * top - 5
+    ledger = build_all_ledgers(log, clusters)[clusters.index_of["a"]]
+    assert ledger.outgoing[0].amount == 2 * top
+    with pytest.raises(DataError, match="feature sum_in is above 2\\*\\*53"):
+        extract_features(ledger, 2)
+    assert extract_features(build_all_ledgers(log, clusters)[clusters.index_of["c"]], 1).sum_in == 5
+
+
+def test_gini_terms_past_two_to_53_match_reference():
+    # (n - 1) * sum(x) > 2**52 while sum(x) <= 2**53: the Gini numerator goes
+    # through `gini` itself, whose terms round in float64. Here 3 * x_(4) is
+    # odd above 2**53, and the float of the exact numerator differs from
+    # `fsum` of the rounded terms in the last bit.
+    amounts = [5, 0, 2, 2**52 - 35]
+    ledger = ClusterLedger(tuple(LedgerEvent(i, txid_of(("g", i)), a, frozenset())
+                                 for i, a in enumerate(amounts)), ())
+    assert extract_features(ledger, 1) == reference_features(ledger, 1)
+    assert extract_features(ledger, 1).gini_in == 0.7499999999999991
+
+
+def test_timestamps_at_the_bound_parse():
+    for t in (2**62 - 1, -(2**62) + 1):
+        log = parse_tx_log([tx_line(txid_of(t), t, coinbase=True, outputs=[("a", 1)])])
+        assert log.transactions[0].timestamp == t
+    for t in (2**62, -(2**62)):
+        with pytest.raises(ValueError, match="outside"):
+            TxLog.from_transactions([Transaction(txid_of(t), t, True, (), (TxOutput("a", 1),))])
+
+
+def test_cli_ingest_builds_no_per_object_log(tmp_path, monkeypatch):
+    # `features` and `dataset` run on the arrays alone: no Transaction or
+    # LedgerEvent is built on the way.
+    log, labels = generate(SynthParams(n_ponzi=3, n_background=40, seed=9))
+    (tmp_path / "log.jsonl").write_text("\n".join(canonical_lines(log)) + "\n")
+    (tmp_path / "labels.csv").write_text(
+        "cluster_seed_address,label\n" + "".join(f"{a},{v}\n" for a, v in labels.items()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-object ingest")
+
+    monkeypatch.setattr(chain, "Transaction", refuse)
+    monkeypatch.setattr(features, "LedgerEvent", refuse)
+    assert main(["features", str(tmp_path / "log.jsonl"), "-o", str(tmp_path / "f.csv")]) == 0
+    assert main(["dataset", "--log", str(tmp_path / "log.jsonl"), "--labels",
+                 str(tmp_path / "labels.csv"), "-o", str(tmp_path / "d.csv")]) == 0
+
+
+def test_input_index_beyond_int64_dangles_and_round_trips():
+    t0, t1 = txid_of("small-src"), txid_of("far-index")
+    lines = [
+        tx_line(t0, 1, coinbase=True, outputs=[("a", 10)]),
+        tx_line(t1, 2, inputs=[(t0, 2**64), (t0, 0), (txid_of("elsewhere"), 2**70)],
+                outputs=[("b", 3)]),
+    ]
+    log, _ = assert_ingest_matches(lines)
+    assert [d.prev for d in validate_tx_log(log).dangling] == [
+        (t0, 2**64), (txid_of("elsewhere"), 2**70)]
+    assert canonical_lines(log) == [json.dumps(json.loads(line), separators=(",", ":"))
+                                    for line in lines]
