@@ -113,8 +113,8 @@ def assemble(
     ds = Dataset(
         ids,
         np.fromiter((ci in ponzi_labels for ci in order), dtype=np.int8, count=len(order)),
-        np.array([features_by_cluster[ci].as_tuple() for ci in order],
-                 dtype=np.float64).reshape(len(order), _N_FEATURES),
+        np.fromiter(itertools.chain.from_iterable(features_by_cluster[ci] for ci in order),
+                    dtype=np.float64, count=len(order) * _N_FEATURES).reshape(-1, _N_FEATURES),
     )
     if ds.n_ponzi == 0 and len(ds) > 0:
         logger.warning("dataset has no P instances; unusable for training")
@@ -236,7 +236,7 @@ def write_features_csv(features_by_cluster: Mapping[int, FeatureVector], fp: IO[
     """Per-cluster feature table: `schema=v1,cluster_id,<feature columns>`."""
     order = sorted(features_by_cluster)
     _write_table(fp, ("cluster_id",), ((ci,) for ci in order),
-                 (features_by_cluster[ci].as_tuple() for ci in order))
+                 (features_by_cluster[ci] for ci in order))
 
 
 _FEATURE_TYPES = tuple(int if name in INT_FEATURES else float for name in FEATURE_NAMES)

@@ -21,7 +21,7 @@ from .learn import (
     CostMatrix,
     LearnerSpec,
     Model,
-    _check_schema,
+    cost_sensitive_predict,
     derive_seeds,
     train_model,
     undersample,
@@ -196,7 +196,7 @@ def cross_validate(
         p = model.predict_proba_matrix(X[test_idx])
         labels = y[test_idx]
         outcomes.append(FoldOutcome(
-            _confusion_from_predictions(labels, p >= cost.threshold), p, labels))
+            _confusion_from_predictions(labels, cost_sensitive_predict(p, cost)), p, labels))
     aggregate = outcomes[0].confusion
     for outcome in outcomes[1:]:
         aggregate = aggregate + outcome.confusion
@@ -227,9 +227,8 @@ def apply_model(model: Model, cost: CostMatrix, dataset: Dataset) -> ApplyResult
     """Score every instance with a frozen model and apply the cost rule."""
     if len(dataset) == 0:
         return ApplyResult(ConfusionMatrix(0, 0, 0, 0), [], None)
-    _check_schema(model, dataset.X.shape[1])
     p = model.predict_proba_matrix(dataset.X)
-    predicted_p = p >= cost.threshold
+    predicted_p = cost_sensitive_predict(p, cost)
     predictions = [
         Prediction(id_, LABEL_OF[actual], score, LABEL_OF[predicted])
         for id_, actual, score, predicted
@@ -262,8 +261,8 @@ def report_row(setting: str, cm: ConfusionMatrix, metrics: MetricsReport) -> tup
     )
 
 
-def write_report_csv(rows: list[tuple], fp: IO[str], schema: str = "v1") -> None:
-    fp.write(f"# ponzi-radar report schema={schema}\n")
+def write_report_csv(rows: list[tuple], fp: IO[str]) -> None:
+    fp.write("# ponzi-radar report schema=v1\n")
     fp.write(",".join(REPORT_HEADER) + "\n")
     for row in rows:
         fp.write(",".join(str(cell) for cell in row) + "\n")

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -48,44 +47,18 @@ from .errors import DataError
 
 SCHEMA_VERSION = "v1"
 
-# Column order of the v1 feature schema. Changing this changes the schema.
-FEATURE_NAMES: tuple[str, ...] = (
-    "n_addr",
-    "lifetime_days",
-    "activity_days",
-    "max_daily_tx",
-    "gini_in",
-    "gini_out",
-    "sum_in",
-    "sum_out",
-    "count_in",
-    "count_out",
-    "in_share",
-    "avg_in",
-    "std_in",
-    "avg_out",
-    "std_out",
-    "paid_back_addrs",
-    "delay_min",
-    "delay_max",
-    "delay_avg",
-    "max_daily_balance_delta",
-)
-
-INT_FEATURES: frozenset[str] = frozenset({
-    "n_addr", "lifetime_days", "activity_days", "max_daily_tx",
-    "sum_in", "sum_out", "count_in", "count_out", "paid_back_addrs",
-    "delay_min", "delay_max", "max_daily_balance_delta",
-})
-
 # Integer features above this would not stay exact in a float64 matrix.
 MAX_EXACT_INT = 2**53
 
 SECONDS_PER_DAY = 86_400
 
 
-@dataclass(frozen=True, slots=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
+    """One cluster's features, in the column order of the v1 schema.
+
+    Changing the fields or their order changes the schema.
+    """
+
     n_addr: int
     lifetime_days: int
     activity_days: int
@@ -107,12 +80,12 @@ class FeatureVector:
     delay_avg: float
     max_daily_balance_delta: int
 
-    def as_tuple(self) -> tuple:
-        return _feature_row(self)
 
-
-assert tuple(f.name for f in fields(FeatureVector)) == FEATURE_NAMES
-_feature_row = attrgetter(*FEATURE_NAMES)
+FEATURE_NAMES: tuple[str, ...] = FeatureVector._fields
+# get_type_hints, not __annotations__: with postponed annotations the latter
+# holds unresolved forward references, which no `is int` test would match.
+INT_FEATURES: frozenset[str] = frozenset(
+    name for name, kind in get_type_hints(FeatureVector).items() if kind is int)
 
 
 def gini(values: Sequence[float] | Sequence[int]) -> float:
@@ -134,8 +107,6 @@ def gini(values: Sequence[float] | Sequence[int]) -> float:
     # Equivalent to the pairwise double sum: sum_i (2i - n - 1) x_(i), 1-based.
     weighted = math.fsum((2 * i - n - 1) * x for i, x in enumerate(ordered, start=1))
     return weighted / (n * total)
-
-
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,8 +166,7 @@ class LedgerBatch(Mapping):
         self.n_clusters = n_clusters
         self.incoming, self.outgoing = incoming, outgoing
         self._txids, self._names = txids, names
-        self._columns: dict[str, list] | None = None  # computed on first use
-        self._rows: list[tuple] = []
+        self._rows: list[tuple] | None = None  # computed on first use
         self._over: list[str] = []
 
     @classmethod
@@ -246,15 +216,9 @@ class LedgerBatch(Mapping):
                                        side.time[lo:hi].tolist(), side.amount[lo:hi].tolist())
         )
 
-    def column(self, name: str) -> list:
-        """One feature column (not `n_addr`) of every cluster, as Python numbers."""
-        if self._columns is None:
-            self._compute()
-        return self._columns[name]
-
     def features(self, ci: int, n_addr: int) -> FeatureVector:
         """Cluster `ci`'s feature vector; DataError if an integer feature is above 2**53."""
-        if self._columns is None:
+        if self._rows is None:
             self._compute()
         over = "n_addr" if n_addr > MAX_EXACT_INT else self._over[ci]
         if over:
@@ -262,14 +226,13 @@ class LedgerBatch(Mapping):
         return FeatureVector(n_addr, *self._rows[ci])
 
     def _compute(self) -> None:
-        """Every cluster's columns, its rows in schema order, and per cluster
-        the first integer feature above 2**53 ("" when none)."""
+        """Every cluster's features but `n_addr` in schema order, and per
+        cluster the first integer feature above 2**53 ("" when none)."""
         columns = _feature_columns(self)
         over = np.full(self.n_clusters, "", dtype=object)
         for name in reversed([n for n in FEATURE_NAMES[1:] if n in INT_FEATURES]):
             over[columns[name] > MAX_EXACT_INT] = name
-        self._columns = {name: columns[name].tolist() for name in FEATURE_NAMES[1:]}
-        self._rows = list(zip(*self._columns.values()))
+        self._rows = list(zip(*(columns[name].tolist() for name in FEATURE_NAMES[1:])))
         self._over = over.tolist()
 
 
@@ -521,12 +484,6 @@ def _feature_columns(batch: LedgerBatch) -> dict[str, np.ndarray]:
                             out=np.zeros(n_clusters), where=n_delays > 0),
     )
     return columns
-
-
-def paid_back_count(ledger: ClusterLedger) -> int:
-    """Addresses that paid the cluster and strictly later got paid by it."""
-    batch, ci = ledger.batch()
-    return batch.column("paid_back_addrs")[ci]
 
 
 def extract_features(ledger: ClusterLedger, n_addr: int) -> FeatureVector:

@@ -1,11 +1,15 @@
 """Classifiers and imbalance handling.
 
-Trees are grown from scratch: greedy binary splits chosen to maximize the
-Gini impurity decrease over a random feature subset per node, midpoint
-thresholds, class-frequency leaves. A forest is a bag of such trees trained
-on bootstrap resamples with per-tree seeds derived up front, grown one after
-another, so training is bit-deterministic. The Bayes classifier assumes
-conditional independence with per-class Gaussian likelihoods.
+A forest is a bag of trees grown from scratch, and only its tree count and
+an optional training reweight can be set. Each tree trains on a bootstrap
+resample and grows until every leaf is pure or cannot be split. At each
+node it takes the binary split with the largest Gini impurity decrease over
+FEATURES_PER_SPLIT = log2(20) + 1 = 5 features drawn at random (the other
+15 only when those 5 are constant there), with a midpoint threshold; a leaf
+holds its class masses. Per-tree seeds are derived up front and the trees
+grow one after another, so training is bit-deterministic. The Bayes
+classifier assumes conditional independence with per-class Gaussian
+likelihoods.
 
 Split search works on value codes and integer class counts. Once per fit,
 each feature is coded: its sorted distinct values go into a table, and each
@@ -24,9 +28,10 @@ children are split by code (code <= the last code left of the cut), never by
 re-reading the threshold.
 
 Cost sensitivity is applied by minimum-expected-cost thresholding of the
-predicted probability: predict P iff p >= c_fp / (c_fp + c_fn). Training-set
-reweighting is available as an alternate mode (weights proportional to the
-misclassification cost of each class).
+predicted probability, in `cost_sensitive_predict` alone: predict P iff
+p >= c_fp / (c_fp + c_fn). Training-set reweighting is available as an
+alternate mode (weights proportional to the misclassification cost of each
+class).
 """
 
 from __future__ import annotations
@@ -40,14 +45,19 @@ from typing import IO
 
 import numpy as np
 
-from .dataset import Dataset, LABEL_PONZI
+from .dataset import Dataset
 from .errors import DataError, SchemaMismatchError
-from .features import FEATURE_NAMES, SCHEMA_VERSION, FeatureVector
+from .features import FEATURE_NAMES, SCHEMA_VERSION
 
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "ponzi-radar-model"
 MODEL_VERSION = 1
+
+# The fixed forest (see above), as model files record it under "params".
+FEATURES_PER_SPLIT = int(math.log2(len(FEATURE_NAMES))) + 1
+FOREST_PARAMS = {"features_per_split": FEATURES_PER_SPLIT, "min_leaf": 1,
+                 "max_depth": None, "bootstrap": True}
 
 
 @dataclass(frozen=True)
@@ -79,9 +89,9 @@ class CostMatrix:
         return cls(fn_cost, fp_cost)
 
 
-def cost_sensitive_predict(p: float, cm: CostMatrix) -> str:
-    """Minimum-expected-cost label for P-probability p; ties go to P."""
-    return LABEL_PONZI if p >= cm.threshold else "nP"
+def cost_sensitive_predict(p: np.ndarray, cm: CostMatrix) -> np.ndarray:
+    """Where predicting P minimizes expected cost, for P-probabilities p; ties go to P."""
+    return np.asarray(p) >= cm.threshold
 
 
 def derive_seeds(seed: int, n: int) -> list[int]:
@@ -112,13 +122,6 @@ def undersample(dataset: Dataset, ratio: float, seed: int) -> Dataset:
     return dataset.take(sorted(pos + random.Random(seed).sample(neg, target)))
 
 
-@dataclass(frozen=True)
-class TreeParams:
-    features_per_split: int | None = None  # None = consider every feature
-    min_leaf: int = 1
-    max_depth: int | None = None
-
-
 @dataclass
 class TreeModel:
     """Flat-array binary tree; feature[i] == -1 marks a leaf."""
@@ -128,7 +131,6 @@ class TreeModel:
     left: np.ndarray  # int32
     right: np.ndarray  # int32
     counts: np.ndarray  # float64 (n_nodes, 2): [P weight, nP weight]
-    feature_names: tuple[str, ...] = FEATURE_NAMES
 
     @property
     def n_nodes(self) -> int:
@@ -162,7 +164,7 @@ def _value_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return codes, values
 
 
-def _best_split(codes, values, rows, node, total, feats, min_leaf, costs):
+def _best_split(codes, values, rows, node, total, feats, costs):
     """Best (feature, code, threshold) over candidate features, or None.
 
     All candidate features are searched in one batch: a (k, d) gather of the
@@ -189,11 +191,6 @@ def _best_split(codes, values, rows, node, total, feats, min_leaf, costs):
     left = np.cumsum(np.take(node, order), axis=1).ravel()[cut]
     lm, lp = left & _ROWS, left >> 32
     rm, rp = (total & _ROWS) - lm, (total >> 32) - lp
-    if min_leaf > 1:  # every cut leaves at least one row on each side
-        keep = (lm >= min_leaf) & (rm >= min_leaf)
-        cut, lm, lp, rm, rp = cut[keep], lm[keep], lp[keep], rm[keep], rp[keep]
-        if len(cut) == 0:
-            return None
     lm -= lp  # nP rows left
     rm -= rp
     # (lp^2 + ln^2) / (lp + ln) + (rp^2 + rn^2) / (rp + rn), in place but in
@@ -216,27 +213,25 @@ def _best_split(codes, values, rows, node, total, feats, min_leaf, costs):
     return f, lo_code, thr
 
 
-def _grow_tree(codes, values, counts, costs, params: TreeParams,
-               rng: np.random.Generator) -> TreeModel:
-    """Grow one tree on the rows r with counts[r] > 0.
+def _grow_tree(codes, values, counts, costs, rng: np.random.Generator) -> TreeModel:
+    """Grow one tree on the rows r with counts[r] > 0, down to pure leaves.
 
     codes and values are the fit's value codes (see _value_codes). counts
     packs each row's integer multiplicity (a bootstrap counts a row once per
     draw) in its low 32 bits and, for a P row, the same multiplicity again
     above them (see _packed_counts), so one sum or cumulative sum yields both
     the row count and the P count. costs = (c_fn, c_fp) weights the two
-    class masses.
+    class masses. A node that cannot be split is a leaf.
     """
     n_features = codes.shape[0]
-    k = params.features_per_split
     c_fn, c_fp = costs
     feature, threshold, left, right, masses = [], [], [], [], []
 
     # Explicit pre-order stack (left subtree fully built before the right one)
     # so trees on large pathological data cannot hit the recursion limit.
-    stack = [(np.flatnonzero(counts), 0, -1, False)]  # rows, depth, parent, is_right
+    stack = [(np.flatnonzero(counts), -1, False)]  # rows, parent, is_right
     while stack:
-        rows, depth, parent, is_right = stack.pop()
+        rows, parent, is_right = stack.pop()
         node = len(feature)
         feature.append(-1)
         threshold.append(0.0)
@@ -248,32 +243,23 @@ def _grow_tree(codes, values, counts, costs, params: TreeParams,
         total = int(node_counts.sum())
         n_rows, n_p = total & _ROWS, total >> 32
         masses.append((c_fn * n_p, c_fp * (n_rows - n_p)))
-        if (
-            n_p == 0
-            or n_p == n_rows
-            or n_rows < 2 * params.min_leaf
-            or (params.max_depth is not None and depth >= params.max_depth)
-        ):
+        if n_p == 0 or n_p == n_rows:
             continue
         search = (codes, values, rows, node_counts, total)
-        if k is not None and k < n_features:
-            cands = np.sort(rng.choice(n_features, size=k, replace=False))
-            split = _best_split(*search, cands, params.min_leaf, costs)
-            if split is None:
-                # Candidate features were constant here; fall back to the rest
-                # so consistent data always reaches pure leaves.
-                rest = np.setdiff1d(np.arange(n_features), cands)
-                split = _best_split(*search, rest, params.min_leaf, costs)
-        else:
-            split = _best_split(*search, np.arange(n_features), params.min_leaf, costs)
+        cands = np.sort(rng.choice(n_features, size=FEATURES_PER_SPLIT, replace=False))
+        split = _best_split(*search, cands, costs)
+        if split is None:
+            # Candidate features were constant here; fall back to the rest
+            # so consistent data always reaches pure leaves.
+            split = _best_split(*search, np.setdiff1d(np.arange(n_features), cands), costs)
         if split is None:
             continue
         f, lo_code, thr = split
         feature[node] = f
         threshold[node] = thr
         go_left = codes[f, rows] <= lo_code
-        stack.append((rows[~go_left], depth + 1, node, True))
-        stack.append((rows[go_left], depth + 1, node, False))
+        stack.append((rows[~go_left], node, True))
+        stack.append((rows[go_left], node, False))
 
     return TreeModel(
         np.asarray(feature, dtype=np.int32),
@@ -303,36 +289,10 @@ def _packed_counts(y: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return mult | ((mult * (y == 1)) << 32)
 
 
-def train_tree(
-    dataset: Dataset,
-    params: TreeParams = TreeParams(),
-    seed: int = 0,
-    reweight: CostMatrix | None = None,
-) -> TreeModel:
-    """Grow one decision tree. A single-class dataset yields a single leaf."""
-    if len(dataset) == 0:
-        raise DataError("cannot train on an empty dataset")
-    counts = _packed_counts(dataset.y, np.ones(len(dataset), dtype=np.int64))
-    return _grow_tree(*_value_codes(dataset.X), counts, _class_costs(reweight),
-                      params, np.random.default_rng(seed))
-
-
-def default_forest_params(n_features: int = len(FEATURE_NAMES)) -> TreeParams:
-    return TreeParams(
-        features_per_split=int(math.log2(n_features)) + 1,
-        min_leaf=1,
-        max_depth=None,
-    )
-
-
 @dataclass
 class ForestModel:
     trees: list[TreeModel]
     seed: int
-    n_trees: int
-    params: TreeParams
-    bootstrap: bool
-    feature_names: tuple[str, ...] = FEATURE_NAMES
 
     def predict_proba_matrix(self, X: np.ndarray) -> np.ndarray:
         acc = np.zeros(len(X), dtype=np.float64)
@@ -345,8 +305,6 @@ def train_forest(
     dataset: Dataset,
     n_trees: int = 100,
     seed: int = 0,
-    params: TreeParams | None = None,
-    bootstrap: bool = True,
     reweight: CostMatrix | None = None,
 ) -> ForestModel:
     """Train a random forest with per-tree derived seeds.
@@ -359,19 +317,14 @@ def train_forest(
     X, y = dataset.X, dataset.y
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
-    if params is None:
-        params = default_forest_params(X.shape[1])
     codes, values = _value_codes(X)
     costs = _class_costs(reweight)
     trees = []
     for tree_seed in derive_seeds(seed, n_trees):
         rng = np.random.default_rng(tree_seed)
-        if bootstrap:
-            mult = np.bincount(rng.integers(0, len(X), size=len(X)), minlength=len(X))
-        else:
-            mult = np.ones(len(X), dtype=np.int64)
-        trees.append(_grow_tree(codes, values, _packed_counts(y, mult), costs, params, rng))
-    return ForestModel(trees, seed, n_trees, params, bootstrap)
+        mult = np.bincount(rng.integers(0, len(X), size=len(X)), minlength=len(X))
+        trees.append(_grow_tree(codes, values, _packed_counts(y, mult), costs, rng))
+    return ForestModel(trees, seed)
 
 
 @dataclass
@@ -381,7 +334,6 @@ class BayesModel:
     prior_p: float
     mean: np.ndarray  # (2, F), row 0 = nP, row 1 = P
     var: np.ndarray  # (2, F)
-    feature_names: tuple[str, ...] = FEATURE_NAMES
 
     def predict_proba_matrix(self, X: np.ndarray) -> np.ndarray:
         log_prior = np.log([1.0 - self.prior_p, self.prior_p])
@@ -421,36 +373,15 @@ def train_bayes(dataset: Dataset, reweight: CostMatrix | None = None) -> BayesMo
     return BayesModel(prior_p, mean, var)
 
 
-Model = TreeModel | ForestModel | BayesModel
-
-
-def _check_schema(model: Model, n_columns: int) -> None:
-    if tuple(model.feature_names) != FEATURE_NAMES or n_columns != len(FEATURE_NAMES):
-        raise SchemaMismatchError("model feature schema does not match the input")
-
-
-def predict_proba(model: Model, data) -> np.ndarray | float:
-    """P-probability for a FeatureVector, a Dataset, or a feature matrix."""
-    if isinstance(data, FeatureVector):
-        X = np.asarray([data.as_tuple()], dtype=np.float64)
-        _check_schema(model, X.shape[1])
-        return float(model.predict_proba_matrix(X)[0])
-    if isinstance(data, Dataset):
-        X = data.X
-    else:
-        X = np.asarray(data, dtype=np.float64)
-    _check_schema(model, X.shape[1])
-    return model.predict_proba_matrix(X)
+Model = ForestModel | BayesModel
 
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """What to train: forest or bayes, with the knobs that matter for each."""
+    """What to train: a forest of n_trees, or Gaussian Bayes; either may reweight."""
 
     kind: str = "forest"
     n_trees: int = 100
-    params: TreeParams | None = None
-    bootstrap: bool = True
     reweight: CostMatrix | None = None
 
     def __post_init__(self):
@@ -465,14 +396,7 @@ def train_model(dataset: Dataset, spec: LearnerSpec, seed: int, threads: int = 1
     that still pass it.
     """
     if spec.kind == "forest":
-        return train_forest(
-            dataset,
-            n_trees=spec.n_trees,
-            seed=seed,
-            params=spec.params,
-            bootstrap=spec.bootstrap,
-            reweight=spec.reweight,
-        )
+        return train_forest(dataset, n_trees=spec.n_trees, seed=seed, reweight=spec.reweight)
     return train_bayes(dataset, reweight=spec.reweight)
 
 
@@ -492,6 +416,9 @@ def _tree_from_dict(d: dict) -> TreeModel:
     The grower numbers nodes in pre-order, so every child comes after its
     parent; that rules out cycles, and with them a prediction that never ends.
     """
+    for key in ("feature", "left", "right"):  # an int32 cast would truncate 1.5 to 1
+        if not isinstance(d[key], list) or not set(map(type, d[key])) <= {int}:
+            raise DataError(f"model tree {key} indices must be integers")
     tree = TreeModel(
         np.asarray(d["feature"], dtype=np.int32),
         np.asarray(d["threshold"], dtype=np.float64),
@@ -510,10 +437,12 @@ def _tree_from_dict(d: dict) -> TreeModel:
     for child in (tree.left[split], tree.right[split]):
         if np.any(child <= parent) or np.any(child >= n):
             raise DataError("model tree has a child index out of range or not after its parent")
-    leaf_counts = tree.counts[~split]
-    if (not np.all(np.isfinite(leaf_counts) & (leaf_counts >= 0))
-            or np.any(leaf_counts.sum(axis=1) <= 0)):
-        raise DataError("model tree leaf counts must be finite, non-negative, not all 0")
+    # json.load takes NaN and Infinity; a model holding them could not be saved.
+    if not np.all(np.isfinite(tree.threshold)):
+        raise DataError("model tree has a threshold that is not finite")
+    if (not np.all(np.isfinite(tree.counts) & (tree.counts >= 0))
+            or np.any(tree.counts[~split].sum(axis=1) <= 0)):
+        raise DataError("model tree counts must be finite, non-negative, not all 0 at a leaf")
     return tree
 
 
@@ -522,22 +451,13 @@ def save_model(model: Model, fp: IO[str]) -> None:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "feature_schema": SCHEMA_VERSION,
-        "feature_names": list(model.feature_names),
+        "feature_names": list(FEATURE_NAMES),
     }
     if isinstance(model, ForestModel):
         doc["learner"] = "forest"
         doc["seed"] = model.seed
-        doc["params"] = {
-            "n_trees": model.n_trees,
-            "features_per_split": model.params.features_per_split,
-            "min_leaf": model.params.min_leaf,
-            "max_depth": model.params.max_depth,
-            "bootstrap": model.bootstrap,
-        }
+        doc["params"] = {"n_trees": len(model.trees), **FOREST_PARAMS}
         doc["trees"] = [_tree_to_dict(t) for t in model.trees]
-    elif isinstance(model, TreeModel):
-        doc["learner"] = "tree"
-        doc["tree"] = _tree_to_dict(model)
     elif isinstance(model, BayesModel):
         doc["learner"] = "bayes"
         doc["bayes"] = {
@@ -570,18 +490,18 @@ def _model_from_doc(doc) -> Model:
     kind = doc.get("learner")
     if kind == "forest":
         p = doc["params"]
-        params = TreeParams(p["features_per_split"], p["min_leaf"], p["max_depth"])
-        if not doc["trees"] or len(doc["trees"]) != p["n_trees"]:
+        # Compared as JSON text, so that 1 does not pass for true, nor 5.0 for 5.
+        fixed = json.dumps({name: p.get(name) for name in FOREST_PARAMS})
+        if fixed != json.dumps(FOREST_PARAMS):
+            raise DataError(f"forest parameters {fixed} are not the fixed "
+                            f"{json.dumps(FOREST_PARAMS)}")
+        # `type(...) is int`: save_model writes neither true nor 3.0 here.
+        if (not doc["trees"] or type(p["n_trees"]) is not int
+                or len(doc["trees"]) != p["n_trees"]):
             raise DataError(f"forest has {len(doc['trees'])} trees, expected {p['n_trees']} (>= 1)")
-        return ForestModel(
-            [_tree_from_dict(t) for t in doc["trees"]],
-            seed=doc["seed"],
-            n_trees=p["n_trees"],
-            params=params,
-            bootstrap=p["bootstrap"],
-        )
-    if kind == "tree":
-        return _tree_from_dict(doc["tree"])
+        if type(doc["seed"]) is not int:
+            raise DataError(f"forest seed must be an integer, got {doc['seed']!r}")
+        return ForestModel([_tree_from_dict(t) for t in doc["trees"]], seed=doc["seed"])
     if kind == "bayes":
         b = doc["bayes"]
         model = BayesModel(b["prior_p"], np.asarray(b["mean"], dtype=np.float64),

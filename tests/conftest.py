@@ -111,7 +111,7 @@ def dataset_of(rows) -> Dataset:
     rows = list(rows)
     return Dataset(tuple(id_ for id_, _, _ in rows),
                    np.array([label == "P" for _, label, _ in rows], dtype=np.int8),
-                   np.array([fv.as_tuple() for _, _, fv in rows],
+                   np.array([fv for _, _, fv in rows],
                             dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES)))
 
 

@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 import random
 import time
 
+import numpy as np
 import pytest
 
 from ponzi_radar.cli import main
@@ -67,12 +68,12 @@ def test_criterion_01_metric_formula_reproduction():
 def test_criterion_02_majority_baseline():
     ds = make_dataset(32, 6400, seed=0, separable=False)
     counts = {"tp": 0, "fn": 0, "fp": 0, "tn": 0}
-    for actual in ds.y:
-        predicted = cost_sensitive_predict(0.0, CostMatrix(1, 1))  # always nP
+    always_np = cost_sensitive_predict(np.zeros(len(ds)), CostMatrix(1, 1))
+    for actual, predicted_p in zip(ds.y, always_np):
         if actual == 1:
-            counts["tp" if predicted == "P" else "fn"] += 1
+            counts["tp" if predicted_p else "fn"] += 1
         else:
-            counts["fp" if predicted == "P" else "tn"] += 1
+            counts["fp" if predicted_p else "tn"] += 1
     m = metrics_from_confusion(ConfusionMatrix(**counts))
     assert abs(m.accuracy - 0.995) <= TOL
     assert m.recall == 0.0
@@ -121,8 +122,7 @@ def test_criterion_05_cost_threshold_monotonicity():
     for c_fn in (1, 5, 10, 20, 40):
         cm = CostMatrix(c_fn, 1)
         assert cm.threshold == 1 / (1 + c_fn)
-        current = {i for i, s in enumerate(scores)
-                   if cost_sensitive_predict(s, cm) == "P"}
+        current = set(np.flatnonzero(cost_sensitive_predict(scores, cm)).tolist())
         assert previous <= current
         previous = current
     elapsed = time.perf_counter() - start

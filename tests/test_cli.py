@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import ponzi_radar
 from ponzi_radar.cli import main
+from ponzi_radar.learn import load_model, save_model
 
 from conftest import HOSTILE_LINES, tx_line, txid_of
 
@@ -287,6 +289,60 @@ def test_train_bayes_learner(world, tmp_path):
     assert main(["train", str(world / "dataset.csv"), "--learner", "bayes",
                  "-o", str(model)]) == 0
     assert json.loads(model.read_text())["learner"] == "bayes"
+
+
+@pytest.mark.parametrize("learner", ["forest", "bayes"])
+def test_model_file_survives_load_and_save(world, tmp_path, learner):
+    model = tmp_path / "model.json"
+    assert main(["train", str(world / "dataset.csv"), "--learner", learner, "--trees", "4",
+                 "-o", str(model)]) == 0
+    with open(model, encoding="utf-8") as fp:
+        loaded = load_model(fp)
+    buf = io.StringIO()
+    save_model(loaded, buf)
+    assert buf.getvalue() == model.read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def forest_doc(world, tmp_path_factory):
+    model = tmp_path_factory.mktemp("forest") / "model.json"
+    assert main(["train", str(world / "dataset.csv"), "--trees", "2", "-o", str(model)]) == 0
+    return json.loads(model.read_text())
+
+
+def _single_tree(doc):
+    doc["tree"] = doc.pop("trees")[0]
+    del doc["params"], doc["seed"]
+    doc["learner"] = "tree"
+
+
+# Edits of a valid forest file, each with what the error must name.
+_MODEL_FAULTS = {
+    "features_per_split": (lambda doc: doc["params"].update(features_per_split=4),
+                           "forest parameters"),
+    "min_leaf": (lambda doc: doc["params"].update(min_leaf=3), "forest parameters"),
+    "max_depth": (lambda doc: doc["params"].update(max_depth=2), "forest parameters"),
+    "bootstrap": (lambda doc: doc["params"].update(bootstrap=False), "forest parameters"),
+    "tree_kind": (_single_tree, "unknown learner kind"),
+    "nan_threshold": (lambda doc: doc["trees"][1]["threshold"].__setitem__(0, float("nan")),
+                      "threshold"),
+    "infinite_threshold": (lambda doc: doc["trees"][0]["threshold"].__setitem__(0, float("inf")),
+                           "threshold"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_MODEL_FAULTS))
+def test_apply_rejects_model_file(world, forest_doc, tmp_path, capsys, fault):
+    doc = json.loads(json.dumps(forest_doc))
+    assert doc["trees"][0]["feature"][0] >= 0 and doc["trees"][1]["feature"][0] >= 0
+    change, message = _MODEL_FAULTS[fault]
+    change(doc)
+    model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
+    model.write_text(json.dumps(doc))  # writes NaN and Infinity as json.load takes them
+    assert main(["apply", str(world / "dataset.csv"), "--model", str(model),
+                 "-o", str(preds)]) == 2
+    assert message in capsys.readouterr().err
+    assert not preds.exists()
 
 
 def test_log_env_var_accepted(world, monkeypatch, capsys):

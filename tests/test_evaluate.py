@@ -209,9 +209,8 @@ class TestCrossValidate:
         cm_counts = Counter()
         cm = CostMatrix(1, 1)
         ds = make_dataset(32, 6400, seed=6, separable=False)
-        for actual in ds.y:
-            predicted = cost_sensitive_predict(0.0, cm)
-            cm_counts[("P" if actual else "nP", predicted)] += 1
+        for actual, predicted_p in zip(ds.y, cost_sensitive_predict(np.zeros(len(ds)), cm)):
+            cm_counts[("P" if actual else "nP", "P" if predicted_p else "nP")] += 1
         confusion = ConfusionMatrix(
             tp=cm_counts[("P", "P")], fn=cm_counts[("P", "nP")],
             fp=cm_counts[("nP", "P")], tn=cm_counts[("nP", "nP")],

@@ -6,12 +6,13 @@ from hypothesis import given, strategies as st
 
 from ponzi_radar.clustering import build_clusters
 from ponzi_radar.features import (
+    FEATURE_NAMES,
+    INT_FEATURES,
     ClusterLedger,
     LedgerEvent,
     build_all_ledgers,
     extract_features,
     gini,
-    paid_back_count,
 )
 
 from conftest import BTC, parse_lines, random_valid_log, tx_line, txid_of
@@ -25,6 +26,25 @@ def gini_pairwise(values):
         return 0.0
     double_sum = sum(abs(a - b) for a in values for b in values)
     return double_sum / (2 * n * total)
+
+
+class TestSchema:
+    """The v1 columns and their kinds, as FEATURES.md lists them."""
+
+    def test_feature_names_in_schema_order(self):
+        assert FEATURE_NAMES == (
+            "n_addr", "lifetime_days", "activity_days", "max_daily_tx", "gini_in",
+            "gini_out", "sum_in", "sum_out", "count_in", "count_out", "in_share",
+            "avg_in", "std_in", "avg_out", "std_out", "paid_back_addrs", "delay_min",
+            "delay_max", "delay_avg", "max_daily_balance_delta",
+        )
+
+    def test_integer_columns(self):
+        assert INT_FEATURES == {
+            "n_addr", "lifetime_days", "activity_days", "max_daily_tx", "sum_in",
+            "sum_out", "count_in", "count_out", "paid_back_addrs", "delay_min",
+            "delay_max", "max_daily_balance_delta",
+        }
 
 
 class TestGini:
@@ -148,28 +168,28 @@ class TestLedger:
 class TestPaidBack:
     def test_no_outgoing(self):
         ledger = ClusterLedger((_ev(1, "i", 10, {"a"}),), ())
-        assert paid_back_count(ledger) == 0
+        assert extract_features(ledger, 1).paid_back_addrs == 0
 
     def test_payer_then_payee_counts_once(self):
         ledger = ClusterLedger(
             (_ev(1, "i", 10, {"a"}),),
             (_ev(2, "o1", 5, {"a"}), _ev(3, "o2", 5, {"b"})),
         )
-        assert paid_back_count(ledger) == 1
+        assert extract_features(ledger, 1).paid_back_addrs == 1
 
     def test_wrong_temporal_order(self):
         ledger = ClusterLedger(
             (_ev(2, "i", 10, {"a"}),),
             (_ev(1, "o", 5, {"a"}),),
         )
-        assert paid_back_count(ledger) == 0
+        assert extract_features(ledger, 1).paid_back_addrs == 0
 
     def test_same_timestamp_not_subsequent(self):
         ledger = ClusterLedger(
             (_ev(5, "i", 10, {"a"}),),
             (_ev(5, "o", 5, {"a"}),),
         )
-        assert paid_back_count(ledger) == 0
+        assert extract_features(ledger, 1).paid_back_addrs == 0
 
 
 DAY = 86_400

@@ -23,32 +23,25 @@ from hypothesis.extra.numpy import arrays
 from ponzi_radar.dataset import Dataset
 from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES
 from ponzi_radar.learn import (
+    FEATURES_PER_SPLIT,
     _value_codes,
     CostMatrix,
     TreeModel,
-    TreeParams,
-    default_forest_params,
     derive_seeds,
     save_model,
     train_forest,
-    train_tree,
 )
 
 from conftest import dataset_of, make_features
 
 
-def oracle_best_split(X, y, w, idx, feats, min_leaf):
+def oracle_best_split(X, y, w, idx, feats):
     best = None
-    m = len(idx)
     for f in feats:
         v = X[idx, f]
         order = np.argsort(v, kind="stable")
         vs = v[order]
         cut = np.nonzero(vs[:-1] != vs[1:])[0]
-        if len(cut) == 0:
-            continue
-        valid = (cut + 1 >= min_leaf) & (m - cut - 1 >= min_leaf)
-        cut = cut[valid]
         if len(cut) == 0:
             continue
         ws = w[idx][order]
@@ -70,13 +63,12 @@ def oracle_best_split(X, y, w, idx, feats, min_leaf):
     return best
 
 
-def oracle_grow_tree(X, y, w, params, rng):
+def oracle_grow_tree(X, y, w, rng):
     n_features = X.shape[1]
-    k = params.features_per_split
     feature, threshold, left, right, counts = [], [], [], [], []
-    stack = [(np.arange(len(X)), 0, -1, False)]
+    stack = [(np.arange(len(X)), -1, False)]
     while stack:
-        idx, depth, parent, is_right = stack.pop()
+        idx, parent, is_right = stack.pop()
         node = len(feature)
         feature.append(-1)
         threshold.append(0.0)
@@ -88,28 +80,21 @@ def oracle_grow_tree(X, y, w, params, rng):
         pos_w = float(np.sum(w[idx] * y[idx]))
         tot_w = float(np.sum(w[idx]))
         counts[node] = (pos_w, tot_w - pos_w)
-        if (
-            pos_w == 0.0 or pos_w == tot_w
-            or len(idx) < 2 * params.min_leaf
-            or (params.max_depth is not None and depth >= params.max_depth)
-        ):
+        if pos_w == 0.0 or pos_w == tot_w or len(idx) < 2:
             continue
-        if k is not None and k < n_features:
-            cands = np.sort(rng.choice(n_features, size=k, replace=False))
-            split = oracle_best_split(X, y, w, idx, cands, params.min_leaf)
-            if split is None:
-                rest = np.setdiff1d(np.arange(n_features), cands)
-                split = oracle_best_split(X, y, w, idx, rest, params.min_leaf)
-        else:
-            split = oracle_best_split(X, y, w, idx, np.arange(n_features), params.min_leaf)
+        cands = np.sort(rng.choice(n_features, size=FEATURES_PER_SPLIT, replace=False))
+        split = oracle_best_split(X, y, w, idx, cands)
+        if split is None:
+            rest = np.setdiff1d(np.arange(n_features), cands)
+            split = oracle_best_split(X, y, w, idx, rest)
         if split is None:
             continue
         _, f, thr, pos, order = split
         feature[node] = f
         threshold[node] = thr
         ordered = idx[order]
-        stack.append((ordered[pos + 1:], depth + 1, node, True))
-        stack.append((ordered[: pos + 1], depth + 1, node, False))
+        stack.append((ordered[pos + 1:], node, True))
+        stack.append((ordered[: pos + 1], node, False))
     return TreeModel(
         np.asarray(feature, dtype=np.int32),
         np.asarray(threshold, dtype=np.float64),
@@ -127,17 +112,14 @@ def oracle_weights(y, reweight):
     return w
 
 
-def oracle_forest(ds, n_trees, seed, params, bootstrap, reweight):
+def oracle_forest(ds, n_trees, seed, reweight):
     X, y = ds.X, ds.y
     w = oracle_weights(y, reweight)
     trees = []
     for tree_seed in derive_seeds(seed, n_trees):
         rng = np.random.default_rng(tree_seed)
-        if bootstrap:
-            rows = rng.integers(0, len(X), size=len(X))
-            trees.append(oracle_grow_tree(X[rows], y[rows], w[rows], params, rng))
-        else:
-            trees.append(oracle_grow_tree(X, y, w, params, rng))
+        rows = rng.integers(0, len(X), size=len(X))
+        trees.append(oracle_grow_tree(X[rows], y[rows], w[rows], rng))
     return trees
 
 
@@ -167,10 +149,6 @@ CASES = {
     "default": dict(n=400),
     "reweight_20_1": dict(n=400, reweight=CostMatrix(20, 1)),
     "reweight_2.5_1": dict(n=400, reweight=CostMatrix(2.5, 1)),
-    "min_leaf_3": dict(n=400, params=TreeParams(features_per_split=5, min_leaf=3)),
-    "max_depth_2": dict(n=400, params=TreeParams(features_per_split=5, max_depth=2)),
-    "all_features": dict(n=400, params=TreeParams(features_per_split=None)),
-    "no_bootstrap": dict(n=400, bootstrap=False),
     "one_class": dict(n=50, p_share=1.0),
     "ten_rows": dict(n=10),
     "three_rows": dict(n=3, p_share=0.5),
@@ -183,12 +161,9 @@ def test_forest_matches_oracle(case):
     spec = dict(CASES[case])
     ds = random_dataset(spec.pop("n"), seed=len(case), p_share=spec.pop("p_share", 0.3))
     n_trees = spec.pop("n_trees", 8)
-    params = spec.pop("params", default_forest_params())
-    bootstrap = spec.pop("bootstrap", True)
     reweight = spec.pop("reweight", None)
-    forest = train_forest(ds, n_trees=n_trees, seed=11, params=params,
-                          bootstrap=bootstrap, reweight=reweight)
-    assert_same_trees(forest.trees, oracle_forest(ds, n_trees, 11, params, bootstrap, reweight))
+    forest = train_forest(ds, n_trees=n_trees, seed=11, reweight=reweight)
+    assert_same_trees(forest.trees, oracle_forest(ds, n_trees, 11, reweight))
     if case == "random_labels_2000":  # deep trees: the whole stack is exercised
         assert min(t.n_nodes for t in forest.trees) > 300
     if case == "one_class":
@@ -198,11 +173,8 @@ def test_forest_matches_oracle(case):
 @pytest.mark.parametrize("reweight", [None, CostMatrix(20, 1)])
 def test_single_tree_matches_oracle(reweight):
     ds = random_dataset(300, seed=5)
-    params = TreeParams(features_per_split=4)
-    tree = train_tree(ds, params=params, seed=3, reweight=reweight)
-    want = oracle_grow_tree(ds.X, ds.y, oracle_weights(ds.y, reweight), params,
-                            np.random.default_rng(3))
-    assert_same_trees([tree], [want])
+    forest = train_forest(ds, n_trees=1, seed=3, reweight=reweight)
+    assert_same_trees(forest.trees, oracle_forest(ds, 1, 3, reweight))
 
 
 @pytest.mark.parametrize("cost", ["0.3:0.7", "3:0.1"])
@@ -253,33 +225,26 @@ def _tie_heavy_datasets(draw):
 @given(
     _tie_heavy_datasets(),
     st.sampled_from([None, CostMatrix(1, 1), CostMatrix(20, 1), CostMatrix(2.5, 1)]),
-    st.one_of(st.none(), st.integers(1, len(FEATURE_NAMES))),
-    st.integers(1, 4),
-    # 40 rows allow no tree deeper than 39, so 40 stands for no limit; an
-    # explicit None would let a split that sends no row left loop for ever.
-    st.integers(0, 40),
-    st.booleans(),
     st.integers(0, 2**32),
 )
-def test_coded_grower_matches_oracle(ds, reweight, features_per_split, min_leaf, max_depth,
-                                     bootstrap, seed):
-    params = TreeParams(features_per_split, min_leaf, max_depth)
-    forest = train_forest(ds, n_trees=3, seed=seed, params=params, bootstrap=bootstrap,
-                          reweight=reweight)
-    assert_same_trees(forest.trees, oracle_forest(ds, 3, seed, params, bootstrap, reweight))
+def test_coded_grower_matches_oracle(ds, reweight, seed):
+    forest = train_forest(ds, n_trees=3, seed=seed, reweight=reweight)
+    assert_same_trees(forest.trees, oracle_forest(ds, 3, seed, reweight))
 
 
 def test_codes_wider_than_16_bits_match_oracle():
+    # Column 0 alone holds the label, so trees stay at three nodes; the cut
+    # lies near rank 68 000, beyond what 16-bit codes could hold.
     n = 70_000  # more than 65 536 distinct values in column 0
     rng = np.random.default_rng(8)
-    X = rng.integers(0, 4, size=(n, len(FEATURE_NAMES))).astype(np.float64)
+    X = np.zeros((n, len(FEATURE_NAMES)))
     X[:, 0] = rng.permutation(n) * 0.5
-    y = (X[:, 0] + 3000 * X[:, 1] > 70_000).astype(np.int8)
-    y[rng.choice(n, 2000, replace=False)] ^= 1
+    y = (X[:, 0] >= 34_000).astype(np.int8)
     ds = Dataset(tuple(f"r{i}" for i in range(n)), y, X)
     codes, values = _value_codes(ds.X)
     assert codes.dtype == np.uint32 and len(values[0]) == n
-    params = TreeParams(features_per_split=4, max_depth=2)
-    forest = train_forest(ds, n_trees=2, seed=3, params=params)
-    assert any(0 in t.feature.tolist() for t in forest.trees)
-    assert_same_trees(forest.trees, oracle_forest(ds, 2, 3, params, True, None))
+    forest = train_forest(ds, n_trees=2, seed=3)
+    for tree in forest.trees:
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert abs(tree.threshold[0] - 34_000) < 10
+    assert_same_trees(forest.trees, oracle_forest(ds, 2, 3, None))

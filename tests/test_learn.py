@@ -11,15 +11,11 @@ from ponzi_radar.learn import (
     CostMatrix,
     ForestModel,
     TreeModel,
-    TreeParams,
     cost_sensitive_predict,
-    derive_seeds,
     load_model,
-    predict_proba,
     save_model,
     train_bayes,
     train_forest,
-    train_tree,
     undersample,
 )
 
@@ -35,6 +31,16 @@ def two_class(p_values, np_values, feature="sum_in"):
         for i, v in enumerate(np_values)
     ]
     return dataset_of(instances)
+
+
+def matrix(*rows):
+    """Feature vectors as a feature matrix."""
+    return np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+
+
+def both_classes(tree: TreeModel) -> bool:
+    """Whether the tree's bootstrap resample drew rows of both classes."""
+    return bool(np.all(tree.counts[0] > 0))
 
 
 def training_accuracy(model, dataset):
@@ -56,27 +62,26 @@ class TestCostRule:
     def test_cm20_threshold(self):
         cm = CostMatrix(20, 1)
         assert cm.threshold == 1 / 21
-        assert cost_sensitive_predict(0.05, cm) == "P"
+        assert cost_sensitive_predict(np.array([0.05, 0.04]), cm).tolist() == [True, False]
 
     def test_symmetric_costs(self):
         assert CostMatrix(3, 3).threshold == 0.5
 
     def test_zero_probability_always_np(self):
         for c_fn in (1, 5, 10, 20, 40):
-            assert cost_sensitive_predict(0.0, CostMatrix(c_fn, 1)) == "nP"
+            assert not cost_sensitive_predict(np.zeros(3), CostMatrix(c_fn, 1)).any()
 
     def test_tie_goes_to_p(self):
         cm = CostMatrix(19, 1)
-        assert cost_sensitive_predict(cm.threshold, cm) == "P"
+        assert cost_sensitive_predict(np.array([cm.threshold]), cm).all()
 
     def test_monotone_in_fn_cost(self):
         rng = random.Random(2)
-        scores = [rng.random() for _ in range(500)]
-        previous: set[int] = set()
+        scores = np.array([rng.random() for _ in range(500)])
+        previous = np.zeros(len(scores), dtype=bool)
         for c_fn in (1, 5, 10, 20, 40):
-            cm = CostMatrix(c_fn, 1)
-            current = {i for i, s in enumerate(scores) if s >= cm.threshold}
-            assert previous <= current
+            current = cost_sensitive_predict(scores, CostMatrix(c_fn, 1))
+            assert current.dtype == bool and np.all(previous <= current)
             previous = current
 
     def test_invalid_costs(self):
@@ -105,18 +110,23 @@ class TestCostRule:
 
 
 class TestTree:
+    """The trees of a forest: each fits its bootstrap resample."""
+
     def test_separable_feature_gives_depth_one(self):
         ds = two_class([100, 110, 120], [1, 2, 3, 4])
-        tree = train_tree(ds, seed=1)
-        assert tree_depth(tree) == 1
-        assert training_accuracy(tree, ds) == 1.0
+        forest = train_forest(ds, n_trees=8, seed=1)
+        assert any(both_classes(t) for t in forest.trees)
+        for tree in forest.trees:
+            assert tree_depth(tree) == (1 if both_classes(tree) else 0)
+        assert training_accuracy(forest, ds) == 1.0
 
     def test_unsplittable_single_leaf_majority(self):
         ds = two_class([7], [7, 7, 7])
-        tree = train_tree(ds, seed=1)
-        assert tree.n_nodes == 1
-        assert tuple(tree.counts[0]) == (1.0, 3.0)
-        assert tree.predict_proba_matrix(ds.X)[0] == 0.25
+        forest = train_forest(ds, n_trees=8, seed=1)
+        for tree in forest.trees:
+            assert tree.n_nodes == 1
+            assert tree.counts[0].sum() == 4.0  # one count per bootstrap draw
+            assert np.all(tree.predict_proba_matrix(ds.X) == tree.counts[0, 0] / 4)
 
     def test_xor_layout_reaches_full_accuracy(self):
         instances = []
@@ -125,11 +135,13 @@ class TestTree:
             instances.append((
                 f"i{i}_{a}{b}", label, make_features(sum_in=a * 1000, count_in=b * 1000)))
         ds = dataset_of(instances)
-        tree = train_tree(ds, seed=3)
-        assert training_accuracy(tree, ds) == 1.0
-        assert tree_depth(tree) >= 2
+        forest = train_forest(ds, n_trees=10, seed=3)
+        assert training_accuracy(forest, ds) == 1.0
+        assert max(tree_depth(t) for t in forest.trees) >= 2
 
     def test_consistent_data_always_fits_exactly(self):
+        # Two informative features of 20: many nodes draw 5 constant ones and
+        # must fall back to the rest to reach pure leaves.
         rng = random.Random(11)
         for trial in range(10):
             n = rng.randint(2, 60)
@@ -138,28 +150,19 @@ class TestTree:
                          make_features(sum_in=i, count_in=rng.randint(0, 5)))
                 for i in range(n)
             ]
-            ds = dataset_of(instances)
-            for params in (TreeParams(), TreeParams(features_per_split=2)):
-                tree = train_tree(ds, params=params, seed=trial)
-                assert training_accuracy(tree, ds) == 1.0
-
-    def test_min_leaf_respected(self):
-        ds = two_class([100, 110, 120], [1, 2, 3, 4])
-        tree = train_tree(ds, params=TreeParams(min_leaf=3), seed=0)
-        leaf_sizes = [c.sum() for i, c in enumerate(tree.counts) if tree.feature[i] < 0]
-        assert all(size >= 3 for size in leaf_sizes)
+            forest = train_forest(dataset_of(instances), n_trees=4, seed=trial)
+            for tree in forest.trees:
+                leaves = tree.counts[tree.feature < 0]
+                assert np.all(leaves.min(axis=1) == 0)  # every leaf is pure
 
     def test_single_class_dataset(self):
         ds = two_class([5, 6], [])
-        tree = train_tree(ds.take([0, 1]), seed=0)
-        assert tree.n_nodes == 1
+        forest = train_forest(ds.take([0, 1]), n_trees=3, seed=0)
+        assert all(t.n_nodes == 1 for t in forest.trees)
 
     def test_structural_invariants(self):
-        import numpy as np
-
         ds = make_dataset(12, 80, seed=21, separable=False)
-        for seed in range(5):
-            tree = train_tree(ds, params=TreeParams(features_per_split=3), seed=seed)
+        for tree in train_forest(ds, n_trees=5, seed=0).trees:
             for node in range(tree.n_nodes):
                 if tree.feature[node] >= 0:  # internal: both children exist
                     assert tree.left[node] >= 0 and tree.right[node] >= 0
@@ -172,16 +175,6 @@ class TestTree:
 
 
 class TestForest:
-    def test_one_tree_without_bootstrap_equals_train_tree(self):
-        ds = make_dataset(5, 20, seed=1)
-        params = TreeParams(features_per_split=4)
-        forest = train_forest(ds, n_trees=1, seed=9, params=params, bootstrap=False)
-        lone = train_tree(ds, params=params, seed=derive_seeds(9, 1)[0])
-        t = forest.trees[0]
-        assert np.array_equal(t.feature, lone.feature)
-        assert np.array_equal(t.threshold, lone.threshold)
-        assert np.array_equal(t.counts, lone.counts)
-
     def test_separable_training_accuracy(self):
         ds = make_dataset(20, 80, seed=2)
         forest = train_forest(ds, n_trees=15, seed=4)
@@ -218,7 +211,7 @@ class TestPredict:
             + [(f"n{i}", "nP", make_features()) for i in range(80)]
         )
         forest = train_forest(dataset_of(instances), n_trees=20, seed=6)
-        assert predict_proba(forest, make_features(**p_proto)) == 1.0
+        assert forest.predict_proba_matrix(matrix(make_features(**p_proto))).tolist() == [1.0]
 
     def test_two_tree_mean(self):
         leaf_p = TreeModel(
@@ -227,15 +220,8 @@ class TestPredict:
         leaf_np = TreeModel(
             np.array([-1], np.int32), np.zeros(1), np.array([-1], np.int32),
             np.array([-1], np.int32), np.array([[0.0, 2.0]]))
-        forest = ForestModel([leaf_p, leaf_np], seed=0, n_trees=2,
-                             params=TreeParams(), bootstrap=False)
-        assert predict_proba(forest, make_features()) == 0.5
-
-    def test_schema_mismatch_rejected(self):
-        ds = make_dataset(3, 5, seed=1)
-        forest = train_forest(ds, n_trees=2, seed=0)
-        with pytest.raises(SchemaMismatchError):
-            predict_proba(forest, np.zeros((2, 7)))
+        forest = ForestModel([leaf_p, leaf_np], seed=0)
+        assert forest.predict_proba_matrix(matrix(make_features())).tolist() == [0.5]
 
 
 class TestBayes:
@@ -245,19 +231,19 @@ class TestBayes:
         f = 6  # sum_in column
         assert model.mean[1][f] == pytest.approx(1.0)
         assert model.mean[0][f] == pytest.approx(11.0)
-        p = predict_proba(model, make_features(sum_in=1))
+        (p,) = model.predict_proba_matrix(matrix(make_features(sum_in=1)))
         assert p > 0.99
 
     def test_identical_distributions_fall_back_to_prior(self):
         ds = two_class([1, 2, 3], [1, 2, 3])
         model = train_bayes(ds)
-        for x in (0, 1, 5, 100):
-            assert predict_proba(model, make_features(sum_in=x)) == pytest.approx(0.5)
+        p = model.predict_proba_matrix(matrix(*(make_features(sum_in=x) for x in (0, 1, 5, 100))))
+        assert p == pytest.approx([0.5] * 4)
 
     def test_symmetric_midpoint(self):
         ds = two_class([0, 2], [4, 6])
         model = train_bayes(ds)
-        assert predict_proba(model, make_features(sum_in=3)) == pytest.approx(0.5)
+        assert model.predict_proba_matrix(matrix(make_features(sum_in=3))) == pytest.approx([0.5])
 
     def test_imbalanced_priors(self):
         ds = make_dataset(32, 6400, seed=0)
@@ -383,10 +369,31 @@ def _empty_leaf(tree):
     tree["counts"][leaf] = [0.0, 0.0]
 
 
+def _fractional_child(tree):  # once truncated to a valid index
+    tree["left"][0] = tree["left"][0] + 0.5
+
+
+def _boolean_feature(tree):
+    tree["feature"][0] = True
+
+
+def _nan_threshold(tree):  # json.dumps writes NaN, which json.load takes
+    tree["threshold"][0] = float("nan")
+
+
+def _infinite_threshold(tree):
+    tree["threshold"][0] = float("inf")
+
+
+def _nan_split_counts(tree):
+    tree["counts"][0] = [float("nan"), 1.0]
+
+
 class TestLoadRejectsBadTrees:
     @pytest.mark.parametrize("corrupt", [
         _self_loop, _child_out_of_range, _child_before_parent, _short_threshold,
-        _feature_out_of_range, _negative_feature, _empty_leaf,
+        _feature_out_of_range, _negative_feature, _empty_leaf, _nan_threshold,
+        _infinite_threshold, _nan_split_counts, _fractional_child, _boolean_feature,
     ])
     def test_corrupt_tree(self, corrupt):
         doc = _forest_doc()
@@ -398,6 +405,39 @@ class TestLoadRejectsBadTrees:
         doc = _forest_doc()
         doc["trees"], doc["params"]["n_trees"] = [], 0
         with pytest.raises(DataError):
+            load_model(io.StringIO(json.dumps(doc)))
+
+    @pytest.mark.parametrize("name, value", [
+        ("features_per_split", 4), ("min_leaf", 3), ("max_depth", 2), ("bootstrap", False),
+        ("bootstrap", 1), ("features_per_split", 5.0),
+    ])
+    def test_forest_params_must_be_the_fixed_ones(self, name, value):
+        doc = _forest_doc()
+        doc["params"][name] = value
+        with pytest.raises(DataError, match="forest parameters .* are not the fixed"):
+            load_model(io.StringIO(json.dumps(doc)))
+
+    @pytest.mark.parametrize("seed", [float("nan"), 1.5, "7", True, None])
+    def test_forest_seed_must_be_an_integer(self, seed):
+        doc = _forest_doc()
+        doc["seed"] = seed
+        with pytest.raises(DataError, match="seed"):
+            load_model(io.StringIO(json.dumps(doc)))
+
+    @pytest.mark.parametrize("n_trees", [True, 3.0])
+    def test_tree_count_must_be_an_integer(self, n_trees):
+        doc = _forest_doc()
+        doc["trees"] = doc["trees"][:int(n_trees)]
+        doc["params"]["n_trees"] = n_trees
+        with pytest.raises(DataError, match="trees"):
+            load_model(io.StringIO(json.dumps(doc)))
+
+    def test_single_tree_kind_rejected(self):
+        doc = _forest_doc()
+        doc["tree"] = doc.pop("trees")[0]
+        del doc["params"], doc["seed"]
+        doc["learner"] = "tree"
+        with pytest.raises(DataError, match="unknown learner kind"):
             load_model(io.StringIO(json.dumps(doc)))
 
     def test_missing_key(self):

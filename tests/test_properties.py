@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ponzi_radar.chain import parse_tx_log, serialize_tx_log
 from ponzi_radar.cli import main
 from ponzi_radar.clustering import build_clusters
-from ponzi_radar.dataset import write_csv
+from ponzi_radar.dataset import read_features_csv, write_csv, write_features_csv
 from ponzi_radar.errors import ParseError
 from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES, cluster_feature_table
 
@@ -94,9 +94,16 @@ def test_serialize_then_parse_is_identity(seed, n_tx):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), st.integers(0, 80), st.integers(2, 30))
 def test_features_finite_and_integer_columns_int(seed, n_tx, n_addrs):
+    """Integer columns hold ints and the others finite floats, in computed rows
+    and in rows read back from a feature table."""
     log = random_valid_log(random.Random(seed), n_tx, n_addrs=n_addrs)
-    for fv in cluster_feature_table(log, build_clusters(log)):
-        for name, value in zip(FEATURE_NAMES, fv.as_tuple()):
+    table = dict(enumerate(cluster_feature_table(log, build_clusters(log))))
+    buf = io.StringIO()
+    write_features_csv(table, buf)
+    read_back = read_features_csv(io.StringIO(buf.getvalue()))
+    assert read_back == table
+    for fv in [*table.values(), *read_back.values()]:
+        for name, value in zip(FEATURE_NAMES, fv):
             if name in INT_FEATURES:
                 assert type(value) is int, name
             else:
