@@ -235,8 +235,8 @@ def _setting(args, extra: str = "") -> str:
         args.learner,
         f"t{args.trees}" if args.learner == "forest" else "",
         f"cm{args.cost.replace(':', '_')}",
-        f"r{args.ratio:g}" if getattr(args, "ratio", 0) else "r0",
-        f"k{args.k}" if hasattr(args, "k") else "",
+        f"r{args.ratio:g}",
+        f"k{args.k}",
         f"seed{args.seed}",
         extra,
     ]
@@ -275,9 +275,10 @@ def _cmd_apply(args) -> int:
     cost = learn.CostMatrix.parse(args.cost)
     result = evaluate.apply_model(model, cost, data)
     with _output(args.out) as out:
-        out.write("id,label,score,predicted\n")
-        for pr in result.predictions:
-            out.write(f"{pr.id},{pr.label},{format(pr.score, '.17g')},{pr.predicted}\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("id", "label", "score", "predicted"))
+        writer.writerows((pr.id, pr.label, format(pr.score, ".17g"), pr.predicted)
+                         for pr in result.predictions)
     cm = result.confusion
     print(f"tp={cm.tp} fn={cm.fn} fp={cm.fp} tn={cm.tn}")
     if result.metrics is not None:

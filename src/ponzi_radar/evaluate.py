@@ -15,7 +15,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .dataset import LABEL_OF, LABEL_PONZI, Dataset
+from .dataset import LABEL_OF, Dataset
 from .errors import DataError
 from .learn import (
     CostMatrix,
@@ -84,41 +84,32 @@ def metrics_from_confusion(cm: ConfusionMatrix) -> MetricsReport:
 
 
 def metrics_with_auc(cm: ConfusionMatrix, scores: Sequence[float],
-                     labels: Sequence) -> MetricsReport:
-    """The metrics of `cm`, plus the AUC of `scores` when both classes are present."""
+                     labels: Sequence[int]) -> MetricsReport:
+    """The metrics of `cm`, plus the AUC of `scores` when both 0/1 `labels` occur."""
     metrics = metrics_from_confusion(cm)
     if np.unique(labels).size == 2:
         metrics = replace(metrics, auc=roc_auc(scores, labels))
     return metrics
 
 
-def _binary_labels(labels: Sequence) -> np.ndarray:
-    """1 for a P label ("P", 1 or True), else 0, as int8."""
-    arr = np.asarray(labels)
-    if arr.dtype.kind in "biuf":
-        return (arr == 1).astype(np.int8)
-    return np.fromiter((lbl in (1, True, LABEL_PONZI) for lbl in labels),
-                       dtype=np.int8, count=len(arr))
-
-
-def roc_auc(scores: Sequence[float], labels: Sequence) -> float:
-    """AUC as the Mann-Whitney statistic with tie credit 0.5.
+def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
+    """AUC over 0/1 `labels` (1 = P): the Mann-Whitney statistic, tie credit 0.5.
 
     (#{pos > neg} + 0.5 * #{pos == neg}) / (|pos| * |neg|), computed via the
     rank-sum form with average ranks for ties: a score whose ties occupy
     sorted positions i..j (0-based) gets rank (i + j) / 2 + 1.
     """
     s = np.asarray(scores, dtype=np.float64)
-    y = _binary_labels(labels)
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
+    pos = np.asarray(labels) == 1
+    n_pos = int(pos.sum())
+    n_neg = len(pos) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC requires at least one positive and one negative")
     sorted_s = np.sort(s)
     first = np.searchsorted(sorted_s, s, side="left")
     last = np.searchsorted(sorted_s, s, side="right") - 1
     ranks = (first + last) / 2.0 + 1.0
-    rank_sum_pos = float(ranks[y == 1].sum())
+    rank_sum_pos = float(ranks[pos].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 

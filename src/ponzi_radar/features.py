@@ -246,44 +246,31 @@ class ClusterLedger:
     non-cluster output addresses). A transaction can appear in both lists when
     it spends cluster coins and also pays the cluster (e.g. change).
 
-    A ledger is built from its events, or is a view of one cluster of a
-    `LedgerBatch` whose events are built only when read. Either way its
-    features come from a batch: a ledger built from events is a batch of one.
+    A ledger is a view of one cluster of a `LedgerBatch`, whose events are
+    built only when read; a ledger built from events makes a batch of one
+    and views its cluster 0.
     """
 
-    __slots__ = ("_incoming", "_outgoing", "_batch", "_ci")
+    __slots__ = ("_batch", "_ci")
 
     def __init__(self, incoming: Sequence[LedgerEvent] = (),
                  outgoing: Sequence[LedgerEvent] = ()):
-        self._incoming: tuple[LedgerEvent, ...] | None = tuple(incoming)
-        self._outgoing: tuple[LedgerEvent, ...] | None = tuple(outgoing)
-        self._batch: LedgerBatch | None = None
+        self._batch = LedgerBatch.of_events(incoming, outgoing)
         self._ci = 0
 
     @classmethod
     def _view(cls, batch: LedgerBatch, ci: int) -> "ClusterLedger":
         view = cls.__new__(cls)
-        view._incoming = view._outgoing = None
         view._batch, view._ci = batch, ci
         return view
 
     @property
     def incoming(self) -> tuple[LedgerEvent, ...]:
-        if self._incoming is None:
-            self._incoming = self._batch.events(self._ci, incoming=True)
-        return self._incoming
+        return self._batch.events(self._ci, incoming=True)
 
     @property
     def outgoing(self) -> tuple[LedgerEvent, ...]:
-        if self._outgoing is None:
-            self._outgoing = self._batch.events(self._ci, incoming=False)
-        return self._outgoing
-
-    def batch(self) -> tuple[LedgerBatch, int]:
-        """The batch holding this ledger, and its cluster index there."""
-        if self._batch is None:
-            self._batch = LedgerBatch.of_events(self.incoming, self.outgoing)
-        return self._batch, self._ci
+        return self._batch.events(self._ci, incoming=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClusterLedger):
@@ -500,8 +487,7 @@ def extract_features(ledger: ClusterLedger, n_addr: int) -> FeatureVector:
     The row comes from the ledger's batch, whose columns are computed once
     for all its clusters.
     """
-    batch, ci = ledger.batch()
-    return batch.features(ci, n_addr)
+    return ledger._batch.features(ledger._ci, n_addr)
 
 
 def cluster_feature_table(log: TxLog, clusters: ClusterSet) -> list[FeatureVector]:

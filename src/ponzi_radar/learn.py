@@ -410,21 +410,27 @@ def _tree_to_dict(tree: TreeModel) -> dict:
     }
 
 
+def _numbers(value, what: str, dtype=np.float64) -> np.ndarray:
+    """`value` as `dtype` if it holds only JSON numbers, integers for int32: a
+    cast alone would take "0.5" and true, and truncate 1.5 to 1."""
+    kinds = {int} if dtype == np.int32 else {int, float}
+    if not set(map(type, np.asarray(value, dtype=object).ravel())) <= kinds:
+        raise DataError(f"{what} must be {'numbers' if float in kinds else 'integers'}")
+    return np.asarray(value, dtype=dtype)
+
+
 def _tree_from_dict(d: dict) -> TreeModel:
     """Rebuild a tree, rejecting any structure prediction could loop or fail on.
 
     The grower numbers nodes in pre-order, so every child comes after its
     parent; that rules out cycles, and with them a prediction that never ends.
     """
-    for key in ("feature", "left", "right"):  # an int32 cast would truncate 1.5 to 1
-        if not isinstance(d[key], list) or not set(map(type, d[key])) <= {int}:
-            raise DataError(f"model tree {key} indices must be integers")
     tree = TreeModel(
-        np.asarray(d["feature"], dtype=np.int32),
-        np.asarray(d["threshold"], dtype=np.float64),
-        np.asarray(d["left"], dtype=np.int32),
-        np.asarray(d["right"], dtype=np.int32),
-        np.asarray(d["counts"], dtype=np.float64),
+        _numbers(d["feature"], "model tree feature", np.int32),
+        _numbers(d["threshold"], "model tree threshold"),
+        _numbers(d["left"], "model tree left", np.int32),
+        _numbers(d["right"], "model tree right", np.int32),
+        _numbers(d["counts"], "model tree counts"),
     )
     n = tree.n_nodes
     if (n == 0 or tree.counts.shape != (n, 2)
@@ -504,8 +510,8 @@ def _model_from_doc(doc) -> Model:
         return ForestModel([_tree_from_dict(t) for t in doc["trees"]], seed=doc["seed"])
     if kind == "bayes":
         b = doc["bayes"]
-        model = BayesModel(b["prior_p"], np.asarray(b["mean"], dtype=np.float64),
-                           np.asarray(b["var"], dtype=np.float64))
+        model = BayesModel(b["prior_p"], _numbers(b["mean"], "Bayes model mean"),
+                           _numbers(b["var"], "Bayes model variances"))
         shape = (2, len(FEATURE_NAMES))
         if (not 0 < model.prior_p < 1 or model.mean.shape != shape or model.var.shape != shape
                 or not np.all(np.isfinite(model.mean) & np.isfinite(model.var) & (model.var > 0))):

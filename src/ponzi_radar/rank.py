@@ -4,15 +4,16 @@ The entropy-based rankers (information gain, gain ratio, symmetrical
 uncertainty) and OneR work on discretized columns; discretization is
 equal-frequency binning with cut points snapped to the nearest boundary
 between distinct values, so heavily tied columns simply produce fewer bins.
-Their contingency tables come from one bincount over (bin, class) codes.
+Their contingency tables come from one bincount over (bin, class) codes;
+OneR's score is the sum of each bin's largest class count, over n.
 
 ReliefF works on min-max normalized numeric columns directly, in blocks of
-sampled rows. Per class, a block's L1 distances are summed one feature at a
-time; every member within EPS of a row's approximate k-th distance is a
-candidate, and the candidates' exact row-wise distances pick and order the
-k neighbours. Means and weights are summed in the order of the per-row loop
-this replaced, so the weights are bit-identical to it (README, "How ReliefF
-is computed").
+sampled rows, and returns the weights alone. Per class, a block's L1
+distances are summed one feature at a time; every member within EPS of a
+row's approximate k-th distance is a candidate, and the candidates' exact
+row-wise distances pick and order the k neighbours. Means and weights are
+summed in the order of the per-row loop this replaced, so the weights are
+bit-identical to it (README, "How ReliefF is computed").
 """
 
 from __future__ import annotations
@@ -105,28 +106,11 @@ def sym_uncertainty(x: Sequence, y: Sequence) -> float:
 
 
 def one_r(x: Sequence, y: Sequence) -> float:
-    """Training accuracy of the one-feature rule mapping bins to majority class.
-
-    Per-bin ties go to the positive (P) class.
-    """
-    xa = np.asarray(x)
-    ya = np.asarray(y)
-    n = len(ya)
-    if n == 0:
+    """Training accuracy of the rule mapping each bin to its majority class."""
+    table = _contingency(np.asarray(x), np.asarray(y))
+    if table.size == 0:
         raise DataError("one_r requires a non-empty column")
-    correct = 0
-    for bin_value in np.unique(xa):
-        rows = xa == bin_value
-        pos = int(np.sum(ya[rows] == 1))
-        neg = int(np.sum(rows)) - pos
-        correct += pos if pos >= neg else neg
-    return correct / n
-
-
-@dataclass
-class ReliefFResult:
-    weights: np.ndarray
-    notes: list[str]
+    return int(table.max(axis=1).sum()) / int(table.sum())
 
 
 # Two summation orders of 20 terms in [0, 1] differ by less than 1e-13, so a
@@ -138,7 +122,7 @@ _BLOCK_CELLS = 100_000
 
 def relieff(
     dataset: Dataset, k: int = 10, m: int | None = None, seed: int = 0
-) -> ReliefFResult:
+) -> np.ndarray:
     """ReliefF weights over min-max normalized features.
 
     For every sampled instance, the k nearest hits and (per other class) the
@@ -169,10 +153,9 @@ def relieff(
         rng = np.random.default_rng(seed)
         sample = np.sort(rng.choice(n, size=m, replace=False))
 
-    classes, cls, class_counts = np.unique(y, return_inverse=True, return_counts=True)
+    _, cls, class_counts = np.unique(y, return_inverse=True, return_counts=True)
     priors = class_counts / n
-    notes = _relieff_notes(classes, class_counts, cls[sample], k)
-    members = [np.nonzero(cls == c)[0] for c in range(len(classes))]
+    members = [np.nonzero(cls == c)[0] for c in range(len(class_counts))]
     columns = [np.ascontiguousarray(Z[rows].T) for rows in members]
     # A row alone in its class has no hits and contributes nothing.
     active = sample[class_counts[cls[sample]] > 1]
@@ -194,28 +177,7 @@ def relieff(
         for diff in miss_diff - hit_diff:  # one row at a time, in sample order
             weights += diff
     weights /= len(sample)
-    return ReliefFResult(weights, notes)
-
-
-def _relieff_notes(classes, class_counts, sample_cls, k) -> list[str]:
-    """Notes for classes too small for k neighbours, in the order the sample meets them."""
-    notes: list[str] = []
-    short: set[int] = set()
-    _, first = np.unique(sample_cls, return_index=True)
-    for own in sample_cls[np.sort(first)].tolist():
-        n_hits = class_counts[own] - 1
-        if n_hits == 0:
-            continue
-        if n_hits < k and own not in short:
-            short.add(own)
-            notes.append(f"class {int(classes[own])}: fewer than k+1 members; "
-                         f"using all {n_hits} hits")
-        for c, count in enumerate(class_counts):
-            if c != own and count < k and c not in short:
-                short.add(c)
-                notes.append(f"class {int(classes[c])}: fewer than k members; "
-                             f"using all {count} misses")
-    return notes
+    return weights
 
 
 def _neighbour_means(Z, rows, hit, members, columns, kk) -> np.ndarray:
@@ -275,7 +237,7 @@ def rank_features(
     if method not in RANKER_NAMES:
         raise ValueError(f"unknown ranking method: {method!r}")
     if method == "relieff":
-        return _to_ranking(method, relieff(dataset, k=relieff_k, m=relieff_m, seed=seed).weights)
+        return _to_ranking(method, relieff(dataset, k=relieff_k, m=relieff_m, seed=seed))
     scorer = {
         "info_gain": info_gain,
         "gain_ratio": gain_ratio,

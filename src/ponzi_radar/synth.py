@@ -7,6 +7,11 @@ end of life (the implosion tail). Background clusters are ordinary users
 funded by coinbase outputs who occasionally pay each other. Every generated
 log validates: no dangling references, no double spends, fees >= 0.
 
+The shape of both populations is set by module constants; a world's size,
+seed and `hard_mode` are its only settings. Hard mode pulls the two classes
+together: fewer deposits per scheme, later and looser payouts, a larger
+unpaid tail and three times the background payments.
+
 Generation is fully deterministic under the seed: identical params produce a
 byte-identical serialized log.
 """
@@ -17,7 +22,7 @@ import csv
 import hashlib
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -27,6 +32,19 @@ from .errors import DataError
 
 T0 = 1_483_228_800  # 2017-01-01T00:00:00Z
 DAY = 86_400
+SPAN_DAYS = 180
+# Deposits per scheme: log-normal count. Output values (hence deposit sizes,
+# since payments spend whole outputs) are log-normal satoshi.
+DEPOSIT_COUNT_MU = 3.3
+DEPOSIT_COUNT_SIGMA = 0.7
+VALUE_MU = 17.5
+VALUE_SIGMA = 1.0
+PAYOUT_MULTIPLIER = 1.5
+PAYOUT_DELAY_MU = 10.0  # log-normal seconds; exp(10) ~ 6 hours
+PAYOUT_DELAY_SIGMA = 0.8
+IMPLOSION_FRACTION = 0.25  # share of deposits, the last ones, never paid back
+SEND_RATE = 1.5  # mean background payments per user
+FEE = 1000  # satoshi per payment
 
 
 @dataclass(frozen=True)
@@ -34,43 +52,13 @@ class SynthParams:
     n_ponzi: int = 30
     n_background: int = 6000
     seed: int = 42
-    span_days: int = 180
-    # Deposits per scheme: log-normal count. Output values (hence deposit
-    # sizes, since payments spend whole outputs) are log-normal satoshi.
-    deposit_count_mu: float = 3.3
-    deposit_count_sigma: float = 0.7
-    value_mu: float = 17.5
-    value_sigma: float = 1.0
-    payout_multiplier: float = 1.5
-    payout_delay_mu: float = 10.0  # log-normal seconds; exp(10) ~ 6 hours
-    payout_delay_sigma: float = 0.8
-    implosion_fraction: float = 0.25
-    send_rate: float = 1.5  # mean background payments per user
-    fee: int = 1000
     hard_mode: bool = False
 
     def __post_init__(self):
         if self.n_ponzi < 0 or self.n_background < 0:
             raise ValueError("cluster counts must be non-negative")
-        if not 0.0 <= self.implosion_fraction <= 1.0:
-            raise ValueError("implosion fraction must be in [0, 1]")
         if self.n_ponzi > 0 and self.n_background < 10:
             raise DataError("schemes need a population of depositors (>= 10 users)")
-
-
-def _effective(params: SynthParams) -> SynthParams:
-    if not params.hard_mode:
-        return params
-    # Hard mode: pull the two populations toward each other.
-    return replace(
-        params,
-        hard_mode=False,
-        deposit_count_mu=params.deposit_count_mu - 0.9,
-        payout_delay_mu=params.payout_delay_mu + 2.0,
-        payout_delay_sigma=params.payout_delay_sigma + 0.4,
-        implosion_fraction=min(1.0, params.implosion_fraction + 0.25),
-        send_rate=params.send_rate * 3.0,
-    )
 
 
 class _User:
@@ -99,15 +87,20 @@ class _Scheme:
 
 def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
     """Build (TxLog, seed-address -> P/nP label map) for the given parameters."""
-    p = _effective(params)
-    rng = np.random.default_rng(p.seed)
-    span = p.span_days * DAY
+    hard = params.hard_mode  # pulls the two classes together
+    count_mu = DEPOSIT_COUNT_MU - 0.9 if hard else DEPOSIT_COUNT_MU
+    delay_mu = PAYOUT_DELAY_MU + 2.0 if hard else PAYOUT_DELAY_MU
+    delay_sigma = PAYOUT_DELAY_SIGMA + 0.4 if hard else PAYOUT_DELAY_SIGMA
+    implosion = IMPLOSION_FRACTION + 0.25 if hard else IMPLOSION_FRACTION
+    send_rate = SEND_RATE * 3.0 if hard else SEND_RATE
+    rng = np.random.default_rng(params.seed)
+    span = SPAN_DAYS * DAY
 
     def lognormal_value() -> int:
-        return max(int(rng.lognormal(p.value_mu, p.value_sigma)), 100_000)
+        return max(int(rng.lognormal(VALUE_MU, VALUE_SIGMA)), 100_000)
 
     users: list[_User] = []
-    for u in range(p.n_background):
+    for u in range(params.n_background):
         n_addr = int(rng.choice([1, 2, 3], p=[0.7, 0.2, 0.1]))
         addrs = [f"bg{u:05d}x{j}" for j in range(n_addr)]
         coin_time = T0 + float(rng.uniform(0, span * 0.5))
@@ -126,33 +119,32 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
         if len(user.addrs) > 1:
             # The user's first payment co-spends one output per address so the
             # multi-input heuristic always reunites the wallet.
-            recipient = int(rng.integers(0, p.n_background))
+            recipient = int(rng.integers(0, params.n_background))
             if recipient == ui:
-                recipient = (recipient + 1) % p.n_background
+                recipient = (recipient + 1) % params.n_background
             add(user.coin_time + 600, "merge_send", (ui, recipient))
-        n_sends = min(int(rng.poisson(p.send_rate)), user.budget)
+        n_sends = min(int(rng.poisson(send_rate)), user.budget)
         for _ in range(n_sends):
             t = float(rng.uniform(user.coin_time + 7200, T0 + span))
-            recipient = int(rng.integers(0, p.n_background))
+            recipient = int(rng.integers(0, params.n_background))
             if recipient == ui:
-                recipient = (recipient + 1) % p.n_background
+                recipient = (recipient + 1) % params.n_background
             add(t, "send", (ui, recipient))
             user.budget -= 1
 
     schemes: list[_Scheme] = []
-    for s in range(p.n_ponzi):
+    for s in range(params.n_ponzi):
         n_addr = int(rng.choice([1, 2, 3, 4, 6, 8], p=[0.4, 0.2, 0.15, 0.1, 0.1, 0.05]))
         addrs = [f"px{s:03d}x{j}" for j in range(n_addr)]
         window_start = T0 + float(rng.uniform(span * 0.10, span * 0.55))
         duration = float(rng.uniform(10 * DAY, 50 * DAY))
-        count = max(4 * n_addr, int(round(rng.lognormal(p.deposit_count_mu,
-                                                        p.deposit_count_sigma))))
+        count = max(4 * n_addr, int(round(rng.lognormal(count_mu, DEPOSIT_COUNT_SIGMA))))
         dep_times = np.sort(rng.uniform(window_start, window_start + duration, size=count))
         depositors: list[int | None] = []
         for t in dep_times:
             depositor = None
             for _ in range(200):
-                cand = int(rng.integers(0, p.n_background))
+                cand = int(rng.integers(0, params.n_background))
                 if users[cand].budget > 0 and users[cand].coin_time + 7200 <= t:
                     depositor = cand
                     break
@@ -175,13 +167,13 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
                               (depositors[d], s, target_addr))
         if not funded:
             continue
-        n_payable = math.ceil((1.0 - p.implosion_fraction) * count)
+        n_payable = math.ceil((1.0 - implosion) * count)
         covered = funded[: min(n_addr, len(funded))]
         merge_ready = float(dep_times[covered[-1]]) + 600.0
         for d in range(n_payable):
             if dep_seqs[d] is None:
                 continue
-            delay = float(rng.lognormal(p.payout_delay_mu, p.payout_delay_sigma))
+            delay = float(rng.lognormal(delay_mu, delay_sigma))
             # No payout before every address holds a deposit, so the first
             # one can always co-spend across the whole wallet.
             t = max(float(dep_times[d]) + delay, merge_ready)
@@ -197,12 +189,12 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
     def emit(t: float, coinbase: bool, inputs: list, outputs: list) -> str:
         nonlocal clock
         clock = max(clock + 1, int(t))
-        txid = hashlib.sha256(f"{p.seed}:{len(log.txids)}".encode()).hexdigest()
+        txid = hashlib.sha256(f"{params.seed}:{len(log.txids)}".encode()).hexdigest()
         log.add(txid, clock, coinbase, inputs, outputs)
         return txid
 
     def fee_for(total: int) -> int:
-        return p.fee if total > 10 * p.fee else 0
+        return FEE if total > 10 * FEE else 0
 
     for t, sq, kind, payload in ordered:
         if kind == "coinbase":
@@ -252,7 +244,7 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
             if dep is None:
                 continue  # the deposit itself never happened
             dep_value, payer_addr, payer_user = dep
-            target = int(round(p.payout_multiplier * dep_value))
+            target = int(round(PAYOUT_MULTIPLIER * dep_value))
             inputs: list = []
             collected = 0
             if not scheme.merged:
@@ -268,14 +260,14 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
                         inputs.append(entry[0])
                         collected += entry[1]
                     scheme.merged = True
-            while collected < target + p.fee and scheme.pool:
+            while collected < target + FEE and scheme.pool:
                 op, val, _ = scheme.pool.popleft()
                 inputs.append(op)
                 collected += val
-            if not inputs or collected <= p.fee:
+            if not inputs or collected <= FEE:
                 continue
-            if collected >= target + p.fee:
-                change = collected - target - p.fee
+            if collected >= target + FEE:
+                change = collected - target - FEE
                 outs = [(payer_addr, target)]
                 if change > 0:
                     outs.append((scheme.addrs[0], change))

@@ -159,7 +159,7 @@ def test_criterion_07_auc_cross_check():
     for _ in range(1000):
         n = rng.randint(2, 120)
         n_pos = rng.randint(1, n - 1)
-        labels = ["P"] * n_pos + ["nP"] * (n - n_pos)
+        labels = [1] * n_pos + [0] * (n - n_pos)
         tie_pool = [0.1, 0.5, 0.9]
         scores = [rng.choice(tie_pool) if rng.random() < 0.4 else rng.random()
                   for _ in range(n)]
@@ -274,7 +274,7 @@ def test_criterion_10_ranker_sanity():
     copy_idx = FEATURE_NAMES.index(copy_name)
     noise_idx = FEATURE_NAMES.index(noise_name)
     for seed in range(100):
-        weights = relieff(build(seed), k=10, seed=seed).weights
+        weights = relieff(build(seed), k=10, seed=seed)
         if weights[copy_idx] > weights[noise_idx]:
             wins += 1
     elapsed = time.perf_counter() - start

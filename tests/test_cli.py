@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ponzi_radar
+from ponzi_radar import dataset as ds
 from ponzi_radar.cli import main
 from ponzi_radar.learn import load_model, save_model
 
@@ -118,6 +120,24 @@ def test_train_then_apply(world, tmp_path, capsys):
     lines = preds.read_text().splitlines()
     assert lines[0] == "id,label,score,predicted"
     assert len(lines) == 1 + 4 + 150
+
+
+def test_apply_quotes_ids(world, forest_doc, tmp_path):
+    # A dataset id is a seed address, which may hold a comma, a quote or a
+    # line break; predictions.csv quotes it as dataset.csv does.
+    odd = 'we,ird "id"\nx'
+    with open(world / "dataset.csv", encoding="utf-8", newline="") as fp:
+        data = ds.read_csv(fp)
+    dataset, model, preds = (tmp_path / name for name in ("ds.csv", "model.json", "preds.csv"))
+    with open(dataset, "w", encoding="utf-8", newline="") as fp:
+        ds.write_csv(ds.Dataset((odd, *data.ids[1:]), data.y, data.X), fp)
+    model.write_text(json.dumps(forest_doc))
+    assert main(["apply", str(dataset), "--model", str(model), "-o", str(preds)]) == 0
+    with open(preds, encoding="utf-8", newline="") as fp:
+        rows = list(csv.reader(fp))
+    assert rows[0] == ["id", "label", "score", "predicted"]
+    assert [row[0] for row in rows[1:]] == [odd, *data.ids[1:]]
+    assert {len(row) for row in rows} == {4}
 
 
 def test_rank_report(world, tmp_path, capsys):
@@ -328,6 +348,10 @@ _MODEL_FAULTS = {
                       "threshold"),
     "infinite_threshold": (lambda doc: doc["trees"][0]["threshold"].__setitem__(0, float("inf")),
                            "threshold"),
+    "string_threshold": (lambda doc: doc["trees"][0]["threshold"].__setitem__(0, "0.5"),
+                         "threshold must be numbers"),
+    "boolean_count": (lambda doc: doc["trees"][1]["counts"][-1].__setitem__(0, True),
+                      "counts must be numbers"),
 }
 
 

@@ -72,14 +72,14 @@ class TestMetrics:
 
 class TestAuc:
     def test_perfect_ranking(self):
-        assert roc_auc([0.9, 0.8, 0.2, 0.1], ["P", "P", "nP", "nP"]) == 1.0
+        assert roc_auc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
 
     def test_pure_ties(self):
-        assert roc_auc([0.5] * 6, ["P", "nP", "P", "nP", "P", "nP"]) == 0.5
+        assert roc_auc([0.5] * 6, [1, 0, 1, 0, 1, 0]) == 0.5
 
     def test_pairwise_example(self):
         # pos {0.9, 0.4}, neg {0.6, 0.1}: 3 wins of 4 pairs
-        assert roc_auc([0.9, 0.4, 0.6, 0.1], ["P", "P", "nP", "nP"]) == 0.75
+        assert roc_auc([0.9, 0.4, 0.6, 0.1], [1, 1, 0, 0]) == 0.75
 
     def test_matches_pairwise_oracle(self):
         rng = random.Random(7)
@@ -90,28 +90,28 @@ class TestAuc:
             wins = sum(1 for a in pos for b in neg if a > b)
             ties = sum(1 for a in pos for b in neg if a == b)
             expected = (wins + 0.5 * ties) / (n_pos * n_neg)
-            got = roc_auc(pos + neg, ["P"] * n_pos + ["nP"] * n_neg)
+            got = roc_auc(pos + neg, [1] * n_pos + [0] * n_neg)
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_rank_form_equals_trapezoid(self):
         rng = random.Random(13)
         for _ in range(200):
             n = rng.randint(2, 80)
-            labels = ["P"] * rng.randint(1, n - 1)
-            labels += ["nP"] * (n - len(labels))
+            labels = [1] * rng.randint(1, n - 1)
+            labels += [0] * (n - len(labels))
             scores = [rng.choice([rng.random(), 0.3, 0.7]) for _ in range(n)]
             assert roc_auc(scores, labels) == pytest.approx(
                 auc_trapezoid(scores, labels), abs=1e-12)
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
-            roc_auc([0.1, 0.2], ["P", "P"])
+            roc_auc([0.1, 0.2], [1, 1])
 
 
 def roc_curve(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     """ROC points from (0,0) to (1,1), one per distinct score threshold."""
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray([1 if lbl in (1, True, "P") else 0 for lbl in labels])
+    y = np.asarray(labels, dtype=np.int64)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -137,7 +137,7 @@ def auc_trapezoid(scores, labels) -> float:
 def loop_roc_auc(scores, labels):
     """The rank-sum AUC with tied scores walked one run at a time."""
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray([1 if lbl in (1, True, "P") else 0 for lbl in labels])
+    y = np.asarray(labels, dtype=np.int64)
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     order = np.argsort(s, kind="stable")
@@ -164,10 +164,10 @@ _SCORES = st.one_of(
        .filter(lambda pairs: len({p for _, p in pairs}) == 2))
 def test_roc_auc_equals_loop_oracle_exactly(pairs):
     scores = [s for s, _ in pairs]
-    labels = ["P" if p else "nP" for _, p in pairs]
+    labels = [int(p) for _, p in pairs]
     want = loop_roc_auc(scores, labels)
     assert roc_auc(scores, labels) == want
-    assert roc_auc(np.array(scores), np.array([int(p) for _, p in pairs], dtype=np.int8)) == want
+    assert roc_auc(np.array(scores), np.array(labels, dtype=np.int8)) == want
 
 
 class TestFolds:

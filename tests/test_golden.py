@@ -16,6 +16,8 @@ from ponzi_radar.cli import main
 GOLDEN = {
     "log.jsonl": "b796cd386daa3ed5d2db00d156f771dad38e1990bdd93d1a6d12c724151beb40",
     "labels.csv": "132d18d47c31f87ea8ea283278fe3952dd3617839426a55902062cc572620587",
+    "hard_log.jsonl": "ef19ec691d120d46bec476fb93e0e6e9d62996d0217c06fd32d4c1e64f3ad6d7",
+    "hard_labels.csv": "132d18d47c31f87ea8ea283278fe3952dd3617839426a55902062cc572620587",
     "clusters.csv": "cb3befc5df42f1ab3cd7e84e426b465bbc355646df8f333d9fc76b867a634c5b",
     "features.csv": "1f00010bdca3d7778e08e454cdf37a1278def5803f53bc45f32afe19169b840f",
     "dataset.csv": "4b9c43045e107d518c7332335f2c83e834e0327c3e7e09b1a999f527d621d1ca",
@@ -61,9 +63,12 @@ STAGES = [
 def artifacts(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     log, labels = root / "log.jsonl", root / "labels.csv"
-    assert main(["synth", "--seed", "21", "--ponzi", "10", "--background", "300",
-                 "--labels", str(labels), "-o", str(log)]) == 0
-    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (log, labels)}
+    hard_log, hard_labels = root / "hard_log.jsonl", root / "hard_labels.csv"
+    world = ["synth", "--seed", "21", "--ponzi", "10", "--background", "300"]
+    assert main([*world, "--labels", str(labels), "-o", str(log)]) == 0
+    assert main([*world, "--hard", "--labels", str(hard_labels), "-o", str(hard_log)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (log, labels, hard_log, hard_labels)}
     for name, argv in STAGES:
         argv = [a.format(log=log, labels=labels, dir=root) for a in argv]
         assert main([*argv, "-o", str(root / name)]) == 0, name

@@ -16,6 +16,7 @@ import bisect
 import json
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +109,13 @@ def reference_parse(lines):
         reference_record(json.loads(line), n) for n, line in enumerate(lines, start=1))
 
 
+class RefLedger(NamedTuple):
+    """A cluster's events as the reference builds them, held apart from
+    `ClusterLedger` so that no reference reads them back through a batch."""
+    incoming: tuple
+    outgoing: tuple
+
+
 def reference_ledgers(log, clusters):
     incoming, outgoing = {}, {}
     idx_of = clusters.index_of
@@ -137,7 +145,7 @@ def reference_ledgers(log, clusters):
             receivers = frozenset(a for cj, s in out_addrs.items() if cj != ci for a in s)
             outgoing.setdefault(ci, []).append(
                 LedgerEvent(tx.timestamp, tx.txid, in_by_cluster[ci], receivers))
-    return {ci: ClusterLedger(tuple(incoming.get(ci, ())), tuple(outgoing.get(ci, ())))
+    return {ci: RefLedger(tuple(incoming.get(ci, ())), tuple(outgoing.get(ci, ())))
             for ci in range(clusters.n_clusters)}
 
 
@@ -343,13 +351,11 @@ def assert_ingest_matches(lines, clusters=None):
         expected = outcome(reference_features, ref_ledgers[ci], n_addr)
         assert outcome(extract_features, ledger, n_addr) == expected
         # A ledger built by hand goes through a batch of one.
-        assert outcome(extract_features, ClusterLedger(ref_ledgers[ci].incoming,
-                                                       ref_ledgers[ci].outgoing),
-                       n_addr) == expected
+        assert outcome(extract_features, ClusterLedger(*ref_ledgers[ci]), n_addr) == expected
         first, last, _ = ledger_days(ref_ledgers[ci])
         if isinstance(expected, FeatureVector) and last - first < 10_000:
             assert expected.max_daily_balance_delta == reference_balance_delta(ref_ledgers[ci])
-    assert ledgers == ref_ledgers
+    assert {ci: (ledger.incoming, ledger.outgoing) for ci, ledger in ledgers.items()} == ref_ledgers
     return log, clusters
 
 
@@ -530,9 +536,10 @@ def test_gini_terms_past_two_to_53_match_reference():
     # odd above 2**53, and the float of the exact numerator differs from
     # `fsum` of the rounded terms in the last bit.
     amounts = [5, 0, 2, 2**52 - 35]
-    ledger = ClusterLedger(tuple(LedgerEvent(i, txid_of(("g", i)), a, frozenset())
-                                 for i, a in enumerate(amounts)), ())
-    assert extract_features(ledger, 1) == reference_features(ledger, 1)
+    ref = RefLedger(tuple(LedgerEvent(i, txid_of(("g", i)), a, frozenset())
+                          for i, a in enumerate(amounts)), ())
+    ledger = ClusterLedger(*ref)
+    assert extract_features(ledger, 1) == reference_features(ref, 1)
     assert extract_features(ledger, 1).gini_in == 0.7499999999999991
 
 

