@@ -105,6 +105,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _seed(text: str) -> int:
+    """A --seed: an integer from 0 to 2**64 - 1."""
+    value = _int_at_least(0)(text)
+    if value >= 2**64:
+        raise argparse.ArgumentTypeError(f"must be below 2**64, got {value}")
+    return value
+
+
 def _ratio(text: str) -> float:
     try:
         value = float(text)
@@ -316,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic log")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--ponzi", type=_int_at_least(0), default=30)
     p.add_argument("--background", type=_int_at_least(0), default=6000)
     p.add_argument("--hard", action="store_true", help="overlap the class distributions")
@@ -346,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--sample", type=_int_at_least(0), default=None,
                    help="subsample this many background clusters")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_dataset)
 
@@ -356,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trees", type=_int_at_least(1), default=100)
     p.add_argument("--reweight-cost", type=_cost_spec, default=None,
                    help="fn:fp, train with cost-proportional instance weights")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--threads", type=_int_at_least(1), default=1,
                    help="no effect, trees grow one at a time; kept for old scripts")
     p.add_argument("-o", "--out", default=None)
@@ -371,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=_ratio, default=0,
                    help="undersampling ratio for training folds (0 = off)")
     p.add_argument("--k", type=_int_at_least(2), default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--threads", type=_int_at_least(1), default=1,
                    help="no effect, trees grow one at a time; kept for old scripts")
     p.add_argument("--reweight-cost", type=_cost_spec, default=None)
@@ -390,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=_int_at_least(2), default=10)
     p.add_argument("--top", type=_int_at_least(1), default=8)
     p.add_argument("--relieff-k", type=_int_at_least(1), default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_rank)
 

@@ -9,12 +9,14 @@ never merge anything.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
 from .chain import TxLog
+from .csvrows import text_cells, write_rows
 from .errors import DataError
 
 
@@ -133,11 +135,11 @@ def expand_seeds(clusters: ClusterSet, seeds: Iterable[tuple[str, str]]) -> Seed
 
 
 def write_clusters(clusters: ClusterSet, fp: IO[str]) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["cluster_id", "address"])
-    for idx, group in enumerate(clusters.members):
-        for addr in group:
-            writer.writerow([idx, addr])
+    """One `cluster_id,address` row per address, clusters in index order."""
+    addresses = text_cells(tuple(itertools.chain.from_iterable(clusters.members)))
+    ids = itertools.chain.from_iterable(
+        itertools.repeat(idx, len(group)) for idx, group in enumerate(clusters.members))
+    write_rows(fp, ("cluster_id", "address"), "%d,%s\n", zip(ids, addresses))
 
 
 def read_clusters(fp: IO[str]) -> ClusterSet:

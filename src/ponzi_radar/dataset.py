@@ -11,6 +11,12 @@ with 17 significant digits so read(write(d)) == d exactly. A cell that is not
 a finite number >= 0, or in an integer column not an integer from 0 to 2**53,
 is rejected with its row and column.
 The per-cluster feature table (`schema=v1,cluster_id,...`) shares the codec.
+
+The writer formats each row with one `%` over a line format that holds the
+key cells and the feature cells, and writes the lines `csvrows.CHUNK_ROWS`
+at a time (see `csvrows`). An id holding `,`, `"`, `\r`, `\n` or NUL goes
+through `csv.writer`, so the bytes (or the `csv.Error`) are those of
+`csv.writer`; an empty id is an empty field.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .clustering import ClusterSet
+from .csvrows import CHUNK_ROWS, text_cells, write_rows
 from .errors import DataError, SchemaMismatchError
 from .features import FEATURE_NAMES, INT_FEATURES, MAX_EXACT_INT, SCHEMA_VERSION, FeatureVector
 
@@ -139,15 +146,12 @@ def sample_background(
 # The feature cells of one row: exact decimal integers, 17-digit reals. "%d"
 # prints an integral float64 as the integer it holds.
 _ROW_FORMAT = ",".join("%d" if name in INT_FEATURES else "%.17g" for name in FEATURE_NAMES)
-_CHUNK_ROWS = 256  # rows converted to Python floats at a time
 
 
-def _write_table(fp: IO[str], key_columns: Sequence[str], keys: Iterable[Sequence],
-                 rows: Iterable[Sequence[float]]) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow([f"schema={SCHEMA_VERSION}", *key_columns, *FEATURE_NAMES])
-    writer.writerows([*key, *(_ROW_FORMAT % tuple(row)).split(",")]
-                     for key, row in zip(keys, rows))
+def _write_table(fp: IO[str], key_columns: Sequence[str], rows: Iterable[tuple]) -> None:
+    """Each row is its key cells (text cells already through `text_cells`), then its features."""
+    write_rows(fp, [f"schema={SCHEMA_VERSION}", *key_columns, *FEATURE_NAMES],
+               "%s," * len(key_columns) + _ROW_FORMAT + "\n", rows)
 
 
 def _cell_ok(cell: str, integer: bool) -> bool:
@@ -226,17 +230,17 @@ def _convert_block(cells: list[list[str]], first_row: int, what: str) -> np.ndar
 
 def write_csv(dataset: Dataset, fp: IO[str]) -> None:
     X = dataset.X
-    rows = (row for start in range(0, len(X), _CHUNK_ROWS)
-            for row in X[start:start + _CHUNK_ROWS].tolist())
-    keys = zip(dataset.ids, (LABEL_OF[v] for v in dataset.y.tolist()))
-    _write_table(fp, ("id", "label"), keys, rows)
+    values = (row for start in range(0, len(X), CHUNK_ROWS)
+              for row in X[start:start + CHUNK_ROWS].tolist())
+    _write_table(fp, ("id", "label"),
+                 ((id_, LABEL_OF[v], *row) for id_, v, row
+                  in zip(text_cells(dataset.ids), dataset.y.tolist(), values)))
 
 
 def write_features_csv(features_by_cluster: Mapping[int, FeatureVector], fp: IO[str]) -> None:
     """Per-cluster feature table: `schema=v1,cluster_id,<feature columns>`."""
-    order = sorted(features_by_cluster)
-    _write_table(fp, ("cluster_id",), ((ci,) for ci in order),
-                 (features_by_cluster[ci] for ci in order))
+    _write_table(fp, ("cluster_id",),
+                 ((ci, *features_by_cluster[ci]) for ci in sorted(features_by_cluster)))
 
 
 _FEATURE_TYPES = tuple(int if name in INT_FEATURES else float for name in FEATURE_NAMES)

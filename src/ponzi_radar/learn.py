@@ -390,12 +390,14 @@ class LearnerSpec:
 
 
 def train_model(dataset: Dataset, spec: LearnerSpec, seed: int, threads: int = 1) -> Model:
-    """Train what `spec` names.
+    """Train what `spec` names, on data that holds a P instance.
 
     `threads` is ignored, as trees grow one at a time; it stays for callers
     that still pass it.
     """
     if spec.kind == "forest":
+        if not dataset.y.any():  # its trees would score every row 0
+            raise DataError("forest training requires at least one P instance")
         return train_forest(dataset, n_trees=spec.n_trees, seed=seed, reweight=spec.reweight)
     return train_bayes(dataset, reweight=spec.reweight)
 
@@ -480,7 +482,7 @@ def load_model(fp: IO[str]) -> Model:
     """Read a model file; a malformed or inconsistent one raises DataError."""
     try:
         return _model_from_doc(json.load(fp))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DataError(f"malformed model file: {exc!r}") from exc
 
 
@@ -505,8 +507,9 @@ def _model_from_doc(doc) -> Model:
         if (not doc["trees"] or type(p["n_trees"]) is not int
                 or len(doc["trees"]) != p["n_trees"]):
             raise DataError(f"forest has {len(doc['trees'])} trees, expected {p['n_trees']} (>= 1)")
-        if type(doc["seed"]) is not int:
-            raise DataError(f"forest seed must be an integer, got {doc['seed']!r}")
+        if type(doc["seed"]) is not int or not 0 <= doc["seed"] < 2**64:
+            raise DataError(f"forest seed must be an integer from 0 to 2**64 - 1, "
+                            f"got {doc['seed']!r}")
         return ForestModel([_tree_from_dict(t) for t in doc["trees"]], seed=doc["seed"])
     if kind == "bayes":
         b = doc["bayes"]

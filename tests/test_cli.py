@@ -224,6 +224,41 @@ def test_bad_count_exits_one(world, tmp_path, argv, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "1.5"])
+@pytest.mark.parametrize("argv", [
+    ["synth", "--labels", "{out}.labels"],
+    ["dataset", "--log", "{dir}/log.jsonl", "--labels", "{dir}/labels.csv"],
+    ["train", "{dir}/dataset.csv"],
+    ["cv", "{dir}/dataset.csv"],
+    ["rank", "{dir}/dataset.csv"],
+], ids=["synth", "dataset", "train", "cv", "rank"])
+def test_seed_out_of_range_exits_one(world, tmp_path, argv, seed, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([*(a.format(dir=world, out=out) for a in argv), "--seed", seed, "-o", str(out)])
+    assert err.value.code == 1
+    assert "argument --seed" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.labels").exists()
+
+
+def test_largest_seed_is_accepted(world, tmp_path):
+    model = tmp_path / "model.json"
+    assert main(["train", str(world / "dataset.csv"), "--trees", "2",
+                 "--seed", str(2**64 - 1), "-o", str(model)]) == 0
+    assert json.loads(model.read_text())["seed"] == 2**64 - 1
+
+
+def test_forest_train_without_p_exits_two(world, tmp_path, capsys):
+    with open(world / "dataset.csv", encoding="utf-8", newline="") as fp:
+        data = ds.read_csv(fp)
+    only_np, model = tmp_path / "only_np.csv", tmp_path / "model.json"
+    with open(only_np, "w", encoding="utf-8", newline="") as fp:
+        ds.write_csv(data.take([i for i, label in enumerate(data.y) if label == 0]), fp)
+    assert main(["train", str(only_np), "--trees", "2", "-o", str(model)]) == 2
+    assert "at least one P instance" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_cost_usage_error_names_the_fault(world, capsys):
     with pytest.raises(SystemExit):
         main(["cv", str(world / "dataset.csv"), "--cost", "1:0"])
@@ -304,6 +339,22 @@ def test_apply_rejects_self_loop_model(world, tmp_path):
     assert not preds.exists()
 
 
+def test_apply_deeply_nested_model_exits_two(world, tmp_path):
+    # json.load gives up on this nesting with a RecursionError.
+    model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
+    model.write_text("[" * 100_000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ponzi_radar.cli", "apply", str(world / "dataset.csv"),
+         "--model", str(model), "-o", str(preds)],
+        env={**os.environ, "PYTHONPATH": str(Path(ponzi_radar.__file__).parents[1])},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("ponzi-radar: error: malformed model file")
+    assert proc.stderr.count("\n") == 1
+    assert not preds.exists()
+
+
 def test_train_bayes_learner(world, tmp_path):
     model = tmp_path / "bayes.json"
     assert main(["train", str(world / "dataset.csv"), "--learner", "bayes",
@@ -352,6 +403,8 @@ _MODEL_FAULTS = {
                          "threshold must be numbers"),
     "boolean_count": (lambda doc: doc["trees"][1]["counts"][-1].__setitem__(0, True),
                       "counts must be numbers"),
+    "negative_seed": (lambda doc: doc.update(seed=-1), "forest seed"),
+    "seed_past_u64": (lambda doc: doc.update(seed=2**64), "forest seed"),
 }
 
 
