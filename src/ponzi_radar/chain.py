@@ -9,7 +9,8 @@ The log is UTF-8 text, one JSON object per line:
 Each input references a previous output by (txid, index). Amounts are integer
 satoshi end to end, so feature sums never accumulate float drift. A timestamp
 must lie strictly between -2**62 and 2**62, so that the difference of any two
-fits in int64; each transaction's outputs sum to at most 2**63 - 1.
+fits in int64; each transaction's outputs sum to at most 2**63 - 1. The parser
+takes text: a file opened as UTF-8 text, lines or a str.
 
 The log is held as arrays, not as per-transaction objects. Parsing checks each
 line and appends its fields to flat columns (`LogBuilder`); each address
@@ -17,8 +18,8 @@ string is stored once and named by an integer id from then on. The resolve
 pass (`LogBuilder.build`) sorts the transactions by (timestamp, txid) and
 resolves every input at once: an input resolves only to an output of an
 earlier transaction whose index is in range, and the first spender in sorted
-order owns the output. Dangling references, double spends and fees of the
-validation report come out of the same arrays. `TxLog.transactions` builds
+order owns the output. `validate_tx_log` computes dangling references,
+double spends and fees from the same arrays. `TxLog.transactions` builds
 `Transaction` objects only when asked, and `serialize_tx_log` writes straight
 from the arrays.
 """
@@ -209,46 +210,6 @@ class TxLog:
                         tuple(outputs[out_start[i]:out_start[i + 1]]))
             for i, (txid, t, cb) in enumerate(zip(self.txids, self.time.tolist(),
                                                   self.coinbase.tolist()))
-        )
-
-    @cached_property
-    def report(self) -> ValidationReport:
-        """Dangling references, double spends and fees; built on first use."""
-        txids, in_tx, in_start = self.txids, self.in_tx, self.in_start.tolist()
-        resolved = self.in_addr >= 0
-        dangling = tuple(
-            DanglingInput(txids[t], j - in_start[t], self.prev(j))
-            for j, t in zip(np.flatnonzero(~resolved).tolist(), in_tx[~resolved].tolist())
-        )
-
-        # Inputs that resolve to one output, in spending order: the first owns
-        # it, and the spends are listed in the order their second spender comes.
-        spends = np.flatnonzero(resolved)
-        source = self.out_start[self.in_prev_tx[spends]] + self.in_prev_idx[spends]
-        by_output = np.argsort(source, kind="stable")
-        first = np.ones(len(spends), dtype=bool)
-        first[1:] = source[by_output[1:]] != source[by_output[:-1]]
-        group_start = np.flatnonzero(first)
-        group_end = np.append(group_start[1:], len(spends))
-        shared = np.flatnonzero(group_end - group_start > 1)
-        shared = shared[np.argsort(by_output[group_start[shared] + 1])]
-        double_spends = tuple(
-            DoubleSpend(self.prev(int(spends[by_output[lo]])),
-                        tuple(txids[t] for t in in_tx[spends[by_output[lo:hi]]].tolist()))
-            for lo, hi in zip(group_start[shared].tolist(), group_end[shared].tolist())
-        )
-
-        in_value, out_value = exact_ints(self.in_value, self.out_value)
-        fee = segment_sums(in_value, self.in_start) - segment_sums(out_value, self.out_start)
-        unresolved = np.bincount(in_tx[~resolved], minlength=len(txids))
-        charged = np.flatnonzero(~self.coinbase & (unresolved == 0))
-        fees = dict(zip([txids[i] for i in charged.tolist()], fee[charged].tolist()))
-        return ValidationReport(
-            dangling=dangling,
-            double_spends=double_spends,
-            negative_fees=tuple((txids[i], fees[txids[i]])
-                                for i in charged[fee[charged] < 0].tolist()),
-            fees=fees,
         )
 
 
@@ -457,23 +418,18 @@ class LogBuilder:
 _scan_json = json.JSONDecoder().scan_once
 
 
-def parse_tx_log(stream: IO[str] | IO[bytes] | Iterable[str]) -> TxLog:
-    """Parse a line-delimited transaction log into a TxLog.
+def parse_tx_log(stream: IO[str] | Iterable[str]) -> TxLog:
+    """Parse a line-delimited transaction log, given as text, into a TxLog.
 
     Malformed lines raise ParseError with the offending line number (and
     column, for JSON syntax errors). Duplicate txids are rejected. A str is
     split into lines as a text file is read: at LF, CR and CR LF only.
     """
     if isinstance(stream, str):
-        stream = io.StringIO(stream, newline=None)
+        stream = io.StringIO(stream, newline="")
     builder = LogBuilder()
     add = builder.add_record
     for line_no, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"invalid UTF-8: {exc.reason}", line_no) from exc
         text = raw.strip()
         if not text:
             raise ParseError("blank line", line_no)
@@ -501,7 +457,7 @@ def _loads(text: str, line_no: int) -> object:
 
 
 def load_tx_log(path: str) -> TxLog:
-    with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "r", encoding="utf-8", newline="") as fp:
         return parse_tx_log(fp)
 
 
@@ -512,7 +468,42 @@ def validate_tx_log(log: TxLog) -> ValidationReport:
     three lists are empty. Fees are listed for every fully resolved
     non-coinbase transaction.
     """
-    return log.report
+    txids, in_tx, in_start = log.txids, log.in_tx, log.in_start.tolist()
+    resolved = log.in_addr >= 0
+    dangling = tuple(
+        DanglingInput(txids[t], j - in_start[t], log.prev(j))
+        for j, t in zip(np.flatnonzero(~resolved).tolist(), in_tx[~resolved].tolist())
+    )
+
+    # Inputs that resolve to one output, in spending order: the first owns
+    # it, and the spends are listed in the order their second spender comes.
+    spends = np.flatnonzero(resolved)
+    source = log.out_start[log.in_prev_tx[spends]] + log.in_prev_idx[spends]
+    by_output = np.argsort(source, kind="stable")
+    first = np.ones(len(spends), dtype=bool)
+    first[1:] = source[by_output[1:]] != source[by_output[:-1]]
+    group_start = np.flatnonzero(first)
+    group_end = np.append(group_start[1:], len(spends))
+    shared = np.flatnonzero(group_end - group_start > 1)
+    shared = shared[np.argsort(by_output[group_start[shared] + 1])]
+    double_spends = tuple(
+        DoubleSpend(log.prev(int(spends[by_output[lo]])),
+                    tuple(txids[t] for t in in_tx[spends[by_output[lo:hi]]].tolist()))
+        for lo, hi in zip(group_start[shared].tolist(), group_end[shared].tolist())
+    )
+
+    in_value, out_value = exact_ints(log.in_value, log.out_value)
+    fee = segment_sums(in_value, log.in_start) - segment_sums(out_value, log.out_start)
+    unresolved = np.bincount(in_tx[~resolved], minlength=len(txids))
+    charged = np.flatnonzero(~log.coinbase & (unresolved == 0))
+    fees = dict(zip([txids[i] for i in charged.tolist()], fee[charged].tolist()))
+    return ValidationReport(
+        dangling=dangling,
+        double_spends=double_spends,
+        negative_fees=tuple((txids[i], fees[txids[i]])
+                            for i in charged[fee[charged] < 0].tolist()),
+        fees=fees,
+    )
 
 
 def serialize_tx_log(log: TxLog) -> Iterator[str]:

@@ -25,12 +25,14 @@ import math
 import os
 import secrets
 import sys
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator, TypeVar
 
 from . import chain, clustering, dataset as ds, evaluate, features, learn, rank, synth
+from .csvrows import text_cells, write_rows
 from .errors import DataError, PonziRadarError
 
 logger = logging.getLogger(__name__)
+T = TypeVar("T")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,15 +74,16 @@ def _output(path: str | None) -> Iterator[IO[str]]:
         raise
 
 
-def _open_in(path: str) -> IO[str]:
-    if path == "-":
-        return sys.stdin
-    return open(path, "r", encoding="utf-8")
+def _read(path: str, read: Callable[[IO[str]], T]) -> T:
+    """`read` applied to an input opened as UTF-8 text with newline="", as the
+    csv module needs; "-" is stdin, which is left open.
 
-
-def _load_log(path: str) -> chain.TxLog:
-    with _open_in(path) as fp:
-        return chain.parse_tx_log(fp)
+    The log and model readers split lines in this mode as universal newlines
+    would.
+    """
+    source = sys.stdin.fileno() if path == "-" else path
+    with open(source, "r", encoding="utf-8", newline="", closefd=path != "-") as fp:
+        return read(fp)
 
 
 # argparse types: a bad value is a usage error, which _Parser.error exits 1 on.
@@ -140,7 +143,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    log = _load_log(args.log)
+    log = _read(args.log, chain.parse_tx_log)
     report = chain.validate_tx_log(log)
     print(f"transactions: {len(log)}")
     print(f"dangling references: {len(report.dangling)}")
@@ -159,13 +162,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    log = _load_log(args.log)
+    log = _read(args.log, chain.parse_tx_log)
+    seeds = _read(args.seeds, clustering.read_seeds) if args.seeds else None
     clusters = clustering.build_clusters(log)
     with _output(args.out) as out:
         clustering.write_clusters(clusters, out)
-    if args.seeds:
-        with _open_in(args.seeds) as fp:
-            seeds = clustering.read_seeds(fp)
+    if seeds is not None:
         expansion = clustering.expand_seeds(clusters, seeds)
         for label in sorted(expansion.by_label):
             sizes = [len(clusters.members[i]) for i in expansion.by_label[label]]
@@ -178,7 +180,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    log = _load_log(args.log)
+    log = _read(args.log, chain.parse_tx_log)
     clusters = clustering.build_clusters(log)
     table = features.cluster_feature_table(log, clusters)
     with _output(args.out) as out:
@@ -200,17 +202,14 @@ def _ponzi_cluster_map(index_of: dict[str, int], labels: dict[str, str]) -> dict
 
 
 def _cmd_dataset(args) -> int:
-    with _open_in(args.labels) as fp:
-        labels = synth.read_labels(fp)
+    labels = _read(args.labels, synth.read_labels)
     if args.log is not None:
-        log = _load_log(args.log)
+        log = _read(args.log, chain.parse_tx_log)
         clusters = clustering.build_clusters(log)
         table = dict(enumerate(features.cluster_feature_table(log, clusters)))
     else:
-        with _open_in(args.features) as fp:
-            table = ds.read_features_csv(fp)
-        with _open_in(args.clusters) as fp:
-            clusters = clustering.read_clusters(fp)
+        table = _read(args.features, ds.read_features_csv)
+        clusters = _read(args.clusters, clustering.read_clusters)
         if sorted(table) != list(range(clusters.n_clusters)):
             raise DataError("feature table cluster ids do not match the cluster dump")
     ponzi = _ponzi_cluster_map(clusters.index_of, labels)
@@ -230,8 +229,7 @@ def _learner_spec(args) -> learn.LearnerSpec:
 
 
 def _cmd_train(args) -> int:
-    with _open_in(args.dataset) as fp:
-        data = ds.read_csv(fp)
+    data = _read(args.dataset, ds.read_csv)
     model = learn.train_model(data, _learner_spec(args), args.seed)
     with _output(args.out) as out:
         learn.save_model(model, out)
@@ -252,8 +250,7 @@ def _setting(args, extra: str = "") -> str:
 
 
 def _cmd_cv(args) -> int:
-    with _open_in(args.dataset) as fp:
-        data = ds.read_csv(fp)
+    data = _read(args.dataset, ds.read_csv)
     cost = learn.CostMatrix.parse(args.cost)
     result = evaluate.cross_validate(
         data,
@@ -276,17 +273,15 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    with _open_in(args.model) as fp:
-        model = learn.load_model(fp)
-    with _open_in(args.dataset) as fp:
-        data = ds.read_csv(fp)
+    model = _read(args.model, learn.load_model)
+    data = _read(args.dataset, ds.read_csv)
     cost = learn.CostMatrix.parse(args.cost)
     result = evaluate.apply_model(model, cost, data)
+    ids = text_cells(pr.id for pr in result.predictions)
     with _output(args.out) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("id", "label", "score", "predicted"))
-        writer.writerows((pr.id, pr.label, format(pr.score, ".17g"), pr.predicted)
-                         for pr in result.predictions)
+        write_rows(out, ("id", "label", "score", "predicted"), "%s,%s,%.17g,%s\n",
+                   ((id_, pr.label, pr.score, pr.predicted)
+                    for id_, pr in zip(ids, result.predictions)))
     cm = result.confusion
     print(f"tp={cm.tp} fn={cm.fn} fp={cm.fp} tn={cm.tn}")
     if result.metrics is not None:
@@ -297,20 +292,20 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    with _open_in(args.dataset) as fp:
-        data = ds.read_csv(fp)
+    data = _read(args.dataset, ds.read_csv)
     rankings = [
         rank.rank_features(data, method, bins=args.bins, relieff_k=args.relieff_k, seed=args.seed)
         for method in rank.RANKER_NAMES
     ]
     consensus = rank.consensus_rank(rankings, top_n=args.top)
+    # Method and feature names are fixed identifiers: no cell needs quoting.
+    rows = [(ranking.method, name, format(score, ".17g"), pos)
+            for ranking in rankings
+            for pos, (name, score) in enumerate(ranking.entries, start=1)]
+    rows += [("consensus", name, votes, pos)
+             for pos, (name, votes, _) in enumerate(consensus, start=1)]
     with _output(args.out) as out:
-        out.write("method,feature,score,rank\n")
-        for ranking in rankings:
-            for pos, (name, score) in enumerate(ranking.entries, start=1):
-                out.write(f"{ranking.method},{name},{format(score, '.17g')},{pos}\n")
-        for pos, (name, votes, _) in enumerate(consensus, start=1):
-            out.write(f"consensus,{name},{votes},{pos}\n")
+        write_rows(out, ("method", "feature", "score", "rank"), "%s,%s,%s,%d\n", rows)
     print(f"consensus (top {args.top} occurrences across {len(rankings)} rankings):")
     for name, votes, mean_rank in consensus[: args.top]:
         print(f"  {name}: in top-{args.top} of {votes}/{len(rankings)}, "
@@ -358,32 +353,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_dataset)
 
-    p = sub.add_parser("train", help="train and save a model")
-    p.add_argument("dataset")
-    p.add_argument("--learner", choices=["forest", "bayes"], default="forest")
-    p.add_argument("--trees", type=_int_at_least(1), default=100)
-    p.add_argument("--reweight-cost", type=_cost_spec, default=None,
-                   help="fn:fp, train with cost-proportional instance weights")
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--threads", type=_int_at_least(1), default=1,
-                   help="no effect, trees grow one at a time; kept for old scripts")
-    p.add_argument("-o", "--out", default=None)
+    learner = argparse.ArgumentParser(add_help=False)  # what train and cv share
+    learner.add_argument("dataset")
+    learner.add_argument("--learner", choices=["forest", "bayes"], default="forest")
+    learner.add_argument("--trees", type=_int_at_least(1), default=100)
+    learner.add_argument("--reweight-cost", type=_cost_spec, default=None,
+                         help="fn:fp, train with cost-proportional instance weights")
+    learner.add_argument("--seed", type=_seed, default=0)
+    learner.add_argument("--threads", type=_int_at_least(1), default=1,
+                         help="no effect, trees grow one at a time; kept for old scripts")
+    learner.add_argument("-o", "--out", default=None)
+
+    p = sub.add_parser("train", parents=[learner], help="train and save a model")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("cv", help="stratified k-fold cross-validation")
-    p.add_argument("dataset")
-    p.add_argument("--learner", choices=["forest", "bayes"], default="forest")
-    p.add_argument("--trees", type=_int_at_least(1), default=100)
+    p = sub.add_parser("cv", parents=[learner], help="stratified k-fold cross-validation")
     p.add_argument("--cost", type=_cost_spec, default="1:1",
                    help="false-negative:false-positive costs")
     p.add_argument("--ratio", type=_ratio, default=0,
                    help="undersampling ratio for training folds (0 = off)")
     p.add_argument("--k", type=_int_at_least(2), default=10)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--threads", type=_int_at_least(1), default=1,
-                   help="no effect, trees grow one at a time; kept for old scripts")
-    p.add_argument("--reweight-cost", type=_cost_spec, default=None)
-    p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_cv)
 
     p = sub.add_parser("apply", help="apply a frozen model to a dataset")

@@ -8,7 +8,6 @@ never merge anything.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
@@ -16,7 +15,7 @@ from typing import IO, Iterable, NamedTuple
 import numpy as np
 
 from .chain import TxLog
-from .csvrows import text_cells, write_rows
+from .csvrows import read_rows, text_cells, write_rows
 from .errors import DataError
 
 
@@ -134,31 +133,28 @@ def expand_seeds(clusters: ClusterSet, seeds: Iterable[tuple[str, str]]) -> Seed
     )
 
 
+_DUMP_HEADER = ("cluster_id", "address")
+
+
 def write_clusters(clusters: ClusterSet, fp: IO[str]) -> None:
     """One `cluster_id,address` row per address, clusters in index order."""
     addresses = text_cells(tuple(itertools.chain.from_iterable(clusters.members)))
     ids = itertools.chain.from_iterable(
         itertools.repeat(idx, len(group)) for idx, group in enumerate(clusters.members))
-    write_rows(fp, ("cluster_id", "address"), "%d,%s\n", zip(ids, addresses))
+    write_rows(fp, _DUMP_HEADER, "%d,%s\n", zip(ids, addresses))
 
 
 def read_clusters(fp: IO[str]) -> ClusterSet:
     """Read a cluster dump back; its cluster ids must run 0..n-1."""
-    reader = csv.reader(fp)
-    header = next(reader, None)
-    if header != ["cluster_id", "address"]:
-        raise DataError("cluster dump must start with header 'cluster_id,address'")
     index_of: dict[str, int] = {}
-    for row_no, row in enumerate(reader, start=2):
-        if len(row) != 2:
-            raise DataError(f"cluster dump row {row_no}: expected 2 columns")
+    for row_no, (cell, addr) in read_rows(fp, "cluster dump", _DUMP_HEADER, width=2):
         try:
-            idx = int(row[0])
+            idx = int(cell)
         except ValueError as exc:
             raise DataError(f"cluster dump row {row_no}: bad cluster id") from exc
-        if row[1] in index_of:
-            raise DataError(f"cluster dump row {row_no}: duplicate address {row[1]}")
-        index_of[row[1]] = idx
+        if addr in index_of:
+            raise DataError(f"cluster dump row {row_no}: duplicate address {addr}")
+        index_of[addr] = idx
     groups: dict[int, list[str]] = {}
     for addr in sorted(index_of):
         groups.setdefault(index_of[addr], []).append(addr)
@@ -168,12 +164,8 @@ def read_clusters(fp: IO[str]) -> ClusterSet:
 
 
 def read_seeds(fp: IO[str]) -> list[tuple[str, str]]:
-    reader = csv.reader(fp)
-    header = next(reader, None)
-    if header != ["label", "address"]:
-        raise DataError("seed file must start with header 'label,address'")
     out = []
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in read_rows(fp, "seed file", ("label", "address")):
         if len(row) != 2 or not row[0] or not row[1]:
             raise DataError(f"seed file row {row_no}: expected 'label,address'")
         out.append((row[0], row[1]))

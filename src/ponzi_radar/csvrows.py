@@ -1,13 +1,13 @@
-"""CSV tables written with one `%` per row, byte for byte as `csv.writer` writes them.
+"""The package's one CSV dialect: every table is written and read through here.
 
 A table's rows share one line format whose number cells never need quoting
-(such as "%s,%d,%.17g\\n"). Its text cells (ids, addresses) go through
-`text_cells` first: a cell holding `,`, `"`, `\\r`, `\\n` or NUL is written by
-`csv.writer` itself, so its quoting and errors stay the csv module's (Python
-3.10's raises `csv.Error` on NUL), and every other cell (an empty one too) is
-written as it is: no Python from 3.10 to 3.13 quotes or rejects such a cell.
-The lines are joined and written `CHUNK_ROWS` at a time, so no string of the
-whole file is ever built.
+(such as "%s,%d,%.17g\\n"); lines end in "\\n" and are written `CHUNK_ROWS`
+at a time, so no string of the whole file is ever built. Text cells (ids,
+addresses, labels) go through `text_cells`: one holding `,`, `"`, `\\r`, `\\n`
+or NUL is written as `csv.writer` writes it with its default "\\r\\n"
+terminator, which quotes it alike on every Python from 3.10 to 3.13 (3.10
+raises `csv.Error` on NUL); any other cell, an empty one too, is written as it
+is. `read_rows` reads a file opened with newline="", as the csv module needs.
 """
 
 from __future__ import annotations
@@ -16,23 +16,22 @@ import csv
 import io
 import itertools
 import re
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
+
+from .errors import DataError
 
 CHUNK_ROWS = 256
-# What QUOTE_MINIMAL quotes with a "\n" terminator, and more: "\r" is
-# quoted from Python 3.13 on, and NUL is an error before 3.11.
 _needs_csv_writer = re.compile('[,"\r\n\x00]').search
 
 
 def _quoted(cell: str) -> str:
     buf = io.StringIO()
-    # csv.writer quotes a cell that holds a character of its line terminator.
-    csv.writer(buf, lineterminator="\n").writerow([cell])
-    return buf.getvalue()[:-1]
+    csv.writer(buf).writerow([cell])
+    return buf.getvalue()[:-2]  # drop the "\r\n" terminator
 
 
 def text_cells(cells: Iterable[str]) -> Iterator[str]:
-    """The text cells as `csv.writer` writes them in a row of two or more cells."""
+    """The text cells as they are written in a row of two or more cells."""
     return (_quoted(cell) if _needs_csv_writer(cell) else cell for cell in cells)
 
 
@@ -43,3 +42,29 @@ def write_rows(fp: IO[str], header: Sequence[str], line_format: str,
     rows = iter(rows)
     while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
         fp.write("".join([line_format % row for row in chunk]))
+
+
+def read_rows(fp: IO[str], what: str, header: Sequence[str], width: int | None = None,
+              header_error: Callable[[list[str] | None], DataError] | None = None,
+              ) -> Iterator[tuple[int, list[str]]]:
+    """(row number, cells) of each row after the header, which is row 1.
+
+    A first row other than `header` raises `header_error(first row or None)`,
+    by default "<what> must start with header ...". A row of other than
+    `width` cells, when given, and a `csv.Error` (such as a cell beyond the
+    128 KiB field limit) are DataErrors that name `what` and the row.
+    """
+    reader = csv.reader(fp)
+    rows_read = 0
+    try:
+        first = next(reader, None)
+        if first != list(header):
+            raise (header_error(first) if header_error else
+                   DataError(f"{what} must start with header '{','.join(header)}'"))
+        rows_read = 1
+        for rows_read, row in enumerate(reader, start=2):
+            if width is not None and len(row) != width:
+                raise DataError(f"{what} row {rows_read}: expected {width} columns")
+            yield rows_read, row
+    except csv.Error as exc:
+        raise DataError(f"{what} row {rows_read + 1}: {exc}") from exc

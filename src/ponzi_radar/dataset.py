@@ -13,15 +13,12 @@ is rejected with its row and column.
 The per-cluster feature table (`schema=v1,cluster_id,...`) shares the codec.
 
 The writer formats each row with one `%` over a line format that holds the
-key cells and the feature cells, and writes the lines `csvrows.CHUNK_ROWS`
-at a time (see `csvrows`). An id holding `,`, `"`, `\r`, `\n` or NUL goes
-through `csv.writer`, so the bytes (or the `csv.Error`) are those of
-`csv.writer`; an empty id is an empty field.
+key cells and the feature cells; `csvrows` writes the lines and quotes the
+ids, and reads the rows back.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import logging
 import math
@@ -34,7 +31,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .clustering import ClusterSet
-from .csvrows import CHUNK_ROWS, text_cells, write_rows
+from .csvrows import CHUNK_ROWS, read_rows, text_cells, write_rows
 from .errors import DataError, SchemaMismatchError
 from .features import FEATURE_NAMES, INT_FEATURES, MAX_EXACT_INT, SCHEMA_VERSION, FeatureVector
 
@@ -178,33 +175,27 @@ def _read_table(fp: IO[str], key_columns: Sequence[str],
     Feature cells are converted a block of rows at a time, so that only one
     block is ever held as strings.
     """
-    reader = csv.reader(fp)
-    header = next(reader, None)
-    if header is None:
-        raise DataError(f"empty {what} file")
     expected = [f"schema={SCHEMA_VERSION}", *key_columns, *FEATURE_NAMES]
-    if header != expected:
+
+    def header_error(header: list[str] | None) -> DataError:
+        if header is None:
+            return DataError(f"empty {what} file")
         if header and header[0].startswith("schema=") and header[0] != expected[0]:
-            raise SchemaMismatchError(
-                f"{what} schema {header[0]!r} does not match {expected[0]!r}"
-            )
-        raise DataError(f"{what} header does not match the v1 feature schema")
+            return SchemaMismatchError(
+                f"{what} schema {header[0]!r} does not match {expected[0]!r}")
+        return DataError(f"{what} header does not match the v1 feature schema")
+
     n_keys = len(key_columns)
-    n_columns = n_keys + _N_FEATURES  # the schema cell heads no column
     keys: list[list[str]] = []
     blocks: list[np.ndarray] = []
     cells: list[list[str]] = []
-    try:
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != n_columns:
-                raise DataError(f"{what} row {row_no}: expected {n_columns} columns")
-            keys.append(row[:n_keys])
-            cells.append(row[n_keys:])
-            if len(cells) == _BLOCK_ROWS:
-                blocks.append(_convert_block(cells, len(blocks) * _BLOCK_ROWS + 2, what))
-                cells = []
-    except csv.Error as exc:  # such as a cell beyond the csv module's field limit
-        raise DataError(f"{what} row {len(keys) + 2}: {exc}") from exc
+    # The schema cell heads no column.
+    for _, row in read_rows(fp, what, expected, len(expected) - 1, header_error):
+        keys.append(row[:n_keys])
+        cells.append(row[n_keys:])
+        if len(cells) == _BLOCK_ROWS:
+            blocks.append(_convert_block(cells, len(blocks) * _BLOCK_ROWS + 2, what))
+            cells = []
     blocks.append(_convert_block(cells, len(blocks) * _BLOCK_ROWS + 2, what))
     return keys, np.concatenate(blocks)
 

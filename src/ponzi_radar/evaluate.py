@@ -15,6 +15,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from .csvrows import text_cells, write_rows
 from .dataset import LABEL_OF, Dataset
 from .errors import DataError
 from .learn import (
@@ -254,9 +255,9 @@ def report_row(setting: str, cm: ConfusionMatrix, metrics: MetricsReport) -> tup
 
 def write_report_csv(rows: list[tuple], fp: IO[str]) -> None:
     fp.write("# ponzi-radar report schema=v1\n")
-    fp.write(",".join(REPORT_HEADER) + "\n")
-    for row in rows:
-        fp.write(",".join(str(cell) for cell in row) + "\n")
+    settings = text_cells(row[0] for row in rows)
+    write_rows(fp, REPORT_HEADER, ",".join(["%s"] * len(REPORT_HEADER)) + "\n",
+               ((setting, *row[1:]) for setting, row in zip(settings, rows)))
 
 
 def format_report_table(rows: list[tuple]) -> str:

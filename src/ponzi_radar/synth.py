@@ -18,7 +18,6 @@ byte-identical serialized log.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from collections import deque
@@ -28,6 +27,7 @@ from typing import IO
 import numpy as np
 
 from .chain import LogBuilder, OutPoint, TxLog
+from .csvrows import read_rows, text_cells, write_rows
 from .errors import DataError
 
 T0 = 1_483_228_800  # 2017-01-01T00:00:00Z
@@ -286,22 +286,18 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
     return log.build(), labels
 
 
-_LABELS_HEADER = ["cluster_seed_address", "label"]
+_LABELS_HEADER = ("cluster_seed_address", "label")
 
 
 def write_labels(labels: dict[str, str], fp: IO[str]) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(_LABELS_HEADER)
-    writer.writerows(labels.items())
+    write_rows(fp, _LABELS_HEADER, "%s,%s\n",
+               zip(text_cells(labels), text_cells(labels.values())))
 
 
 def read_labels(fp: IO[str]) -> dict[str, str]:
     """Seed address -> P or nP; blank rows are skipped, repeated addresses rejected."""
-    reader = csv.reader(fp)
-    if next(reader, None) != _LABELS_HEADER:
-        raise DataError("labels file must start with header 'cluster_seed_address,label'")
     labels: dict[str, str] = {}
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in read_rows(fp, "labels file", _LABELS_HEADER):
         if not row:
             continue
         if len(row) != 2 or not row[0] or row[1] not in ("P", "nP"):

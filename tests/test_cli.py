@@ -494,3 +494,44 @@ def test_oversized_csv_field_exits_two(world, tmp_path, capsys):
                  "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "field larger than field limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["labels file", "seed file", "cluster dump"])
+def test_oversized_cell_names_file_and_row(world, tmp_path, capsys, kind):
+    big = "a" * 200_000
+    labels, seeds, clusters = (tmp_path / name for name in ("labels.csv", "seeds.csv",
+                                                             "clusters.csv"))
+    labels.write_text("cluster_seed_address,label\nx,nP\n" + big + ",P\n")
+    seeds.write_text("label,address\ns1,x\n" + big + ",y\n")
+    clusters.write_text("cluster_id,address\n0,x\n1," + big + "\n")
+    log, out = str(world / "log.jsonl"), str(tmp_path / "out")
+    features = str(tmp_path / "features.csv")
+    assert main(["features", log, "-o", features]) == 0
+    argv = {
+        "labels file": ["dataset", "--log", log, "--labels", str(labels)],
+        "seed file": ["cluster", log, "--seeds", str(seeds)],
+        "cluster dump": ["dataset", "--features", features, "--clusters", str(clusters),
+                         "--labels", str(world / "labels.csv")],
+    }[kind]
+    assert main([*argv, "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"ponzi-radar: error: {kind} row 3: "
+                   "field larger than field limit (131072)\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "dataset"])
+def test_reading_stdin_leaves_it_open(world, tmp_path, monkeypatch, command):
+    source = world / ("log.jsonl" if command == "validate" else "labels.csv")
+    argv = {
+        "validate": ["validate", "-"],
+        "dataset": ["dataset", "--log", str(world / "log.jsonl"), "--labels", "-",
+                    "-o", str(tmp_path / "dataset.csv")],
+    }[command]
+    with open(source, encoding="utf-8") as stdin:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(argv) == 0
+        assert not stdin.closed
+        os.fstat(stdin.fileno())  # the descriptor is still open
+    if command == "dataset":
+        assert (tmp_path / "dataset.csv").read_bytes() == (world / "dataset.csv").read_bytes()

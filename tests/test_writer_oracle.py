@@ -3,9 +3,12 @@ they replaced, kept here as references.
 
 `reference_write_table` formats a row's features with one `%`, splits the
 text into cells again and has `csv.writer` join and quote them;
-`reference_write_clusters` calls `writerow` once per address. The current
-writers format each whole row with one `%` and quote only text cells that
-need it, and must give the same text for any ids, addresses and values.
+`reference_write_clusters` calls `writerow` once per address. Each reference
+row is written with csv.writer's default "\r\n" terminator, which quotes a
+cell holding `\r` or `\n` on every Python, and that terminator is then
+swapped for "\n". The current writers format each whole row with one `%`
+and quote only text cells that need it, and must give the same text for any
+ids, addresses and values.
 """
 
 import csv
@@ -29,11 +32,18 @@ _REFERENCE_ROW_FORMAT = ",".join("%d" if name in INT_FEATURES else "%.17g"
                                  for name in FEATURE_NAMES)
 
 
+def reference_writerow(fp, cells):
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    line = buf.getvalue()
+    assert line.endswith("\r\n")
+    fp.write(line[:-2] + "\n")
+
+
 def reference_write_table(fp, key_columns, keys, rows):
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow([f"schema={SCHEMA_VERSION}", *key_columns, *FEATURE_NAMES])
-    writer.writerows([*key, *(_REFERENCE_ROW_FORMAT % tuple(row)).split(",")]
-                     for key, row in zip(keys, rows))
+    reference_writerow(fp, [f"schema={SCHEMA_VERSION}", *key_columns, *FEATURE_NAMES])
+    for key, row in zip(keys, rows):
+        reference_writerow(fp, [*key, *(_REFERENCE_ROW_FORMAT % tuple(row)).split(",")])
 
 
 def reference_write_csv(dataset, fp):
@@ -48,11 +58,10 @@ def reference_write_features_csv(features_by_cluster, fp):
 
 
 def reference_write_clusters(clusters, fp):
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["cluster_id", "address"])
+    reference_writerow(fp, ["cluster_id", "address"])
     for idx, group in enumerate(clusters.members):
         for addr in group:
-            writer.writerow([idx, addr])
+            reference_writerow(fp, [idx, addr])
 
 
 def written(write, *args) -> str:
