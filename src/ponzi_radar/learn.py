@@ -12,20 +12,21 @@ classifier assumes conditional independence with per-class Gaussian
 likelihoods.
 
 Split search works on value codes and integer class counts. Once per fit,
-each feature is coded: its sorted distinct values go into a table, and each
-row gets its rank in that table, in 8 or 16 bits up to 65 536 rows (wider
-above). A bootstrap resample is kept as per-row multiplicities (a bincount
-of the drawn rows), so a node holds each distinct training row once, with
-its count. A node searches all its candidate features in one batch: one
-gather of codes, one stable argsort per feature row (a radix sort on 8- and
-16-bit codes), and cumulative integer P and nP counts, which become class
+each feature is coded (its sorted distinct values go into a table, and each
+row gets its rank in that table), and each code is packed with its row's
+position into a unique sort key. A bootstrap resample is kept as per-row
+multiplicities (a bincount of the drawn rows), so a node holds each distinct
+training row once, with its count. A node searches all its candidate
+features in one batch: one gather of keys, one in-place sort per feature
+row, which orders the rows by code and ties by position as a stable sort of
+the codes would, and cumulative integer P and nP counts, which become class
 masses only when multiplied by the costs (c_fn per P row, c_fp per nP row).
 Codes keep the order and equality of the values, and integer sums do not
 depend on the order of tied rows, so the chosen split depends only on the
 set of rows at the node, exactly as a search on the float values would. The
 threshold is the midpoint of the table values either side of the cut, and
 children are split by code (code <= the last code left of the cut), never by
-re-reading the threshold.
+re-reading the threshold. A forest scores rows with all its trees at once.
 
 Cost sensitivity is applied by minimum-expected-cost thresholding of the
 predicted probability, in `cost_sensitive_predict` alone: predict P iff
@@ -136,25 +137,14 @@ class TreeModel:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def predict_proba_matrix(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(X), dtype=np.int32)
-        active = np.nonzero(self.feature[node] >= 0)[0]
-        while len(active):
-            cur = node[active]
-            go_left = X[active, self.feature[cur]] <= self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
-            active = active[self.feature[node[active]] >= 0]
-        c = self.counts[node]
-        return c[:, 0] / c.sum(axis=1)
-
 
 def _value_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Each feature's sorted distinct values, and each row's dense rank among them.
 
     The ranks are stored features x rows, in the smallest unsigned dtype that
-    holds len(X) - 1: up to 65 536 rows that is 8 or 16 bits, which a stable
-    argsort sorts by radix. Ranks keep the order and the equality of the
-    values they code, so 0.0 and -0.0 share one.
+    holds len(X) - 1: up to 65 536 rows that is 8 or 16 bits (see
+    _sort_keys). Ranks keep the order and the equality of the values they
+    code, so 0.0 and -0.0 share one.
     """
     codes = np.empty((X.shape[1], len(X)), dtype=np.min_scalar_type(max(len(X) - 1, 0)))
     values = []
@@ -164,38 +154,53 @@ def _value_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return codes, values
 
 
-def _best_split(codes, values, rows, node, total, feats, costs):
+def _sort_keys(codes: np.ndarray) -> np.ndarray:
+    """Unique keys (code << s) | row position: uint32 with s = 16 for codes of
+    8 or 16 bits (up to 65 536 rows), else uint64 with s = 32."""
+    dtype = np.uint32 if codes.itemsize <= 2 else np.uint64
+    s = 4 * np.dtype(dtype).itemsize  # half the key's bits
+    return codes.astype(dtype) << s | np.arange(codes.shape[1], dtype=dtype)
+
+
+def _best_split(keys, values, rows, counts, total, feats, costs):
     """Best (feature, code, threshold) over candidate features, or None.
 
     All candidate features are searched in one batch: a (k, d) gather of the
-    value codes of the node's d distinct rows, one stable (radix) argsort
-    along each feature's row, and one cumulative sum of the rows' packed
-    integer P/nP counts `node`, which add up to `total` (see _grow_tree). A
-    cut after sorted position i sends the rows with code <= cs[i] left. The
-    score maximized is the sum over children of (P^2 + N^2) / T with
-    cost-weighted class masses, which orders splits identically to Gini
-    impurity decrease. First-encountered maximum wins in ascending feature
-    order, then ascending value order, so ties are deterministic. The
-    threshold is the midpoint of the two values either side of the cut, read
-    from the feature's table in `values`.
+    sort keys (see _sort_keys) of the node's d distinct rows, one in-place
+    sort along each feature's row, and one cumulative sum, in that order, of
+    the rows' packed integer P/nP `counts` (indexed by row position), which
+    add up to `total` (see _grow_tree). A cut after sorted position i sends the rows with code <=
+    the i-th sorted code left. The score maximized is the sum over children
+    of (P^2 + N^2) / T with cost-weighted class masses, which orders splits
+    identically to Gini impurity decrease. First-encountered maximum wins in
+    ascending feature order, then ascending value order, so ties are
+    deterministic. The threshold is the midpoint of the two values either
+    side of the cut, read from the feature's table in `values`.
     """
     c_fn, c_fp = costs
-    k, d = len(feats), len(rows)
-    C = np.take(codes[feats], rows, axis=1)
-    order = np.argsort(C, axis=1, kind="stable")
-    cs = np.take(C, order + np.arange(0, k * d, d)[:, None])
-    cut = np.flatnonzero(cs[:, 1:] != cs[:, :-1])
+    d = len(rows)
+    s = 4 * keys.itemsize
+    sk = np.take(keys[feats], rows, axis=1)
+    sk.sort(axis=1)
+    sk = sk.ravel()
+    cs = sk >> s  # the sorted codes, feature after feature
+    cut = cs[1:] != cs[:-1]
+    cut[d - 1::d] = False  # no cut across the boundary of two features
+    cut = np.flatnonzero(cut)  # flat index of the last row left of each cut
     if len(cut) == 0:
         return None
-    cut += cut // (d - 1)  # flat index of the last row left of each cut
-    left = np.cumsum(np.take(node, order), axis=1).ravel()[cut]
-    lm, lp = left & _ROWS, left >> 32
+    sk &= (1 << s) - 1  # the sorted positions
+    left = np.cumsum(np.take(counts, sk).reshape(-1, d), axis=1).ravel()[cut]
+    # Exact float64 counts, then (lp^2 + ln^2) / (lp + ln) + (rp^2 + rn^2) /
+    # (rp + rn) in place but in the expression's order: every score keeps its bits.
+    lm, lp = (left & _ROWS).astype(np.float64), (left >> 32).astype(np.float64)
     rm, rp = (total & _ROWS) - lm, (total >> 32) - lp
     lm -= lp  # nP rows left
     rm -= rp
-    # (lp^2 + ln^2) / (lp + ln) + (rp^2 + rn^2) / (rp + rn), in place but in
-    # the order that the expression evaluates, so every score keeps its bits.
-    lp, ln, rp, rn = c_fn * lp, c_fp * lm, c_fn * rp, c_fp * rm
+    lp *= c_fn
+    ln = np.multiply(lm, c_fp, out=lm)
+    rp *= c_fn
+    rn = np.multiply(rm, c_fp, out=rm)
     score, tmp = lp * lp, ln * ln
     score += tmp
     score /= np.add(lp, ln, out=tmp)
@@ -203,27 +208,29 @@ def _best_split(codes, values, rows, node, total, feats, costs):
     right += tmp
     right /= np.add(rp, rn, out=tmp)
     score += right
-    i, at = divmod(int(cut[np.argmax(score)]), d)
-    lo_code = int(cs.flat[i * d + at])
-    f = int(feats[i])
-    lo, hi = float(values[f][lo_code]), float(values[f][cs.flat[i * d + at + 1]])
+    at = int(cut[np.argmax(score)])
+    lo_code = int(cs[at])
+    f = int(feats[at // d])
+    lo, hi = float(values[f][lo_code]), float(values[f][cs[at + 1]])
     thr = (lo + hi) / 2.0
     if thr >= hi:  # guard float rounding at adjacent values
         thr = lo
     return f, lo_code, thr
 
 
-def _grow_tree(codes, values, counts, costs, rng: np.random.Generator) -> TreeModel:
+def _grow_tree(keys, values, counts, costs, rng: np.random.Generator) -> TreeModel:
     """Grow one tree on the rows r with counts[r] > 0, down to pure leaves.
 
-    codes and values are the fit's value codes (see _value_codes). counts
-    packs each row's integer multiplicity (a bootstrap counts a row once per
-    draw) in its low 32 bits and, for a P row, the same multiplicity again
-    above them (see _packed_counts), so one sum or cumulative sum yields both
-    the row count and the P count. costs = (c_fn, c_fp) weights the two
-    class masses. A node that cannot be split is a leaf.
+    keys and values are the fit's sort keys and value tables (see _sort_keys
+    and _value_codes). counts packs each row's integer multiplicity (a
+    bootstrap counts a row once per draw) in its low 32 bits and, for a P
+    row, the same multiplicity again above them (see _packed_counts), so one
+    sum or cumulative sum yields both the row count and the P count. costs =
+    (c_fn, c_fp) weights the two class masses. A node that cannot be split
+    is a leaf.
     """
-    n_features = codes.shape[0]
+    n_features = keys.shape[0]
+    s = 4 * keys.itemsize
     c_fn, c_fp = costs
     feature, threshold, left, right, masses = [], [], [], [], []
 
@@ -239,13 +246,12 @@ def _grow_tree(codes, values, counts, costs, rng: np.random.Generator) -> TreeMo
         right.append(-1)
         if parent >= 0:
             (right if is_right else left)[parent] = node
-        node_counts = counts[rows]
-        total = int(node_counts.sum())
+        total = int(counts[rows].sum())
         n_rows, n_p = total & _ROWS, total >> 32
         masses.append((c_fn * n_p, c_fp * (n_rows - n_p)))
         if n_p == 0 or n_p == n_rows:
             continue
-        search = (codes, values, rows, node_counts, total)
+        search = (keys, values, rows, counts, total)
         cands = np.sort(rng.choice(n_features, size=FEATURES_PER_SPLIT, replace=False))
         split = _best_split(*search, cands, costs)
         if split is None:
@@ -257,7 +263,7 @@ def _grow_tree(codes, values, counts, costs, rng: np.random.Generator) -> TreeMo
         f, lo_code, thr = split
         feature[node] = f
         threshold[node] = thr
-        go_left = codes[f, rows] <= lo_code
+        go_left = keys[f, rows] >> s <= lo_code
         stack.append((rows[~go_left], node, True))
         stack.append((rows[go_left], node, False))
 
@@ -289,16 +295,47 @@ def _packed_counts(y: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return mult | ((mult * (y == 1)) << 32)
 
 
+PREDICT_BLOCK = 1 << 14  # tree x row entries that a forest walks at once
+
+
 @dataclass
 class ForestModel:
     trees: list[TreeModel]
     seed: int
 
     def predict_proba_matrix(self, X: np.ndarray) -> np.ndarray:
+        """Mean leaf P-probability, all trees walked at once over blocks of
+        PREDICT_BLOCK // len(trees) rows (at least one), on node tables
+        concatenated with child indices offset by each tree's first node. Each
+        tree's row is added in tree order: every score has the bits of a
+        tree-by-tree sum."""
+        trees = self.trees
+        root = np.cumsum([0] + [tree.n_nodes for tree in trees[:-1]])
+        feature = np.concatenate([tree.feature for tree in trees])
+        threshold = np.concatenate([tree.threshold for tree in trees])
+        left = np.concatenate([tree.left + r for tree, r in zip(trees, root)])
+        right = np.concatenate([tree.right + r for tree, r in zip(trees, root)])
+        leaf = feature < 0
+        counts = np.concatenate([tree.counts for tree in trees])[leaf]
+        p_leaf = np.zeros(len(feature))
+        p_leaf[leaf] = counts[:, 0] / counts.sum(axis=1)
         acc = np.zeros(len(X), dtype=np.float64)
-        for tree in self.trees:
-            acc += tree.predict_proba_matrix(X)
-        return acc / len(self.trees)
+        n_features, step = X.shape[1], max(1, PREDICT_BLOCK // len(trees))
+        for lo in range(0, len(X), step):
+            block = np.ravel(X[lo:lo + step])
+            b = len(block) // n_features
+            # Entry t * b + i walks tree t for row i, whose cells start at cell[i].
+            cell = np.tile(np.arange(0, len(block), n_features), len(trees))
+            node = np.repeat(root, b)
+            active = np.flatnonzero(~leaf[node])
+            while len(active):
+                cur = node[active]
+                go_left = block[cell[active] + feature[cur]] <= threshold[cur]
+                node[active] = np.where(go_left, left[cur], right[cur])
+                active = active[~leaf[node[active]]]
+            for p in p_leaf[node].reshape(len(trees), b):
+                acc[lo:lo + b] += p
+        return acc / len(trees)
 
 
 def train_forest(
@@ -318,12 +355,13 @@ def train_forest(
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
     codes, values = _value_codes(X)
+    keys = _sort_keys(codes)
     costs = _class_costs(reweight)
     trees = []
     for tree_seed in derive_seeds(seed, n_trees):
         rng = np.random.default_rng(tree_seed)
         mult = np.bincount(rng.integers(0, len(X), size=len(X)), minlength=len(X))
-        trees.append(_grow_tree(codes, values, _packed_counts(y, mult), costs, rng))
+        trees.append(_grow_tree(keys, values, _packed_counts(y, mult), costs, rng))
     return ForestModel(trees, seed)
 
 

@@ -8,6 +8,10 @@ a weight vector. For costs whose masses are exact in binary (1:1, 20:1,
 test searches on per-fit value codes. For other costs, the old grower broke
 exact score ties by float summation order, so only determinism is checked
 there.
+
+`reference_best_split` is the coded search before it sorted keys: a gather
+of the node's codes, a stable argsort per feature and integer masses. The
+key sort must choose the same split on any codes, counts and costs.
 """
 
 from __future__ import annotations
@@ -23,7 +27,11 @@ from hypothesis.extra.numpy import arrays
 from ponzi_radar.dataset import Dataset
 from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES
 from ponzi_radar.learn import (
+    _ROWS,
     FEATURES_PER_SPLIT,
+    _best_split,
+    _packed_counts,
+    _sort_keys,
     _value_codes,
     CostMatrix,
     TreeModel,
@@ -248,3 +256,105 @@ def test_codes_wider_than_16_bits_match_oracle():
         assert tree.feature.tolist() == [0, -1, -1]
         assert abs(tree.threshold[0] - 34_000) < 10
     assert_same_trees(forest.trees, oracle_forest(ds, 2, 3, None))
+
+
+def reference_best_split(codes, values, rows, node, total, feats, costs):
+    """Best (feature, code, threshold) by a stable argsort of the node's codes.
+
+    `node` holds the packed counts of `rows` (see `_packed_counts`), which add
+    up to `total`.
+    """
+    c_fn, c_fp = costs
+    k, d = len(feats), len(rows)
+    C = np.take(codes[feats], rows, axis=1)
+    order = np.argsort(C, axis=1, kind="stable")
+    cs = np.take(C, order + np.arange(0, k * d, d)[:, None])
+    cut = np.flatnonzero(cs[:, 1:] != cs[:, :-1])
+    if len(cut) == 0:
+        return None
+    cut += cut // (d - 1)  # flat index of the last row left of each cut
+    left = np.cumsum(np.take(node, order), axis=1).ravel()[cut]
+    lm, lp = left & _ROWS, left >> 32
+    rm, rp = (total & _ROWS) - lm, (total >> 32) - lp
+    lm -= lp  # nP rows left
+    rm -= rp
+    lp, ln, rp, rn = c_fn * lp, c_fp * lm, c_fn * rp, c_fp * rm
+    score, tmp = lp * lp, ln * ln
+    score += tmp
+    score /= np.add(lp, ln, out=tmp)
+    right, tmp = rp * rp, np.multiply(rn, rn, out=tmp)
+    right += tmp
+    right /= np.add(rp, rn, out=tmp)
+    score += right
+    i, at = divmod(int(cut[np.argmax(score)]), d)
+    lo_code = int(cs.flat[i * d + at])
+    f = int(feats[i])
+    lo, hi = float(values[f][lo_code]), float(values[f][cs.flat[i * d + at + 1]])
+    thr = (lo + hi) / 2.0
+    if thr >= hi:  # guard float rounding at adjacent values
+        thr = lo
+    return f, lo_code, thr
+
+
+class _Table:
+    """A value table whose first entry is code `first`, so that codes near
+    the top of their dtype need no table that long."""
+
+    def __init__(self, first, values):
+        self.first, self.values = first, values
+
+    def __getitem__(self, code):
+        return self.values[int(code) - self.first]
+
+
+@st.composite
+def _split_searches(draw):
+    """Codes of uint8, 16 or 32 bits with 1 to 6 distinct values per feature,
+    at the bottom or the top of their dtype, and a node of 1 to 40 rows."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.uint32]))
+    n, n_features, m = draw(st.integers(1, 40)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    first = draw(st.sampled_from([0, int(np.iinfo(dtype).max) + 1 - m]))
+    codes = draw(arrays(dtype, (n_features, n), elements=st.integers(first, first + m - 1)))
+    table = draw(st.sampled_from([np.arange(m) * 0.5, np.array(_float_run(1.0, m)),
+                                  np.array([float(2**53 - m + j) for j in range(m)])]))
+    rows = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))), dtype=np.int64)
+    mult = draw(arrays(np.int64, n, elements=st.integers(1, 4)))
+    y = draw(arrays(np.int8, n, elements=st.integers(0, 1)))
+    feats = np.array(sorted(draw(st.sets(st.integers(0, n_features - 1), min_size=1))),
+                     dtype=np.int64)
+    costs = draw(st.sampled_from([(1.0, 1.0), (20.0, 1.0), (2.5, 1.0), (0.3, 0.7), (3.0, 0.1)]))
+    return codes, [_Table(first, table)] * n_features, rows, _packed_counts(y, mult), feats, costs
+
+
+def _both_searches(codes, values, rows, counts, feats, costs):
+    total = int(counts[rows].sum())
+    want = reference_best_split(codes, values, rows, counts[rows], total, feats, costs)
+    got = _best_split(_sort_keys(codes), values, rows, counts, total, feats, costs)
+    return got, want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_searches())
+def test_key_sort_split_matches_argsort_split(search):
+    got, want = _both_searches(*search)
+    assert got == want
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+def test_one_row_and_all_equal_nodes_have_no_split(dtype):
+    codes = np.array([[3, 3, 3, 1], [0, 0, 0, 2]], dtype=dtype)
+    values = [np.arange(4.0)] * 2
+    counts = _packed_counts(np.array([1, 0, 1, 0]), np.ones(4, dtype=np.int64))
+    for rows in ([0], [2], [0, 1, 2]):
+        got, want = _both_searches(codes, values, np.array(rows), counts, np.arange(2), (1.0, 1.0))
+        assert got is None and want is None
+
+
+def test_sort_keys_widen_past_16_bits():
+    for n, dtype in ((1, np.uint32), (2**16, np.uint32), (2**16 + 1, np.uint64)):
+        codes, _ = _value_codes(np.arange(n, 0, -1, dtype=np.float64)[:, None])
+        keys = _sort_keys(codes)
+        s = 4 * keys.itemsize
+        assert keys.dtype == dtype
+        assert np.array_equal(keys >> s, codes)
+        assert np.array_equal(keys[0] & ((1 << s) - 1), np.arange(n))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from ponzi_radar.errors import DataError, SchemaMismatchError
+from ponzi_radar.features import FEATURE_NAMES
 from ponzi_radar.learn import (
+    PREDICT_BLOCK,
     BayesModel,
     CostMatrix,
     ForestModel,
@@ -47,6 +49,28 @@ def training_accuracy(model, dataset):
     p = model.predict_proba_matrix(dataset.X)
     predicted = (p >= 0.5).astype(int)
     return float((predicted == dataset.y).mean())
+
+
+def tree_proba(tree: TreeModel, X: np.ndarray) -> np.ndarray:
+    """Each row's leaf P-probability, one tree walked on its own: the
+    reference for the forest, which walks all its trees at once."""
+    node = np.zeros(len(X), dtype=np.int32)
+    active = np.nonzero(tree.feature[node] >= 0)[0]
+    while len(active):
+        cur = node[active]
+        go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
+        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+        active = active[tree.feature[node[active]] >= 0]
+    c = tree.counts[node]
+    return c[:, 0] / c.sum(axis=1)
+
+
+def forest_proba(forest: ForestModel, X: np.ndarray) -> np.ndarray:
+    """The forest's scores summed tree by tree, in tree order."""
+    acc = np.zeros(len(X), dtype=np.float64)
+    for tree in forest.trees:
+        acc += tree_proba(tree, X)
+    return acc / len(forest.trees)
 
 
 def tree_depth(tree: TreeModel) -> int:
@@ -126,7 +150,8 @@ class TestTree:
         for tree in forest.trees:
             assert tree.n_nodes == 1
             assert tree.counts[0].sum() == 4.0  # one count per bootstrap draw
-            assert np.all(tree.predict_proba_matrix(ds.X) == tree.counts[0, 0] / 4)
+            one_tree = ForestModel([tree], seed=0)
+            assert np.all(one_tree.predict_proba_matrix(ds.X) == tree.counts[0, 0] / 4)
 
     def test_xor_layout_reaches_full_accuracy(self):
         instances = []
@@ -222,6 +247,83 @@ class TestPredict:
             np.array([-1], np.int32), np.array([[0.0, 2.0]]))
         forest = ForestModel([leaf_p, leaf_np], seed=0)
         assert forest.predict_proba_matrix(matrix(make_features())).tolist() == [0.5]
+
+
+def leaf(p_mass: float, np_mass: float) -> TreeModel:
+    """A tree of depth 0."""
+    return TreeModel(np.array([-1], np.int32), np.zeros(1), np.array([-1], np.int32),
+                     np.array([-1], np.int32), np.array([[p_mass, np_mass]]))
+
+
+def chain(depth: int) -> TreeModel:
+    """A deep chain: split j tests feature j % 20 against j // 20; its left
+    child is a leaf, its right child the next split, numbered in pre-order."""
+    n = 2 * depth + 1
+    node = np.arange(n)
+    split = (node % 2 == 0) & (node < n - 1)
+    j = node // 2
+    feature = np.where(split, j % len(FEATURE_NAMES), -1).astype(np.int32)
+    left = np.where(split, node + 1, -1).astype(np.int32)
+    right = np.where(split, node + 2, -1).astype(np.int32)
+    counts = np.stack([node + 0.5, np.ones(n)], axis=1)  # a distinct P share per node
+    return TreeModel(feature, (j // len(FEATURE_NAMES)).astype(np.float64), left, right, counts)
+
+
+def scoring_rows(n: int, seed: int = 0) -> np.ndarray:
+    """n rows of values 0 to 30 in steps of 0.5, so that some rows hit a
+    threshold exactly."""
+    return np.random.default_rng(seed).integers(0, 61, (n, len(FEATURE_NAMES))) / 2.0
+
+
+def trained_trees(n_trees: int) -> list[TreeModel]:
+    ds = make_dataset(40, 160, seed=n_trees, separable=False)
+    return train_forest(ds, n_trees=n_trees, seed=n_trees).trees
+
+
+def forests() -> dict[str, ForestModel]:
+    out = {}
+    for n_trees in (1, 3, 100):
+        trained = trained_trees(n_trees)
+        out[f"trained_{n_trees}"] = ForestModel(trained, seed=0)
+        mixed = [leaf(2.0, 3.0), chain(60), *trained][:n_trees]
+        out[f"leaf_chain_trained_{n_trees}"] = ForestModel(mixed, seed=0)
+    out["depth_0"] = ForestModel([leaf(1.0, 0.0), leaf(0.25, 3.0)], seed=0)
+    return out
+
+
+FORESTS = forests()
+
+
+class TestBlockwiseScoring:
+    """The forest walks all trees over blocks of rows; its scores must have
+    the bits of the tree-by-tree sum."""
+
+    @pytest.mark.parametrize("name", list(FORESTS))
+    def test_matches_tree_by_tree_walk(self, name):
+        forest = FORESTS[name]
+        block = max(1, PREDICT_BLOCK // len(forest.trees))  # rows per block
+        for n in sorted({0, 1, block - 1, block, block + 1, 3 * block + 1}):
+            X = scoring_rows(n, seed=n)
+            got = forest.predict_proba_matrix(X)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert np.array_equal(got, forest_proba(forest, X)), n
+
+    def test_chain_reaches_every_depth(self):
+        tree = chain(60)
+        p = ForestModel([tree], seed=0).predict_proba_matrix(scoring_rows(4000))
+        leaf_p = tree.counts[:, 0] / tree.counts.sum(axis=1)
+        assert set(p.tolist()) == set(leaf_p[tree.feature < 0].tolist())
+
+    @pytest.mark.parametrize("name", ["trained_100", "leaf_chain_trained_3"])
+    def test_reloaded_model(self, name):
+        forest = FORESTS[name]
+        buf = io.StringIO()
+        save_model(forest, buf)
+        buf.seek(0)
+        loaded = load_model(buf)
+        X = scoring_rows(3 * max(1, PREDICT_BLOCK // len(forest.trees)) + 1, seed=9)
+        assert np.array_equal(loaded.predict_proba_matrix(X), forest_proba(loaded, X))
+        assert np.array_equal(loaded.predict_proba_matrix(X), forest.predict_proba_matrix(X))
 
 
 class TestBayes:
