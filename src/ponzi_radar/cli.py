@@ -387,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=_int_at_least(2), default=10)
     p.add_argument("--top", type=_int_at_least(1), default=8)
     p.add_argument("--relieff-k", type=_int_at_least(1), default=10)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="no effect, ReliefF runs on every row; kept for old scripts")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_rank)
 

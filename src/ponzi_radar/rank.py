@@ -4,16 +4,29 @@ The entropy-based rankers (information gain, gain ratio, symmetrical
 uncertainty) and OneR work on discretized columns; discretization is
 equal-frequency binning with cut points snapped to the nearest boundary
 between distinct values, so heavily tied columns simply produce fewer bins.
-Their contingency tables come from one bincount over (bin, class) codes;
-OneR's score is the sum of each bin's largest class count, over n.
+`rank_features` counts each column's (bin, class) table with one bincount
+and scores it; OneR's score is the sum of each bin's largest class count,
+over n.
 
 ReliefF works on min-max normalized numeric columns directly, in blocks of
 sampled rows, and returns the weights alone. Per class, a block's L1
-distances are summed one feature at a time; every member within EPS of a
-row's approximate k-th distance is a candidate, and the candidates' exact
-row-wise distances pick and order the k neighbours. Means and weights are
-summed in the order of the per-row loop this replaced, so the weights are
-bit-identical to it (README, "How ReliefF is computed").
+distances are summed in float32, one feature at a time; every member within
+EPS of a row's approximate k-th distance is a candidate, and the candidates'
+exact float64 row-wise distances pick and order the k neighbours. Means and
+weights are summed in the order of the per-row loop this replaced, so the
+weights are bit-identical to it (README, "How ReliefF is computed").
+
+The window EPS. With F = 20 features, Z lies in [0, 1], so rounding a value
+to float32 moves it by at most 2**-25, and each float32 term |Z[j] - Z[i]|
+is off by at most 3 * 2**-25 (two inputs and the subtraction). The first of
+the F additions into a zero sum is exact; the other F - 1 have partial sums
+below 32 and round by at most 2**-20 each. So each approximate distance lies
+within d = 3F * 2**-25 + (F - 1) * 2**-20 (about 2.0e-5) of the true one,
+and the float64 exact distance within (F - 1) * F * 2**-53 + F * 2**-54
+(under 5e-14) of it. A true neighbour's approximate distance is then at most
+the approximate k-th plus 2d plus twice the float64 error, and rounding
+`kth + EPS` to float32 takes off at most another 2**-20: 4.1e-5 in all,
+which EPS = 1e-4 covers.
 """
 
 from __future__ import annotations
@@ -43,17 +56,19 @@ def discretize(values: Sequence[float], bins: int) -> np.ndarray:
     n = len(v)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.argsort(v, kind="stable")
-    sorted_v = v[order]
+    sorted_v = np.sort(v)
     boundaries = np.nonzero(sorted_v[:-1] != sorted_v[1:])[0] + 1  # cut before this pos
     if len(boundaries) == 0:
         return np.zeros(n, dtype=np.int64)
     desired = np.arange(1, bins) * n / bins
-    chosen = sorted({int(boundaries[np.argmin(np.abs(boundaries - d))]) for d in desired})
-    labels = np.zeros(n, dtype=np.int64)
-    for b, cut in enumerate(chosen, start=1):
-        labels[order[cut:]] = b
-    return labels
+    # The nearest boundary to each desired position, the lower one on a tie.
+    above = np.searchsorted(boundaries, desired)
+    lower = boundaries[np.maximum(above - 1, 0)]
+    upper = boundaries[np.minimum(above, len(boundaries) - 1)]
+    nearest = np.where(np.abs(lower - desired) <= np.abs(upper - desired), lower, upper)
+    # Ties never straddle a boundary, so a value's bin is the number of cut
+    # values at or below it.
+    return np.searchsorted(sorted_v[np.unique(nearest)], v, side="right")
 
 
 def _entropy_of_counts(counts: np.ndarray) -> float:
@@ -80,7 +95,23 @@ def entropy(labels: Sequence) -> float:
 
 def info_gain(x: Sequence, y: Sequence) -> float:
     """H(Y) - H(Y | X) in bits for discrete x."""
-    table = _contingency(np.asarray(x), np.asarray(y))
+    return _info_gain(_contingency(np.asarray(x), np.asarray(y)))
+
+
+def gain_ratio(x: Sequence, y: Sequence) -> float:
+    return _gain_ratio(_contingency(np.asarray(x), np.asarray(y)))
+
+
+def sym_uncertainty(x: Sequence, y: Sequence) -> float:
+    return _sym_uncertainty(_contingency(np.asarray(x), np.asarray(y)))
+
+
+def one_r(x: Sequence, y: Sequence) -> float:
+    """Training accuracy of the rule mapping each bin to its majority class."""
+    return _one_r(_contingency(np.asarray(x), np.asarray(y)))
+
+
+def _info_gain(table: np.ndarray) -> float:
     n = table.sum()
     h_y = _entropy_of_counts(table.sum(axis=0))
     h_y_given_x = 0.0
@@ -90,32 +121,38 @@ def info_gain(x: Sequence, y: Sequence) -> float:
     return max(ig, 0.0)  # clamp tiny negative float residue
 
 
-def gain_ratio(x: Sequence, y: Sequence) -> float:
-    h_x = entropy(x)
+def _gain_ratio(table: np.ndarray) -> float:
+    h_x = _entropy_of_counts(table.sum(axis=1))
     if h_x == 0.0:
         return 0.0
-    return info_gain(x, y) / h_x
+    return _info_gain(table) / h_x
 
 
-def sym_uncertainty(x: Sequence, y: Sequence) -> float:
-    h_x = entropy(x)
-    h_y = entropy(y)
+def _sym_uncertainty(table: np.ndarray) -> float:
+    h_x = _entropy_of_counts(table.sum(axis=1))
+    h_y = _entropy_of_counts(table.sum(axis=0))
     if h_x + h_y == 0.0:
         return 0.0
-    return 2.0 * info_gain(x, y) / (h_x + h_y)
+    return 2.0 * _info_gain(table) / (h_x + h_y)
 
 
-def one_r(x: Sequence, y: Sequence) -> float:
-    """Training accuracy of the rule mapping each bin to its majority class."""
-    table = _contingency(np.asarray(x), np.asarray(y))
+def _one_r(table: np.ndarray) -> float:
     if table.size == 0:
         raise DataError("one_r requires a non-empty column")
     return int(table.max(axis=1).sum()) / int(table.sum())
 
 
-# Two summation orders of 20 terms in [0, 1] differ by less than 1e-13, so a
-# true neighbour is always within EPS of the approximate k-th distance.
-_EPS = 1e-12
+_TABLE_SCORERS = {
+    "info_gain": _info_gain,
+    "gain_ratio": _gain_ratio,
+    "sym_uncertainty": _sym_uncertainty,
+    "one_r": _one_r,
+}
+
+
+# Every true neighbour lies within EPS of the approximate float32 k-th
+# distance; the module docstring derives the 4.1e-5 that EPS must cover.
+_EPS = 1e-4
 # Distance cells per class in one block of sampled rows (16 rows at 6 000).
 _BLOCK_CELLS = 100_000
 
@@ -156,7 +193,7 @@ def relieff(
     _, cls, class_counts = np.unique(y, return_inverse=True, return_counts=True)
     priors = class_counts / n
     members = [np.nonzero(cls == c)[0] for c in range(len(class_counts))]
-    columns = [np.ascontiguousarray(Z[rows].T) for rows in members]
+    columns = [np.ascontiguousarray(Z[rows].T, dtype=np.float32) for rows in members]
     # A row alone in its class has no hits and contributes nothing.
     active = sample[class_counts[cls[sample]] > 1]
     block = max(1, _BLOCK_CELLS // (n + min(k, n) * n_feat))
@@ -164,12 +201,13 @@ def relieff(
     for start in range(0, len(active), block):
         rows = active[start:start + block]
         own = cls[rows]
+        near = Z[rows].astype(np.float32)
         hit_diff = np.empty((len(rows), n_feat))
         miss_diff = np.zeros((len(rows), n_feat))
         for c, (mem, cols) in enumerate(zip(members, columns)):
             hit = own == c
             kk = np.where(hit, min(k, len(mem) - 1), min(k, len(mem)))
-            means = _neighbour_means(Z, rows, hit, mem, cols, kk)
+            means = _neighbour_means(Z, rows, near, hit, mem, cols, kk)
             hit_diff[hit] = means[hit]
             miss = ~hit
             w_c = priors[c] / (1.0 - priors[own[miss]])
@@ -180,17 +218,19 @@ def relieff(
     return weights
 
 
-def _neighbour_means(Z, rows, hit, members, columns, kk) -> np.ndarray:
+def _neighbour_means(Z, rows, near, hit, members, columns, kk) -> np.ndarray:
     """Mean |Z[j] - Z[i]| over the kk nearest members j of each row i, i ≠ j.
 
-    Distances are accumulated one feature at a time; every member within EPS
-    of a row's approximate kk-th distance is a candidate, and candidates are
-    ordered by the exact row-wise distance, then by index.
+    `near` and `columns` are the rows' and the members' Z in float32.
+    Distances are accumulated in float32, one feature at a time; every member
+    within EPS of a row's approximate kk-th distance is a candidate, and
+    candidates are ordered by the exact float64 row-wise distance, then by
+    index.
     """
-    dist = np.zeros((len(rows), len(members)))
+    dist = np.zeros((len(rows), len(members)), dtype=np.float32)
     term = np.empty_like(dist)
     for f, col in enumerate(columns):
-        np.subtract(col, Z[rows, f, None], out=term)
+        np.subtract(col, near[:, f, None], out=term)
         dist += np.abs(term, out=term)
     self_rows = np.nonzero(hit)[0]
     dist[self_rows, np.searchsorted(members, rows[self_rows])] = np.inf
@@ -236,16 +276,18 @@ def rank_features(
     """Score every feature with one ranker and return the sorted ranking."""
     if method not in RANKER_NAMES:
         raise ValueError(f"unknown ranking method: {method!r}")
+    if len(dataset) == 0:
+        raise DataError("dataset has no rows")
     if method == "relieff":
         return _to_ranking(method, relieff(dataset, k=relieff_k, m=relieff_m, seed=seed))
-    scorer = {
-        "info_gain": info_gain,
-        "gain_ratio": gain_ratio,
-        "sym_uncertainty": sym_uncertainty,
-        "one_r": one_r,
-    }[method]
+    scorer = _TABLE_SCORERS[method]
     X, y = dataset.X, dataset.y
-    scores = [scorer(discretize(X[:, i], bins), y) for i in range(X.shape[1])]
+    present = np.bincount(y, minlength=2) > 0  # classes that occur, as in _contingency
+    scores = []
+    for col in X.T:
+        bins_of = discretize(col, bins)
+        cells = np.bincount(2 * bins_of + y, minlength=2 * (bins_of.max() + 1))
+        scores.append(scorer(cells.reshape(-1, 2)[:, present]))
     return _to_ranking(method, scores)
 
 

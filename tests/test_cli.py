@@ -152,6 +152,17 @@ def test_rank_report(world, tmp_path, capsys):
     assert len(lines) == 1 + 6 * 20
 
 
+def test_rank_header_only_dataset_exits_two(world, tmp_path, capsys):
+    header = (world / "dataset.csv").read_text().splitlines()[0]
+    data = tmp_path / "empty.csv"
+    data.write_text(header + "\n")
+    out = tmp_path / "rankings.csv"
+    assert main(["rank", str(data), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "dataset has no rows" in err and "one_r" not in err
+    assert not out.exists()
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as err:
         main(["cv", "--no-such-flag"])

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ponzi_radar.errors import DataError
 from ponzi_radar.features import FEATURE_NAMES
@@ -70,6 +70,51 @@ class TestDiscretize:
         assert len(set(discretize(column, bins=10).tolist())) == 2
         column = [0.0] * 6400 + [1.0] * 32
         assert len(set(discretize(column, bins=10).tolist())) == 2
+
+
+def loop_discretize(values, bins):
+    """The previous discretize: a stable argsort and one labelling pass per cut."""
+    v = np.asarray(values, dtype=np.float64)
+    n = len(v)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    order = np.argsort(v, kind="stable")
+    sorted_v = v[order]
+    boundaries = np.nonzero(sorted_v[:-1] != sorted_v[1:])[0] + 1
+    if len(boundaries) == 0:
+        return np.zeros(n, dtype=np.int64)
+    desired = np.arange(1, bins) * n / bins
+    chosen = sorted({int(boundaries[np.argmin(np.abs(boundaries - d))]) for d in desired})
+    labels = np.zeros(n, dtype=np.int64)
+    for b, cut in enumerate(chosen, start=1):
+        labels[order[cut:]] = b
+    return labels
+
+
+@st.composite
+def columns_and_bins(draw):
+    bins = draw(st.integers(2, 50))
+    n = draw(st.integers(0, bins - 1) | st.integers(0, 150))
+    kind = draw(st.sampled_from(["constant", "tied integers", "signed zeros", "floats"]))
+    if kind == "constant":
+        column = [draw(st.floats(0, 1e12))] * n
+    elif kind == "tied integers":
+        top = draw(st.integers(1, 8))
+        column = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    elif kind == "signed zeros":
+        column = draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.5]), min_size=n, max_size=n))
+    else:
+        column = draw(st.lists(st.floats(0, 1e6), min_size=n, max_size=n))
+    return column, bins
+
+
+@settings(max_examples=400, deadline=None)
+@given(columns_and_bins())
+def test_discretize_matches_loop(case):
+    column, bins = case
+    labels = discretize(column, bins)
+    expected = loop_discretize(column, bins)
+    assert labels.dtype == expected.dtype and np.array_equal(labels, expected)
 
 
 def loop_contingency(x, y):
@@ -233,6 +278,26 @@ class TestReliefF:
     def test_m_below_one_rejected(self, m):
         with pytest.raises(ValueError, match="^m must be at least 1$"):
             relieff(make_dataset(3, 10, seed=2), k=3, m=m)
+
+
+class TestTablePath:
+    SCORERS = {"info_gain": info_gain, "gain_ratio": gain_ratio,
+               "sym_uncertainty": sym_uncertainty, "one_r": one_r}
+
+    @pytest.mark.parametrize("n_ponzi,n_other", [(6, 40), (0, 40), (12, 0), (3, 1)])
+    @pytest.mark.parametrize("bins", [2, 5, 10, 50])
+    def test_scores_equal_public_scorers(self, n_ponzi, n_other, bins):
+        # (0, 40) and (12, 0) hold one class, so the table drops a column.
+        ds = make_dataset(n_ponzi, n_other, seed=n_ponzi + bins, separable=False)
+        for method, scorer in self.SCORERS.items():
+            scores = dict(rank_features(ds, method, bins=bins).entries)
+            for i, name in enumerate(FEATURE_NAMES):
+                assert scores[name] == scorer(discretize(ds.X[:, i], bins), ds.y), (method, name)
+
+    @pytest.mark.parametrize("method", RANKER_NAMES)
+    def test_empty_dataset_rejected(self, method):
+        with pytest.raises(DataError, match="^dataset has no rows$"):
+            rank_features(dataset_of([]), method)
 
 
 class TestRankings:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ponzi_radar import rank
 from ponzi_radar.dataset import Dataset
 from ponzi_radar.errors import DataError
 from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES
@@ -161,6 +162,40 @@ class TestTies:
     def test_many_blocks(self):
         ds = tie_heavy(2500, 3, levels=4, duplicates=400, p_share=0.1)
         assert_matches_loop(ds, k=10, m=700, seed=2)
+
+
+def window_bound(n_feat):
+    """The candidate window that the rank module docstring derives for n_feat features."""
+    half_ulp = 2.0 ** (n_feat.bit_length() - 25)  # float32, below 2**bit_length
+    term = 3 * 2.0**-25  # two inputs rounded to float32 and the subtraction
+    approx = n_feat * term + (n_feat - 1) * half_ulp
+    exact = (n_feat - 1) * n_feat * 2.0**-53 + n_feat * 2.0**-54
+    return 2 * approx + 2 * exact + half_ulp
+
+
+class TestFloat32Window:
+    def test_window_covers_the_derived_bound(self):
+        assert window_bound(20) == pytest.approx(4.08e-5, rel=1e-3)
+        assert np.float32(rank._EPS) >= window_bound(N_FEAT)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_ties_below_float32_resolution(self, seed):
+        # Spans of 3 and 7 make distances that float32 rounds in different
+        # directions, and one huge value leaves column 0's other rows 1e-12
+        # apart in Z, which float32 sums cannot tell apart.
+        rng = np.random.default_rng(seed)
+        n = 400
+        prototypes = np.where(rng.random((8, N_FEAT)) < 0.5,
+                              rng.integers(0, 4, size=(8, N_FEAT)),
+                              rng.integers(0, 8, size=(8, N_FEAT)))
+        X = prototypes[rng.integers(0, 8, size=n)]
+        flip = rng.random((n, N_FEAT)) < 0.15
+        X[flip] = rng.integers(0, 8, size=flip.sum())
+        X[:, 0] = rng.integers(0, 6, size=n)
+        X[rng.integers(n), 0] = 10**12
+        ds = matrix_dataset(X, rng.random(n) < 0.3)
+        for k in (1, 4, 10, 30):
+            assert_matches_loop(ds, k=k)
 
 
 class TestSmallClasses:
