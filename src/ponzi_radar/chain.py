@@ -13,15 +13,15 @@ fits in int64; each transaction's outputs sum to at most 2**63 - 1. The parser
 takes text: a file opened as UTF-8 text, lines or a str.
 
 The log is held as arrays, not as per-transaction objects. Parsing checks each
-line and appends its fields to flat columns (`LogBuilder`); each address
-string is stored once and named by an integer id from then on. The resolve
-pass (`LogBuilder.build`) sorts the transactions by (timestamp, txid) and
-resolves every input at once: an input resolves only to an output of an
+line and appends its fields to flat columns (`LogBuilder.add_record`);
+`LogBuilder.extend` appends whole columns. Each address string is stored once,
+in first-seen output order, and named by an integer id from then on. The
+resolve pass (`LogBuilder.build`) sorts the transactions by (timestamp, txid)
+and resolves every input at once: an input resolves only to an output of an
 earlier transaction whose index is in range, and the first spender in sorted
-order owns the output. `validate_tx_log` computes dangling references,
-double spends and fees from the same arrays. `TxLog.transactions` builds
-`Transaction` objects only when asked, and `serialize_tx_log` writes straight
-from the arrays.
+order owns the output. `validate_tx_log` computes dangling references, double
+spends and fees from the same arrays. `TxLog.transactions` builds
+`Transaction` objects only when asked; `serialize_tx_log` writes the arrays.
 """
 
 from __future__ import annotations
@@ -174,10 +174,12 @@ class TxLog:
     @classmethod
     def from_transactions(cls, txs: Iterable[Transaction]) -> "TxLog":
         """Resolve the inputs of transactions with unique txids, in any order."""
+        txs = list(txs)
         builder = LogBuilder()
-        for tx in txs:
-            builder.add(tx.txid, tx.timestamp, tx.coinbase,
-                        [i.prev for i in tx.inputs], tx.outputs)
+        builder.extend([tx.txid for tx in txs], [tx.timestamp for tx in txs],
+                       [tx.coinbase for tx in txs], [len(tx.inputs) for tx in txs],
+                       [i.prev for tx in txs for i in tx.inputs],
+                       [len(tx.outputs) for tx in txs], [o for tx in txs for o in tx.outputs])
         return builder.build()
 
     def __len__(self) -> int:
@@ -249,30 +251,31 @@ class LogBuilder:
         self.out_value: list[int] = []
         self.addr_ids: dict[str, int] = {}
 
-    def add(self, txid: str, time: int, coinbase: bool,
-            prevs: Iterable[tuple[str, int]], outputs: Iterable[tuple[str, int]]) -> None:
-        """Append one transaction; a repeated txid raises ValueError."""
-        if self.index.setdefault(txid, len(self.txids)) != len(self.txids):
+    def extend(self, txids: list[str], times: list[int], coinbase: list[bool],
+               n_in: list[int], prevs: list[tuple[str, int]],
+               n_out: list[int], outputs: list[tuple[str, int]]) -> None:
+        """Append whole columns: per transaction txid, time, coinbase flag and
+        input and output counts, then every input's (txid, index) and every
+        output's (address, value). A repeated txid or a time outside
+        (-2**62, 2**62) raises ValueError.
+        """
+        start, index = len(self.txids), self.index
+        index.update(zip(txids, range(start, start + len(txids))))
+        if len(index) != start + len(txids):
             raise ValueError("transaction log has duplicate txids")
-        if not -MAX_ABS_TIME < time < MAX_ABS_TIME:
-            raise ValueError(f"timestamp {time} is outside (-2**62, 2**62)")
-        self.txids.append(txid)
-        self.times.append(time)
-        self.coinbase.append(coinbase)
-        n_in = len(self.prev_txids)
-        for prev_txid, idx in prevs:
-            self.prev_txids.append(prev_txid)
-            self.prev_idx.append(idx)
-        self.n_in.append(len(self.prev_txids) - n_in)
+        bad = next((t for t in times if not -MAX_ABS_TIME < t < MAX_ABS_TIME), None)
+        if bad is not None:
+            raise ValueError(f"timestamp {bad} is outside (-2**62, 2**62)")
         ids = self.addr_ids
-        n_out = len(self.out_addr)
-        for addr, value in outputs:
-            aid = ids.get(addr)
-            if aid is None:
-                aid = ids[addr] = len(ids)
-            self.out_addr.append(aid)
-            self.out_value.append(value)
-        self.n_out.append(len(self.out_addr) - n_out)
+        self.txids += txids
+        self.times += times
+        self.coinbase += coinbase
+        self.n_in += n_in
+        self.prev_txids += [t for t, _ in prevs]
+        self.prev_idx += [k for _, k in prevs]
+        self.n_out += n_out
+        self.out_addr += [ids.setdefault(a, len(ids)) for a, _ in outputs]
+        self.out_value += [v for _, v in outputs]
 
     def add_record(self, obj: object, line: int) -> None:
         """Check one parsed log line and append it; errors name `line`."""

@@ -1,7 +1,7 @@
 """Synthetic transaction logs with labeled Ponzi-like and background clusters.
 
-The generator is a test fixture, not an economic simulation. Ponzi clusters
-receive many smallish deposits, repay earlier depositors about
+The generator stands in for real scheme logs; it is no economic simulation.
+Ponzi clusters receive many smallish deposits, repay earlier depositors about
 multiplier-times their deposit after a short delay, and stop paying near the
 end of life (the implosion tail). Background clusters are ordinary users
 funded by coinbase outputs who occasionally pay each other. Every generated
@@ -13,20 +13,25 @@ together: fewer deposits per scheme, later and looser payouts, a larger
 unpaid tail and three times the background payments.
 
 Generation is fully deterministic under the seed: identical params produce a
-byte-identical serialized log.
+byte-identical serialized log. Every action is planned, then replayed in time
+order into the columns that `LogBuilder.extend` takes; the replay's only
+draws, the coinbase output values, come from one call. A scheme that finds no
+depositor never reaches the log and is not labeled.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from .chain import LogBuilder, OutPoint, TxLog
+from .chain import LogBuilder, TxLog
 from .csvrows import read_rows, text_cells, write_rows
 from .errors import DataError
 
@@ -45,6 +50,8 @@ PAYOUT_DELAY_SIGMA = 0.8
 IMPLOSION_FRACTION = 0.25  # share of deposits, the last ones, never paid back
 SEND_RATE = 1.5  # mean background payments per user
 FEE = 1000  # satoshi per payment
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -71,7 +78,7 @@ class _User:
         # Planned spends never exceed the initial freely spendable outputs,
         # so a planned payment always finds an unspent output to consume.
         self.budget = n_extra + (1 if len(addrs) == 1 else 0)
-        self.pool: deque = deque()  # (OutPoint, value, addr)
+        self.pool: deque = deque()  # ((position, index), value, addr)
         self.reserved: list = []  # outputs set aside for the merge payment
 
 
@@ -80,7 +87,7 @@ class _Scheme:
 
     def __init__(self, addrs: list[str]):
         self.addrs = addrs
-        self.pool: deque = deque()  # (OutPoint, value, addr)
+        self.pool: deque = deque()  # ((position, index), value, addr)
         self.merged = len(addrs) == 1
         self.deposits: dict[int, tuple[int, str, int]] = {}  # seq -> (value, payer, user)
 
@@ -95,13 +102,14 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
     send_rate = SEND_RATE * 3.0 if hard else SEND_RATE
     rng = np.random.default_rng(params.seed)
     span = SPAN_DAYS * DAY
-
-    def lognormal_value() -> int:
-        return max(int(rng.lognormal(VALUE_MU, VALUE_SIGMA)), 100_000)
+    # `rng.choice(a, p=p)` takes the entry at the count of these cumulative
+    # weights that are <= one `rng.random()`; so does `bisect_right`.
+    user_cdf, scheme_cdf = ((np.cumsum(p) / np.cumsum(p)[-1]).tolist()
+                            for p in ([0.7, 0.2, 0.1], [0.4, 0.2, 0.15, 0.1, 0.1, 0.05]))
 
     users: list[_User] = []
     for u in range(params.n_background):
-        n_addr = int(rng.choice([1, 2, 3], p=[0.7, 0.2, 0.1]))
+        n_addr = [1, 2, 3][bisect_right(user_cdf, rng.random())]
         addrs = [f"bg{u:05d}x{j}" for j in range(n_addr)]
         coin_time = T0 + float(rng.uniform(0, span * 0.5))
         users.append(_User(addrs, coin_time, n_extra=int(rng.integers(2, 5))))
@@ -134,7 +142,7 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
 
     schemes: list[_Scheme] = []
     for s in range(params.n_ponzi):
-        n_addr = int(rng.choice([1, 2, 3, 4, 6, 8], p=[0.4, 0.2, 0.15, 0.1, 0.1, 0.05]))
+        n_addr = [1, 2, 3, 4, 6, 8][bisect_right(scheme_cdf, rng.random())]
         addrs = [f"px{s:03d}x{j}" for j in range(n_addr)]
         window_start = T0 + float(rng.uniform(span * 0.10, span * 0.55))
         duration = float(rng.uniform(10 * DAY, 50 * DAY))
@@ -179,64 +187,69 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
             t = max(float(dep_times[d]) + delay, merge_ready)
             add(t, "payout", (s, dep_seqs[d]))
 
-    ordered = sorted(plan, key=lambda entry: (entry[0], entry[1]))
+    plan.sort()  # by (time, seq); seq is unique
 
-    # Materialize in time order; the clock is strictly increasing so the
-    # sorted log order always sees an output before the input that spends it.
-    log = LogBuilder()
+    # The loop below draws only the coinbase output values, in emission order;
+    # one call draws them all, element by element as scalar calls do.
+    values = rng.lognormal(VALUE_MU, VALUE_SIGMA, size=sum(len(u.addrs) + u.n_extra for u in users))
+    values = iter(np.maximum(values.astype(np.int64), 100_000).tolist())
+
+    # Materialize in time order into columns; the clock is strictly increasing
+    # so the sorted log order always sees an output before the input spending it.
+    times, coinbase, n_in, prevs, n_out, outputs = [], [], [], [], [], []
     clock = 0
 
-    def emit(t: float, coinbase: bool, inputs: list, outputs: list) -> str:
+    def emit(t: float, is_coinbase: bool, inputs: list, outs: list) -> int:
         nonlocal clock
         clock = max(clock + 1, int(t))
-        txid = hashlib.sha256(f"{params.seed}:{len(log.txids)}".encode()).hexdigest()
-        log.add(txid, clock, coinbase, inputs, outputs)
-        return txid
+        times.append(clock)
+        coinbase.append(is_coinbase)
+        n_in.append(len(inputs))
+        prevs.extend(inputs)
+        n_out.append(len(outs))
+        outputs.extend(outs)
+        return len(times) - 1
 
     def fee_for(total: int) -> int:
         return FEE if total > 10 * FEE else 0
 
-    for t, sq, kind, payload in ordered:
+    for t, sq, kind, payload in plan:
         if kind == "coinbase":
             (ui,) = payload
             user = users[ui]
-            outs = [(addr, lognormal_value()) for addr in user.addrs]
-            outs += [(user.addrs[0], lognormal_value()) for _ in range(user.n_extra)]
-            txid = emit(t, True, [], outs)
+            outs = [(addr, next(values)) for addr in user.addrs]
+            outs += [(user.addrs[0], next(values)) for _ in range(user.n_extra)]
+            pos = emit(t, True, [], outs)
             for idx, (addr, val) in enumerate(outs):
-                entry = (OutPoint(txid, idx), val, addr)
+                entry = ((pos, idx), val, addr)
                 if len(user.addrs) > 1 and idx < len(user.addrs):
                     user.reserved.append(entry)
                 else:
                     user.pool.append(entry)
         elif kind == "merge_send":
             ui, recipient = payload
-            user = users[ui]
-            total = sum(v for _, v, _ in user.reserved)
-            fee = fee_for(total)
-            inputs = [op for op, _, _ in user.reserved]
-            user.reserved.clear()
+            reserved = users[ui].reserved
+            val = sum(v for _, v, _ in reserved)
+            val -= fee_for(val)
             dest = users[recipient].addrs[0]
-            txid = emit(t, False, inputs, [(dest, total - fee)])
-            users[recipient].pool.append((OutPoint(txid, 0), total - fee, dest))
+            pos = emit(t, False, [op for op, _, _ in reserved], [(dest, val)])
+            users[recipient].pool.append(((pos, 0), val, dest))
         elif kind == "send":
             ui, recipient = payload
-            user = users[ui]
-            op, val, _ = user.pool.popleft()
-            fee = fee_for(val)
+            op, val, _ = users[ui].pool.popleft()
+            val -= fee_for(val)
             dest = users[recipient].addrs[0]
-            txid = emit(t, False, [op], [(dest, val - fee)])
-            users[recipient].pool.append((OutPoint(txid, 0), val - fee, dest))
+            pos = emit(t, False, [op], [(dest, val)])
+            users[recipient].pool.append(((pos, 0), val, dest))
         elif kind == "deposit":
             ui, s, target_addr = payload
-            user = users[ui]
             scheme = schemes[s]
-            op, val, payer_addr = user.pool.popleft()
-            fee = fee_for(val)
+            op, val, payer_addr = users[ui].pool.popleft()
+            val -= fee_for(val)
             dest = scheme.addrs[target_addr]
-            txid = emit(t, False, [op], [(dest, val - fee)])
-            scheme.pool.append((OutPoint(txid, 0), val - fee, dest))
-            scheme.deposits[sq] = (val - fee, payer_addr, ui)
+            pos = emit(t, False, [op], [(dest, val)])
+            scheme.pool.append(((pos, 0), val, dest))
+            scheme.deposits[sq] = (val, payer_addr, ui)
         elif kind == "payout":
             s, dep_seq = payload
             scheme = schemes[s]
@@ -273,16 +286,20 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
                     outs.append((scheme.addrs[0], change))
             else:
                 outs = [(payer_addr, collected - fee_for(collected))]
-            txid = emit(t, False, inputs, outs)
-            users[payer_user].pool.append((OutPoint(txid, 0), outs[0][1], payer_addr))
+            pos = emit(t, False, inputs, outs)
+            users[payer_user].pool.append(((pos, 0), outs[0][1], payer_addr))
             if len(outs) > 1:
-                scheme.pool.append((OutPoint(txid, 1), outs[1][1], scheme.addrs[0]))
+                scheme.pool.append(((pos, 1), outs[1][1], scheme.addrs[0]))
 
-    labels: dict[str, str] = {}
-    for scheme in schemes:
-        labels[scheme.addrs[0]] = "P"
+    labels = {scheme.addrs[0]: "P" for scheme in schemes if scheme.deposits}
+    if len(labels) < len(schemes):
+        logger.warning("%d of %d schemes found no depositor and are left out of the labels",
+                       len(schemes) - len(labels), len(schemes))
     for user in users:
         labels[user.addrs[0]] = "nP"
+    txids = [hashlib.sha256(f"{params.seed}:{i}".encode()).hexdigest() for i in range(len(times))]
+    log = LogBuilder()
+    log.extend(txids, times, coinbase, n_in, [(txids[p], k) for p, k in prevs], n_out, outputs)
     return log.build(), labels
 
 

@@ -547,7 +547,7 @@ def test_timestamps_at_the_bound_parse():
     for t in (2**62 - 1, -(2**62) + 1):
         log = parse_tx_log([tx_line(txid_of(t), t, coinbase=True, outputs=[("a", 1)])])
         assert log.transactions[0].timestamp == t
-    for t in (2**62, -(2**62)):
+    for t in (2**62, -(2**62), 2**70, -(2**70)):
         with pytest.raises(ValueError, match="outside"):
             TxLog.from_transactions([Transaction(txid_of(t), t, True, (), (TxOutput("a", 1),))])
 

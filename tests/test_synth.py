@@ -69,11 +69,26 @@ def test_no_ponzi_mode():
     assert validate_tx_log(log).ok
 
 
-def test_hard_mode_still_validates():
+def test_hard_mode_still_validates(caplog):
     log, labels = generate(SynthParams(n_ponzi=3, n_background=120, seed=7,
                                        hard_mode=True))
     assert validate_tx_log(log).ok
-    assert sum(1 for v in labels.values() if v == "P") == 3
+    # One of the three schemes finds no depositor, so it never reaches the
+    # log and is not labeled.
+    ponzi = [addr for addr, label in labels.items() if label == "P"]
+    assert len(ponzi) == 2
+    assert set(ponzi) <= set(log.addresses)
+    assert "1 of 3 schemes found no depositor" in caplog.text
+
+
+def test_every_label_address_is_in_the_log(caplog):
+    # Ten users fund only 2 of 50 schemes; the other 48 are left out of the
+    # labels, with one warning for all of them.
+    log, labels = generate(SynthParams(n_ponzi=50, n_background=10, seed=1))
+    assert set(labels) <= set(log.addresses)
+    assert sum(1 for v in labels.values() if v == "P") == 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "48 of 50 schemes found no depositor and are left out of the labels"]
 
 
 def test_schemes_require_depositors():
