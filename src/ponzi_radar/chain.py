@@ -19,8 +19,8 @@ in first-seen output order, and named by an integer id from then on. The
 resolve pass (`LogBuilder.build`) sorts the transactions by (timestamp, txid)
 and resolves every input at once: an input resolves only to an output of an
 earlier transaction whose index is in range, and the first spender in sorted
-order owns the output. `validate_tx_log` computes dangling references, double
-spends and fees from the same arrays. `TxLog.transactions` builds
+order owns the output. `validate_tx_log` finds dangling references, double
+spends and negative fees in the same arrays. `TxLog.transactions` builds
 `Transaction` objects only when asked; `serialize_tx_log` writes the arrays.
 """
 
@@ -95,7 +95,6 @@ class ValidationReport:
     dangling: tuple[DanglingInput, ...]
     double_spends: tuple[DoubleSpend, ...]
     negative_fees: tuple[tuple[str, int], ...]
-    fees: dict[str, int]
 
     @property
     def ok(self) -> bool:
@@ -170,17 +169,6 @@ class TxLog:
     out_value: np.ndarray
     addresses: tuple[str, ...]
     odd_prevs: dict[int, OutPoint]
-
-    @classmethod
-    def from_transactions(cls, txs: Iterable[Transaction]) -> "TxLog":
-        """Resolve the inputs of transactions with unique txids, in any order."""
-        txs = list(txs)
-        builder = LogBuilder()
-        builder.extend([tx.txid for tx in txs], [tx.timestamp for tx in txs],
-                       [tx.coinbase for tx in txs], [len(tx.inputs) for tx in txs],
-                       [i.prev for tx in txs for i in tx.inputs],
-                       [len(tx.outputs) for tx in txs], [o for tx in txs for o in tx.outputs])
-        return builder.build()
 
     def __len__(self) -> int:
         return len(self.txids)
@@ -468,8 +456,9 @@ def validate_tx_log(log: TxLog) -> ValidationReport:
     """Report dangling references, double spends and negative fees.
 
     Problems are report entries, not exceptions; `report.ok` is True iff all
-    three lists are empty. Fees are listed for every fully resolved
-    non-coinbase transaction.
+    three lists are empty. A fee is checked only for a non-coinbase
+    transaction whose inputs all resolve; negative ones are listed in log
+    order with their exact value.
     """
     txids, in_tx, in_start = log.txids, log.in_tx, log.in_start.tolist()
     resolved = log.in_addr >= 0
@@ -498,14 +487,11 @@ def validate_tx_log(log: TxLog) -> ValidationReport:
     in_value, out_value = exact_ints(log.in_value, log.out_value)
     fee = segment_sums(in_value, log.in_start) - segment_sums(out_value, log.out_start)
     unresolved = np.bincount(in_tx[~resolved], minlength=len(txids))
-    charged = np.flatnonzero(~log.coinbase & (unresolved == 0))
-    fees = dict(zip([txids[i] for i in charged.tolist()], fee[charged].tolist()))
+    negative = np.flatnonzero(~log.coinbase & (unresolved == 0) & (fee < 0))
     return ValidationReport(
         dangling=dangling,
         double_spends=double_spends,
-        negative_fees=tuple((txids[i], fees[txids[i]])
-                            for i in charged[fee[charged] < 0].tolist()),
-        fees=fees,
+        negative_fees=tuple(zip([txids[i] for i in negative.tolist()], fee[negative].tolist())),
     )
 
 

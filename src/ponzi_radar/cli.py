@@ -12,6 +12,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error. All randomness derives
 from --seed; machine-readable outputs never contain wall-clock timestamps.
+A table sent to stdout (no -o, or -o -) has stdout to itself: the command's
+summary goes to stderr.
 Set PONZI_RADAR_LOG=debug|info|warning for logging verbosity.
 """
 
@@ -45,6 +47,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _summary(out: str | None) -> contextlib.redirect_stdout:
+    """Where a command prints its summary: stderr while stdout carries its table."""
+    return contextlib.redirect_stdout(sys.stderr if out in (None, "-") else sys.stdout)
+
+
 @contextlib.contextmanager
 def _output(path: str | None) -> Iterator[IO[str]]:
     """Stdout for None or "-"; otherwise a file that appears only when complete.
@@ -54,7 +61,7 @@ def _output(path: str | None) -> Iterator[IO[str]]:
     leaves no partial file, and any earlier file at `path` untouched.
     Devices and pipes (such as /dev/null) are written in place.
     """
-    if path is None or path == "-":
+    if path in (None, "-"):
         yield sys.stdout
         return
     if os.path.exists(path) and not os.path.isfile(path):
@@ -63,7 +70,11 @@ def _output(path: str | None) -> Iterator[IO[str]]:
         return
     head, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
-    fp = open(tmp, "x", encoding="utf-8", newline="")  # same mode as "w" gives
+    try:
+        fp = open(tmp, "x", encoding="utf-8", newline="")  # same mode as "w" gives
+    except OSError as exc:  # name the file asked for, not the temp file
+        exc.filename = path
+        raise
     try:
         with fp:
             yield fp
@@ -134,9 +145,9 @@ def _cmd_synth(args) -> int:
         hard_mode=args.hard,
     )
     log, labels = synth.generate(params)
-    with _output(args.out) as out:
+    # Neither output replaces its target unless both are complete.
+    with _output(args.out) as out, _output(args.labels) as fp:
         chain.write_tx_log(log, out)
-    with _output(args.labels) as fp:
         synth.write_labels(labels, fp)
     logger.info("generated %d transactions, %d labeled clusters", len(log), len(labels))
     return EXIT_OK
@@ -167,8 +178,10 @@ def _cmd_cluster(args) -> int:
     clusters = clustering.build_clusters(log)
     with _output(args.out) as out:
         clustering.write_clusters(clusters, out)
-    if seeds is not None:
-        expansion = clustering.expand_seeds(clusters, seeds)
+    if seeds is None:
+        return EXIT_OK
+    expansion = clustering.expand_seeds(clusters, seeds)
+    with _summary(args.out):
         for label in sorted(expansion.by_label):
             sizes = [len(clusters.members[i]) for i in expansion.by_label[label]]
             print(f"{label}: clusters {list(expansion.by_label[label])} sizes {sizes}")
@@ -267,7 +280,7 @@ def _cmd_cv(args) -> int:
             _setting(args, f"fold{i}"), fold.confusion, fold_metrics))
     with _output(args.out) as out:
         evaluate.write_report_csv(rows, out)
-    if args.out and args.out != "-":
+    with _summary(args.out):
         print(evaluate.format_report_table(rows[:1]))
     return EXIT_OK
 
@@ -283,18 +296,19 @@ def _cmd_apply(args) -> int:
                    ((id_, pr.label, pr.score, pr.predicted)
                     for id_, pr in zip(ids, result.predictions)))
     cm = result.confusion
-    print(f"tp={cm.tp} fn={cm.fn} fp={cm.fp} tn={cm.tn}")
-    if result.metrics is not None:
-        row = evaluate.report_row(f"apply-cm{args.cost.replace(':', '_')}",
-                                  cm, result.metrics)
-        print(evaluate.format_report_table([row]))
+    with _summary(args.out):
+        print(f"tp={cm.tp} fn={cm.fn} fp={cm.fp} tn={cm.tn}")
+        if result.metrics is not None:
+            row = evaluate.report_row(f"apply-cm{args.cost.replace(':', '_')}",
+                                      cm, result.metrics)
+            print(evaluate.format_report_table([row]))
     return EXIT_OK
 
 
 def _cmd_rank(args) -> int:
     data = _read(args.dataset, ds.read_csv)
     rankings = [
-        rank.rank_features(data, method, bins=args.bins, relieff_k=args.relieff_k, seed=args.seed)
+        rank.rank_features(data, method, bins=args.bins, relieff_k=args.relieff_k)
         for method in rank.RANKER_NAMES
     ]
     consensus = rank.consensus_rank(rankings, top_n=args.top)
@@ -306,10 +320,11 @@ def _cmd_rank(args) -> int:
              for pos, (name, votes, _) in enumerate(consensus, start=1)]
     with _output(args.out) as out:
         write_rows(out, ("method", "feature", "score", "rank"), "%s,%s,%s,%d\n", rows)
-    print(f"consensus (top {args.top} occurrences across {len(rankings)} rankings):")
-    for name, votes, mean_rank in consensus[: args.top]:
-        print(f"  {name}: in top-{args.top} of {votes}/{len(rankings)}, "
-              f"mean rank {mean_rank:.1f}")
+    with _summary(args.out):
+        print(f"consensus (top {args.top} occurrences across {len(rankings)} rankings):")
+        for name, votes, mean_rank in consensus[: args.top]:
+            print(f"  {name}: in top-{args.top} of {votes}/{len(rankings)}, "
+                  f"mean rank {mean_rank:.1f}")
     return EXIT_OK
 
 
@@ -360,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     learner.add_argument("--reweight-cost", type=_cost_spec, default=None,
                          help="fn:fp, train with cost-proportional instance weights")
     learner.add_argument("--seed", type=_seed, default=0)
-    learner.add_argument("--threads", type=_int_at_least(1), default=1,
-                         help="no effect, trees grow one at a time; kept for old scripts")
     learner.add_argument("-o", "--out", default=None)
 
     p = sub.add_parser("train", parents=[learner], help="train and save a model")
@@ -387,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=_int_at_least(2), default=10)
     p.add_argument("--top", type=_int_at_least(1), default=8)
     p.add_argument("--relieff-k", type=_int_at_least(1), default=10)
-    p.add_argument("--seed", type=_seed, default=0,
-                   help="no effect, ReliefF runs on every row; kept for old scripts")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=_cmd_rank)
 

@@ -60,9 +60,6 @@ class ClusterSet:
     def n_clusters(self) -> int:
         return len(self.members)
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def build_clusters(log: TxLog) -> ClusterSet:
     """Partition the log's addresses by the multi-input heuristic.

@@ -171,8 +171,9 @@ def cross_validate(
 
     Undersampling, when requested, is applied to the training folds only.
     All randomness (fold assignment, per-fold sampling, per-fold training)
-    derives from `seed`, so results are reproducible. `threads` is ignored:
-    folds and trees are trained one at a time.
+    derives from `seed`, so results are reproducible. Folds and trees are
+    trained one at a time: `threads` is ignored, and stays only because
+    `bench/worker.py` passes it.
     """
     seeds = derive_seeds(seed, 1 + 2 * k)
     folds = stratified_folds(dataset, k, seeds[0])

@@ -430,8 +430,8 @@ class LearnerSpec:
 def train_model(dataset: Dataset, spec: LearnerSpec, seed: int, threads: int = 1) -> Model:
     """Train what `spec` names, on data that holds a P instance.
 
-    `threads` is ignored, as trees grow one at a time; it stays for callers
-    that still pass it.
+    Trees grow one at a time: `threads` is ignored, and stays only because
+    `bench/worker.py` passes it.
     """
     if spec.kind == "forest":
         if not dataset.y.any():  # its trees would score every row 0

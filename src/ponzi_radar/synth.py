@@ -33,6 +33,7 @@ import numpy as np
 
 from .chain import LogBuilder, TxLog
 from .csvrows import read_rows, text_cells, write_rows
+from .dataset import LABEL_OF, LABEL_OTHER, LABEL_PONZI
 from .errors import DataError
 
 T0 = 1_483_228_800  # 2017-01-01T00:00:00Z
@@ -291,12 +292,12 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
             if len(outs) > 1:
                 scheme.pool.append(((pos, 1), outs[1][1], scheme.addrs[0]))
 
-    labels = {scheme.addrs[0]: "P" for scheme in schemes if scheme.deposits}
+    labels = {scheme.addrs[0]: LABEL_PONZI for scheme in schemes if scheme.deposits}
     if len(labels) < len(schemes):
         logger.warning("%d of %d schemes found no depositor and are left out of the labels",
                        len(schemes) - len(labels), len(schemes))
     for user in users:
-        labels[user.addrs[0]] = "nP"
+        labels[user.addrs[0]] = LABEL_OTHER
     txids = [hashlib.sha256(f"{params.seed}:{i}".encode()).hexdigest() for i in range(len(times))]
     log = LogBuilder()
     log.extend(txids, times, coinbase, n_in, [(txids[p], k) for p, k in prevs], n_out, outputs)
@@ -317,7 +318,7 @@ def read_labels(fp: IO[str]) -> dict[str, str]:
     for row_no, row in read_rows(fp, "labels file", _LABELS_HEADER):
         if not row:
             continue
-        if len(row) != 2 or not row[0] or row[1] not in ("P", "nP"):
+        if len(row) != 2 or not row[0] or row[1] not in LABEL_OF:
             raise DataError(f"labels file row {row_no}: expected 'address,P|nP'")
         if row[0] in labels:
             raise DataError(f"labels file row {row_no}: repeated address {row[0]!r}")

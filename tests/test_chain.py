@@ -35,10 +35,13 @@ class TestParse:
     def test_join_transaction_fee(self):
         lines, (t0, t1, t2) = fan_out_then_join_lines()
         log = parse_lines(lines)
-        report = validate_tx_log(log)
-        # 1 + 0.9 + 2 BTC enter the join's inputs... the join spends 2 + 0.9
-        # and emits 2.5, leaving 0.4 BTC to the miners.
-        assert report.fees[t2] == 40_000_000
+        # The join spends 2 + 0.9 BTC and emits 2.5, leaving 0.4 BTC to the
+        # miners.
+        join = log.transactions[2]
+        assert join.txid == t2
+        assert [i.value for i in join.inputs] == [2 * BTC, 90_000_000]
+        assert sum(i.value for i in join.inputs) - join.outputs[0].value == 40_000_000
+        assert validate_tx_log(log).negative_fees == ()
 
     def test_sorted_with_txid_tiebreak(self):
         a, b = "ff" * 32, "aa" * 32
@@ -191,10 +194,8 @@ class TestParseMessages:
 
 class TestValidate:
     def test_valid_chain_is_ok(self, fan_out_then_join):
-        log, (t0, t1, t2) = fan_out_then_join
-        report = validate_tx_log(log)
-        assert report.ok
-        assert report.fees == {t1: 0, t2: 40_000_000}
+        log, _ = fan_out_then_join
+        assert validate_tx_log(log).ok
 
     def test_double_spend_names_both_spenders(self):
         t0 = txid_of("src")
@@ -244,15 +245,13 @@ class TestInvariants:
         rng = random.Random(11)
         for _ in range(20):
             log = random_valid_log(rng, rng.randint(1, 80))
-            report = validate_tx_log(log)
-            assert report.ok
-            spent = sum(
-                inp.value
-                for tx in log.transactions if not tx.coinbase
-                for inp in tx.inputs
-            )
-            redistributed = sum(
-                out.value for tx in log.transactions if not tx.coinbase
-                for out in tx.outputs
-            )
-            assert sum(report.fees.values()) + redistributed == spent
+            assert validate_tx_log(log).ok
+            # Every input carries the value of the output it spends, and no
+            # transaction pays out more than it takes in.
+            outputs = {(tx.txid, k): out.value
+                       for tx in log.transactions for k, out in enumerate(tx.outputs)}
+            for tx in log.transactions:
+                assert all(inp.value == outputs[inp.prev] for inp in tx.inputs)
+                if not tx.coinbase:
+                    assert (sum(inp.value for inp in tx.inputs)
+                            >= sum(out.value for out in tx.outputs))

@@ -15,7 +15,7 @@ from ponzi_radar.clustering import (
 from ponzi_radar.cli import _ponzi_cluster_map
 from ponzi_radar.errors import DataError
 
-from conftest import parse_lines, random_valid_log, tx_line, txid_of
+from conftest import canonical_lines, parse_lines, random_valid_log, tx_line, txid_of
 
 
 def co_spend_components(log):
@@ -135,10 +135,8 @@ def test_monotonicity_adding_tx_never_splits():
     rng = random.Random(9)
     for _ in range(10):
         log = random_valid_log(rng, 60, n_addrs=10)
-        n = rng.randint(1, len(log.transactions))
-        from ponzi_radar.chain import TxLog
-
-        prefix = TxLog.from_transactions(log.transactions[:n])
+        n = rng.randint(1, len(log))
+        prefix = parse_lines(canonical_lines(log)[:n])
         before = partition_of(build_clusters(prefix))
         after = partition_of(build_clusters(log))
         for group in before:

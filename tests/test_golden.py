@@ -43,19 +43,18 @@ STAGES = [
                     "--clusters", "{dir}/clusters.csv", "--labels", "{labels}",
                     "--sample", "100", "--seed", "5"]),
     ("cv_forest.csv", ["cv", "{dir}/dataset.csv", "--trees", "20", "--cost", "20:1",
-                       "--k", "5", "--seed", "1", "--threads", "2"]),
+                       "--k", "5", "--seed", "1"]),
     ("cv_forest_ratio.csv", ["cv", "{dir}/dataset.csv", "--trees", "20", "--cost", "20:1",
-                             "--ratio", "3", "--k", "5", "--seed", "2", "--threads", "1"]),
+                             "--ratio", "3", "--k", "5", "--seed", "2"]),
     ("cv_bayes_ratio.csv", ["cv", "{dir}/dataset.csv", "--learner", "bayes",
                             "--cost", "10:1", "--ratio", "2", "--k", "4", "--seed", "3"]),
-    ("model.json", ["train", "{dir}/sample.csv", "--trees", "20", "--seed", "4",
-                    "--threads", "2"]),
+    ("model.json", ["train", "{dir}/sample.csv", "--trees", "20", "--seed", "4"]),
     ("predictions.csv", ["apply", "{dir}/dataset.csv", "--model", "{dir}/model.json",
                          "--cost", "20:1"]),
     ("model_bayes.json", ["train", "{dir}/dataset.csv", "--learner", "bayes"]),
     ("predictions_bayes.csv", ["apply", "{dir}/sample.csv", "--model", "{dir}/model_bayes.json",
                                "--cost", "5:1"]),
-    ("rankings.csv", ["rank", "{dir}/dataset.csv", "--seed", "6"]),
+    ("rankings.csv", ["rank", "{dir}/dataset.csv"]),
 ]
 
 

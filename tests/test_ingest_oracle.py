@@ -2,8 +2,7 @@
 as references.
 
 `reference_parse` builds every record as a Transaction, and
-`reference_from_transactions` resolves each one through an OutPoint-keyed
-output map. `reference_clusters` interns address strings per transaction,
+`reference_resolve` resolves each one through an OutPoint-keyed output map. `reference_clusters` interns address strings per transaction,
 `reference_ledgers` walks each transaction into per-cluster LedgerEvents, and
 `reference_features` is the per-cluster Python feature code, with
 `reference_balance_delta` walking every calendar day of a lifetime. The
@@ -25,10 +24,10 @@ from ponzi_radar import chain, features
 from ponzi_radar.chain import (
     DanglingInput,
     DoubleSpend,
+    LogBuilder,
     OutPoint,
     Transaction,
     TxInput,
-    TxLog,
     TxOutput,
     ValidationReport,
     parse_tx_log,
@@ -64,10 +63,10 @@ def reference_record(obj, line):
     )
 
 
-def reference_from_transactions(txs):
+def reference_resolve(txs):
     ordered = sorted(txs, key=lambda tx: (tx.timestamp, tx.txid))
     outputs = {}  # op -> [addr, value, spent_by|None]
-    dangling, extra_spenders, negative_fees, fees, resolved = [], {}, [], {}, []
+    dangling, extra_spenders, negative_fees, resolved = [], {}, [], []
     for tx in ordered:
         new_inputs, in_sum, fully_resolved = [], 0, True
         for i, txin in enumerate(tx.inputs):
@@ -88,10 +87,8 @@ def reference_from_transactions(txs):
         for idx, txout in enumerate(tx.outputs):
             outputs[OutPoint(tx.txid, idx)] = [txout.addr, txout.value, None]
             out_sum += txout.value
-        if not tx.coinbase and fully_resolved:
-            fees[tx.txid] = in_sum - out_sum
-            if in_sum - out_sum < 0:
-                negative_fees.append((tx.txid, in_sum - out_sum))
+        if not tx.coinbase and fully_resolved and in_sum < out_sum:
+            negative_fees.append((tx.txid, in_sum - out_sum))
         resolved.append(Transaction(tx.txid, tx.timestamp, tx.coinbase,
                                     tuple(new_inputs), tx.outputs))
     report = ValidationReport(
@@ -99,13 +96,12 @@ def reference_from_transactions(txs):
         double_spends=tuple(DoubleSpend(op, (outputs[op][2], *spenders))
                             for op, spenders in extra_spenders.items()),
         negative_fees=tuple(negative_fees),
-        fees=fees,
     )
     return tuple(resolved), report
 
 
 def reference_parse(lines):
-    return reference_from_transactions(
+    return reference_resolve(
         reference_record(json.loads(line), n) for n, line in enumerate(lines, start=1))
 
 
@@ -421,31 +417,17 @@ def test_synth_world_parse(synth_world):
     assert any(last - first + 1 > n for first, last, n in days if n)
 
 
-def test_synth_world_from_transactions(synth_world):
-    log, _ = synth_world
-    unresolved = [Transaction(tx.txid, tx.timestamp, tx.coinbase,
-                              tuple(TxInput(i.prev) for i in tx.inputs), tx.outputs)
-                  for tx in log.transactions]
-    random.Random(5).shuffle(unresolved)
-    ref_txs, ref_report = reference_from_transactions(unresolved)
-    rebuilt = TxLog.from_transactions(unresolved)
-    assert rebuilt.transactions == ref_txs == log.transactions
-    assert validate_tx_log(rebuilt) == ref_report == validate_tx_log(log)
-
-
-def test_from_transactions_rejects_duplicate_txids():
-    tx = Transaction("ab" * 32, 1, True, (), (TxOutput("a", 1),))
-    with pytest.raises(ValueError, match="duplicate txid"):
-        TxLog.from_transactions([tx, tx])
-
-
 def test_out_of_range_input_index_dangles():
-    t0 = txid_of("src")
-    tx = Transaction(txid_of("spend"), 2, False, (TxInput(OutPoint(t0, -1)),),
-                     (TxOutput("b", 1),))
-    base = Transaction(t0, 1, True, (), (TxOutput("a", 1),))
-    ref_txs, ref_report = reference_from_transactions([base, tx])
-    log = TxLog.from_transactions([base, tx])
+    # A negative index cannot come from a log line, only from whole columns.
+    t0, t1 = txid_of("src"), txid_of("spend")
+    builder = LogBuilder()
+    builder.extend([t1, t0], [2, 1], [False, True], [1, 0], [(t0, -1)], [1, 1],
+                   [("b", 1), ("a", 1)])
+    log = builder.build()
+    ref_txs, ref_report = reference_resolve([
+        Transaction(t1, 2, False, (TxInput(OutPoint(t0, -1)),), (TxOutput("b", 1),)),
+        Transaction(t0, 1, True, (), (TxOutput("a", 1),)),
+    ])
     assert log.transactions == ref_txs
     assert validate_tx_log(log) == ref_report
     assert len(ref_report.dangling) == 1
@@ -522,12 +504,28 @@ def test_sums_past_int64_match_references():
         tx_line(t2, 0, inputs=[(t0, 0), (t1, 0)], outputs=[("c", 5)]),
     ]
     log, clusters = assert_ingest_matches(lines)
-    assert validate_tx_log(log).fees[t2] == 2 * top - 5
+    assert validate_tx_log(log).ok
     ledger = build_all_ledgers(log, clusters)[clusters.index_of["a"]]
     assert ledger.outgoing[0].amount == 2 * top
     with pytest.raises(DataError, match="feature sum_in is above 2\\*\\*53"):
         extract_features(ledger, 2)
     assert extract_features(build_all_ledgers(log, clusters)[clusters.index_of["c"]], 1).sum_in == 5
+
+
+def test_negative_fees_past_int64_are_exact():
+    # Amounts whose total passes 2**62 put the fee sums on Python ints; each
+    # negative fee is still listed exactly, in log order.
+    top = 2**63 - 1
+    t0, t1, t2, t3, t4 = (txid_of(("over", i)) for i in range(5))
+    lines = [
+        tx_line(t0, 1, coinbase=True, outputs=[("a", 5)]),
+        tx_line(t1, 2, coinbase=True, outputs=[("b", top)]),
+        tx_line(t2, 3, inputs=[(t0, 0)], outputs=[("c", top)]),
+        tx_line(t3, 4, inputs=[(t1, 0)], outputs=[("d", top - 1)]),
+        tx_line(t4, 5, inputs=[(t3, 0)], outputs=[("e", top)]),
+    ]
+    log, _ = assert_ingest_matches(lines)
+    assert validate_tx_log(log).negative_fees == ((t2, 5 - top), (t4, -1))
 
 
 def test_gini_terms_past_two_to_53_match_reference():
@@ -549,7 +547,7 @@ def test_timestamps_at_the_bound_parse():
         assert log.transactions[0].timestamp == t
     for t in (2**62, -(2**62), 2**70, -(2**70)):
         with pytest.raises(ValueError, match="outside"):
-            TxLog.from_transactions([Transaction(txid_of(t), t, True, (), (TxOutput("a", 1),))])
+            LogBuilder().extend([txid_of(t)], [t], [True], [0], [], [1], [("a", 1)])
 
 
 def test_cli_ingest_builds_no_per_object_log(tmp_path, monkeypatch):

@@ -3,11 +3,13 @@ generator it replaced, kept here as the reference.
 
 `reference_generate` makes every draw as the old code did: a
 `Generator.choice` call per wallet size, one scalar `lognormal` call per
-coinbase output, one sha256 and one `Transaction` per emitted transaction,
-and a `TxLog.from_transactions` at the end. It labels only the schemes that
-reach the log. `generate` must write the same log lines and labels, and its
-`TxLog` must equal, array for array, the one parsed back from its own lines.
-The bulk builder entry both go through is checked at its edges below.
+coinbase output, and one sha256 and one JSON log line per emitted
+transaction, and it builds its log with `parse_tx_log`, so it shares no
+builder entry with `generate`. It labels only the schemes that reach the
+log. `generate` must write the same log lines and labels, and its `TxLog`
+must equal, array for array, the one parsed back from its own lines. The
+bulk builder entry that `generate` goes through is checked at its edges
+below.
 """
 
 import hashlib
@@ -21,10 +23,8 @@ from hypothesis import given, settings, strategies as st
 from ponzi_radar.chain import (
     LogBuilder,
     OutPoint,
-    Transaction,
     TxInput,
     TxLog,
-    TxOutput,
     parse_tx_log,
     serialize_tx_log,
     validate_tx_log,
@@ -47,7 +47,7 @@ from ponzi_radar.synth import (
     generate,
 )
 
-from conftest import txid_of
+from conftest import parse_lines, tx_line, txid_of
 
 
 # --- reference ---------------------------------------------------------------
@@ -154,15 +154,14 @@ def reference_generate(params):
 
     ordered = sorted(plan, key=lambda entry: (entry[0], entry[1]))
 
-    txs = []
+    lines = []
     clock = 0
 
     def emit(t, coinbase, inputs, outputs):
         nonlocal clock
         clock = max(clock + 1, int(t))
-        txid = hashlib.sha256(f"{params.seed}:{len(txs)}".encode()).hexdigest()
-        txs.append(Transaction(txid, clock, coinbase, tuple(TxInput(op) for op in inputs),
-                               tuple(TxOutput(a, v) for a, v in outputs)))
+        txid = hashlib.sha256(f"{params.seed}:{len(lines)}".encode()).hexdigest()
+        lines.append(tx_line(txid, clock, coinbase, inputs, outputs))
         return txid
 
     def fee_for(total):
@@ -252,7 +251,7 @@ def reference_generate(params):
             labels[scheme.addrs[0]] = "P"
     for user in users:
         labels[user.addrs[0]] = "nP"
-    return TxLog.from_transactions(txs), labels
+    return parse_tx_log(lines), labels
 
 
 # --- generator against reference ------------------------------------------
@@ -336,10 +335,9 @@ def test_extend_interns_addresses_in_output_order():
 
 def test_input_of_an_unknown_txid_dangles():
     base, spend, missing = txid_of("base"), txid_of("spend"), txid_of("missing")
-    log = TxLog.from_transactions([
-        Transaction(base, 1, True, (), (TxOutput("a", 5),)),
-        Transaction(spend, 2, False, (TxInput(OutPoint(base, 0)), TxInput(OutPoint(missing, 3))),
-                    (TxOutput("b", 4),)),
+    log = parse_lines([
+        tx_line(base, 1, coinbase=True, outputs=[("a", 5)]),
+        tx_line(spend, 2, inputs=[(base, 0), (missing, 3)], outputs=[("b", 4)]),
     ])
     report = validate_tx_log(log)
     assert [(d.txid, d.input_index, d.prev) for d in report.dangling] == [
