@@ -415,6 +415,26 @@ def _check_dataset_sources(parser: argparse.ArgumentParser, args) -> None:
         parser.error("dataset needs --log, or both --features and --clusters")
 
 
+def _check_synth_targets(parser: argparse.ArgumentParser, args) -> None:
+    """`synth` writes its log and its labels to two targets: never both to stdout
+    or to one regular file, where the second would follow or replace the first.
+    A device such as /dev/null is written in place and may take both."""
+    out, labels = args.out, args.labels
+    stdout = (None, "-")
+    if out in stdout or labels in stdout:
+        same = out in stdout and labels in stdout
+    elif os.path.exists(out) and not os.path.isfile(out):
+        same = False
+    else:
+        try:
+            same = os.path.samefile(out, labels)
+        except OSError:  # a target that does not exist yet
+            same = os.path.realpath(out) == os.path.realpath(labels)
+    if same:
+        target = "stdout" if out in stdout else repr(labels)
+        parser.error(f"synth needs two targets for -o and --labels, got {target} for both")
+
+
 def _configure_logging() -> None:
     level = os.environ.get("PONZI_RADAR_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
@@ -427,6 +447,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "dataset":
         _check_dataset_sources(parser, args)
+    if args.command == "synth":
+        _check_synth_targets(parser, args)
     try:
         return args.func(args)
     except (PonziRadarError, OSError, ValueError, csv.Error) as exc:

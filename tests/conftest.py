@@ -91,9 +91,8 @@ def random_valid_log(rng: random.Random, n_tx: int, n_addrs: int = 24) -> TxLog:
                 outs.append((rng.choice(addrs), v))
                 rest -= v
             lines.append(tx_line(txid, ts, inputs=[(u[0], u[1]) for u in picks], outputs=outs))
-        parsed = json.loads(lines[-1])
-        for idx, out in enumerate(parsed["out"]):
-            utxos.append((txid, idx, out["val"], ts))
+        for idx, (_, value) in enumerate(outs):
+            utxos.append((txid, idx, value, ts))
     return parse_lines(lines)
 
 

@@ -330,6 +330,9 @@ def test_output_mode_follows_umask(world, tmp_path):
 def test_output_to_device_written_in_place(world):
     assert main(["dataset", "--log", str(world / "log.jsonl"),
                  "--labels", str(world / "labels.csv"), "-o", os.devnull]) == 0
+    # A device may take both of synth's outputs.
+    assert main(["synth", "--ponzi", "1", "--background", "20",
+                 "-o", os.devnull, "--labels", os.devnull]) == 0
 
 
 def test_apply_rejects_self_loop_model(world, tmp_path):
@@ -596,6 +599,23 @@ def test_synth_writes_neither_output_unless_both_can_be(tmp_path):
     assert main(argv) == 2
     assert log.read_text() == "earlier run\n"
     assert [p.name for p in tmp_path.iterdir()] == ["x.jsonl"]
+
+
+@pytest.mark.parametrize("targets, named", [
+    (["-o", "x", "--labels", "x"], "'x'"),
+    (["-o", "./x", "--labels", "x"], "'x'"),
+    (["--labels", "-"], "stdout"),
+], ids=["same_name", "dot_slash", "both_stdout"])
+def test_synth_to_one_target_exits_one(tmp_path, monkeypatch, capsys, targets, named):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["synth", "--ponzi", "1", "--background", "20", *targets])
+    assert err.value.code == 1
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    assert err_text.splitlines()[-1] == (
+        f"ponzi-radar: error: synth needs two targets for -o and --labels, got {named} for both")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_output_names_the_target(world, tmp_path, capsys):

@@ -16,6 +16,7 @@ from ponzi_radar.features import (
 )
 
 from conftest import BTC, parse_lines, random_valid_log, tx_line, txid_of
+from test_ingest_oracle import reference_ledgers
 
 
 def gini_pairwise(values):
@@ -93,28 +94,6 @@ def _ev(ts, tag, amount, counterparts=()):
     return LedgerEvent(ts, txid_of(tag), amount, frozenset(counterparts))
 
 
-def single_cluster_ledger(log, clusters, idx) -> ClusterLedger:
-    """The ledger of one cluster, from that cluster's view of each transaction."""
-    members = set(clusters.members[idx])
-    incoming, outgoing = [], []
-    for tx in log.transactions:
-        inputs = [i for i in tx.inputs if i.addr is not None]
-        own_in = [i for i in inputs if i.addr in members]
-        own_out = [o for o in tx.outputs if o.addr in members]
-        if (own_in and own_out and len(own_in) == len(inputs)
-                and len(own_out) == len(tx.outputs)):
-            continue  # fully internal
-        if own_out:
-            incoming.append(LedgerEvent(
-                tx.timestamp, tx.txid, sum(o.value for o in own_out),
-                frozenset(i.addr for i in inputs if i.addr not in members)))
-        if own_in:
-            outgoing.append(LedgerEvent(
-                tx.timestamp, tx.txid, sum(i.value for i in own_in),
-                frozenset(o.addr for o in tx.outputs if o.addr not in members)))
-    return ClusterLedger(tuple(incoming), tuple(outgoing))
-
-
 class TestLedger:
     def test_join_wallet_ledger(self, fan_out_then_join):
         # addr_b and addr_b2 form one wallet; it receives from the coinbase
@@ -147,9 +126,9 @@ class TestLedger:
         rng = random.Random(17)
         log = random_valid_log(rng, 150, n_addrs=14)
         clusters = build_clusters(log)
-        all_ledgers = build_all_ledgers(log, clusters)
-        for idx in range(clusters.n_clusters):
-            assert all_ledgers[idx] == single_cluster_ledger(log, clusters, idx)
+        ledgers = build_all_ledgers(log, clusters)
+        assert ({idx: (ledger.incoming, ledger.outgoing) for idx, ledger in ledgers.items()}
+                == reference_ledgers(log, clusters))
 
     def test_partial_overlap_gives_both_directions(self):
         t0, t1 = txid_of("fund2"), txid_of("spendchange")

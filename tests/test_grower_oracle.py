@@ -186,7 +186,7 @@ def test_single_tree_matches_oracle(reweight):
 
 
 @pytest.mark.parametrize("cost", ["0.3:0.7", "3:0.1"])
-def test_non_dyadic_costs_deterministic_across_threads(cost):
+def test_non_dyadic_costs_deterministic_across_runs(cost):
     ds = random_dataset(400, seed=9)
 
     def model_json():

@@ -2,8 +2,10 @@
 as references.
 
 `reference_parse` builds every record as a Transaction, and
-`reference_resolve` resolves each one through an OutPoint-keyed output map. `reference_clusters` interns address strings per transaction,
-`reference_ledgers` walks each transaction into per-cluster LedgerEvents, and
+`reference_resolve` resolves each one through an OutPoint-keyed output map.
+`reference_clusters` numbers the BFS co-spend components of `test_clustering`
+by their smallest member, `reference_ledgers` walks each transaction into
+per-cluster LedgerEvents, and
 `reference_features` is the per-cluster Python feature code, with
 `reference_balance_delta` walking every calendar day of a lifetime. The
 current code must give equal transactions, validation reports, clusters,
@@ -34,7 +36,7 @@ from ponzi_radar.chain import (
     validate_tx_log,
 )
 from ponzi_radar.cli import main
-from ponzi_radar.clustering import ClusterSet, UnionFind, build_clusters
+from ponzi_radar.clustering import ClusterSet, build_clusters
 from ponzi_radar.errors import DataError, ParseError
 from ponzi_radar.features import (
     MAX_EXACT_INT,
@@ -48,6 +50,7 @@ from ponzi_radar.features import (
 from ponzi_radar.synth import SynthParams, generate
 
 from conftest import canonical_lines, random_valid_log, tx_line, txid_of
+from test_clustering import co_spend_components
 
 
 # --- references -----------------------------------------------------------
@@ -167,25 +170,8 @@ def reference_balance_delta(ledger):
 
 
 def reference_clusters(log):
-    ids = {}
-    for tx in log.transactions:
-        for out in tx.outputs:
-            ids.setdefault(out.addr, len(ids))
-        for txin in tx.inputs:
-            if txin.addr is not None:
-                ids.setdefault(txin.addr, len(ids))
-    uf = UnionFind(len(ids))
-    for tx in log.transactions:
-        in_addrs = [i.addr for i in tx.inputs if i.addr is not None]
-        if tx.coinbase or len(in_addrs) < 2:
-            continue
-        for addr in in_addrs[1:]:
-            uf.union(ids[in_addrs[0]], ids[addr])
-    groups = {}
-    for addr in ids:
-        groups.setdefault(uf.find(ids[addr]), []).append(addr)
-    members = tuple(tuple(g) for g in sorted((sorted(g) for g in groups.values()),
-                                             key=lambda g: g[0]))
+    """The BFS co-spend components, numbered by their smallest member address."""
+    members = tuple(tuple(sorted(c)) for c in sorted(co_spend_components(log), key=min))
     return ClusterSet(members, {a: i for i, group in enumerate(members) for a in group})
 
 

@@ -205,7 +205,7 @@ class TestForest:
         forest = train_forest(ds, n_trees=15, seed=4)
         assert training_accuracy(forest, ds) == 1.0
 
-    def test_seed_determinism_across_runs_and_threads(self):
+    def test_seed_determinism_across_runs(self):
         ds = make_dataset(8, 40, seed=3)
 
         def fingerprint():

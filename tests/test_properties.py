@@ -30,7 +30,15 @@ _JSON = st.recursive(_JSON_SCALARS,
                      lambda inner: st.lists(inner, max_size=4)
                      | st.dictionaries(_ANY_TEXT, inner, max_size=4),
                      max_leaves=12)
-_HEX64 = st.text("0123456789abcdefABCDEF", min_size=64, max_size=64)
+
+
+def _hex64(value, upper):
+    """`value` as 64 hex digits, the letters where `upper` has a 1 bit in upper case."""
+    return "".join(d.upper() if upper >> i & 1 else d for i, d in enumerate(f"{value:064x}"))
+
+
+# Any 64-character text over "0-9a-fA-F", from two integer draws.
+_HEX64 = st.builds(_hex64, st.integers(0, 2**256 - 1), st.integers(0, 2**64 - 1))
 
 
 def _mostly(valid):

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ponzi_radar.errors import DataError
 from ponzi_radar.features import FEATURE_NAMES
@@ -100,11 +101,11 @@ def columns_and_bins(draw):
         column = [draw(st.floats(0, 1e12))] * n
     elif kind == "tied integers":
         top = draw(st.integers(1, 8))
-        column = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+        column = draw(arrays(np.int64, n, elements=st.integers(0, top)))
     elif kind == "signed zeros":
-        column = draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, 2.5]), min_size=n, max_size=n))
+        column = draw(arrays(np.float64, n, elements=st.sampled_from([-0.0, 0.0, 1.0, 2.5])))
     else:
-        column = draw(st.lists(st.floats(0, 1e6), min_size=n, max_size=n))
+        column = draw(arrays(np.float64, n, elements=st.floats(0, 1e6)))
     return column, bins
 
 

@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ponzi_radar import rank
 from ponzi_radar.dataset import Dataset
@@ -253,9 +254,8 @@ class TestDegenerate:
 def small_problems(draw):
     n = draw(st.integers(1, 14))
     levels = draw(st.integers(1, 5))
-    X = draw(st.lists(st.lists(st.integers(0, levels), min_size=N_FEAT, max_size=N_FEAT),
-                      min_size=n, max_size=n))
-    labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    X = draw(arrays(np.int64, (n, N_FEAT), elements=st.integers(0, levels)))
+    labels = draw(arrays(np.bool_, n, elements=st.booleans()))
     k = draw(st.integers(1, n + 2))
     m = draw(st.none() | st.integers(1, n))
     seed = draw(st.integers(0, 2**16))

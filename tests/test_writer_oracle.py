@@ -19,6 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ponzi_radar.clustering import ClusterSet, write_clusters
 from ponzi_radar.csvrows import CHUNK_ROWS
@@ -103,8 +104,8 @@ _CELL = st.one_of(st.sampled_from(_EDGE_VALUES),
 _INT_CELL = st.one_of(st.sampled_from([0, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 64]),
                       st.integers(min_value=0, max_value=2 ** 60),
                       st.sampled_from([-0.0, 5e-324, 2.0 ** 53, 1e308]))
-_FEATURE_ROW = st.tuples(*[_INT_CELL if name in INT_FEATURES
-                           else st.one_of(_CELL, st.floats()) for name in FEATURE_NAMES])
+_REAL_CELL = st.one_of(_CELL, st.floats())
+_INT_COLUMNS = np.array([name in INT_FEATURES for name in FEATURE_NAMES])
 
 
 @st.composite
@@ -112,13 +113,18 @@ def tables(draw):
     n = draw(st.integers(0, 12))
     ids = draw(st.lists(_TEXT, min_size=n, max_size=n))
     y = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    X = draw(st.lists(st.lists(_CELL, min_size=len(FEATURE_NAMES),
-                               max_size=len(FEATURE_NAMES)), min_size=n, max_size=n))
-    data = Dataset(tuple(ids), np.array(y, dtype=np.int8),
-                   np.array(X, dtype=np.float64).reshape(n, len(FEATURE_NAMES)))
-    table = draw(st.dictionaries(st.integers(-2 ** 64, 2 ** 64),
-                                 _FEATURE_ROW.map(lambda row: FeatureVector(*row)),
-                                 max_size=8))
+    X = draw(arrays(np.float64, (n, len(FEATURE_NAMES)), elements=_CELL))
+    data = Dataset(tuple(ids), np.array(y, dtype=np.int8), X)
+    # The feature table's integer and real columns are drawn as two arrays,
+    # each cell from its column's strategy, and interleaved in schema order.
+    keys = draw(st.lists(st.integers(-2 ** 64, 2 ** 64), unique=True, max_size=8))
+    rows = np.empty((len(keys), len(FEATURE_NAMES)), dtype=object)
+    rows[:, _INT_COLUMNS] = draw(arrays(object, (len(keys), len(INT_FEATURES)),
+                                        elements=_INT_CELL))
+    rows[:, ~_INT_COLUMNS] = draw(arrays(np.float64,
+                                         (len(keys), len(FEATURE_NAMES) - len(INT_FEATURES)),
+                                         elements=_REAL_CELL))
+    table = {key: FeatureVector(*row) for key, row in zip(keys, rows.tolist())}
     members = draw(st.lists(st.lists(_TEXT, min_size=1, max_size=4).map(tuple), max_size=8))
     return data, table, ClusterSet(tuple(members), {})
 
