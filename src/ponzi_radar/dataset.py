@@ -14,7 +14,20 @@ The per-cluster feature table (`schema=v1,cluster_id,...`) shares the codec.
 
 The writer formats each row with one `%` over a line format that holds the
 key cells and the feature cells; `csvrows` writes the lines and quotes the
-ids, and reads the rows back.
+ids.
+
+A table is read back `_BLOCK_ROWS` lines at a time after its header. A
+plain block (see `csvrows`) has its feature cells parsed by one `np.loadtxt`
+call (its `quotechar` needs numpy >= 1.23) and its key cells split off with
+`str.split`. `loadtxt` strips whitespace and parses the ASCII that is left
+with the routine `float()` ends in. Apart from `\\x1c`-`\\x1f`, which it
+strips as whitespace and a plain block never holds, it so accepts a subset
+of what `float()` accepts (not `1_0`, not non-ASCII digits) and gives each
+the same value. The first block that is not plain, or that `loadtxt`
+refuses or the cell checks flag, and every block after it, go through the
+csv path: `csv.reader` rows, converted a block at a time, which raise for
+the first bad row or cell. So a file reads to the same dataset, bit for
+bit, or fails with the same error, whichever way its blocks go.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .clustering import ClusterSet
-from .csvrows import CHUNK_ROWS, read_rows, text_cells, write_rows
+from .csvrows import CHUNK_ROWS, csv_rows, plain, read_header, text_cells, write_rows
 from .errors import DataError, SchemaMismatchError
 from .features import FEATURE_NAMES, INT_FEATURES, MAX_EXACT_INT, SCHEMA_VERSION, FeatureVector
 
@@ -165,15 +178,14 @@ def _cell_ok(cell: str, integer: bool) -> bool:
     return True
 
 
-_BLOCK_ROWS = 512  # rows held as strings at a time while reading
+_BLOCK_ROWS = 512  # lines held as strings at a time while reading
 
 
 def _read_table(fp: IO[str], key_columns: Sequence[str],
                 what: str) -> tuple[list[list[str]], np.ndarray]:
-    """The key cells of each row of a feature CSV, and its checked feature matrix.
+    """Each key column of a feature CSV as a list of cells, and its checked feature matrix.
 
-    Feature cells are converted a block of rows at a time, so that only one
-    block is ever held as strings.
+    Only one block of lines is ever held as strings (see above).
     """
     expected = [f"schema={SCHEMA_VERSION}", *key_columns, *FEATURE_NAMES]
 
@@ -185,19 +197,64 @@ def _read_table(fp: IO[str], key_columns: Sequence[str],
                 f"{what} schema {header[0]!r} does not match {expected[0]!r}")
         return DataError(f"{what} header does not match the v1 feature schema")
 
-    n_keys = len(key_columns)
-    keys: list[list[str]] = []
+    read_header(fp, what, expected, header_error)
+    width = len(expected) - 1  # the schema cell heads no column
+    keys: list[list[str]] = [[] for _ in key_columns]
     blocks: list[np.ndarray] = []
+    while lines := list(itertools.islice(fp, _BLOCK_ROWS)):
+        block = _plain_block(lines, len(keys), width) if plain(lines) else None
+        if block is None:
+            _read_csv_rows(itertools.chain(lines, fp), keys, blocks, width, what)
+            break
+        for column, cells in zip(keys, block[0]):
+            column.extend(cells)
+        blocks.append(block[1])
+    return keys, np.concatenate(blocks) if blocks else np.empty((0, _N_FEATURES))
+
+
+def _read_csv_rows(lines: Iterable[str], keys: list[list[str]], blocks: list[np.ndarray],
+                   width: int, what: str) -> None:
+    """Append the key cells and the feature blocks of the rows in `lines`,
+    which start at the first row of block `len(blocks)`."""
     cells: list[list[str]] = []
-    # The schema cell heads no column.
-    for _, row in read_rows(fp, what, expected, len(expected) - 1, header_error):
-        keys.append(row[:n_keys])
-        cells.append(row[n_keys:])
+    for _, row in csv_rows(lines, what, width, len(blocks) * _BLOCK_ROWS + 2):
+        for column, cell in zip(keys, row):
+            column.append(cell)
+        cells.append(row[len(keys):])
         if len(cells) == _BLOCK_ROWS:
             blocks.append(_convert_block(cells, len(blocks) * _BLOCK_ROWS + 2, what))
             cells = []
     blocks.append(_convert_block(cells, len(blocks) * _BLOCK_ROWS + 2, what))
-    return keys, np.concatenate(blocks)
+
+
+def _plain_block(lines: list[str], n_keys: int,
+                 width: int) -> tuple[Iterable[tuple[str, ...]], np.ndarray] | None:
+    """The key columns and the feature matrix of a plain block, or None.
+
+    None sends the block to the csv path. It comes when `loadtxt` raises,
+    when it does not give one row per line, when a line has other than
+    `width` cells (`loadtxt` raises for a line of fewer, so the block holds
+    `width - 1` commas per line only if each line holds that many), or when
+    a cell fails the checks of `_convert_block`.
+    """
+    try:
+        X = np.loadtxt(lines, delimiter=",", usecols=range(n_keys, width), comments=None,
+                       quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    if (len(X) != len(lines) or "".join(lines).count(",") != len(lines) * (width - 1)
+            or _suspect_cells(X).any()):
+        return None
+    return zip(*map(str.split, lines, itertools.repeat(","), itertools.repeat(n_keys))), X
+
+
+def _suspect_cells(X: np.ndarray) -> np.ndarray:
+    """Cells that are not finite and >= 0, or in an integer column not below
+    2**53 or not integral: `_cell_ok` decides on each."""
+    ints = X[:, _INT_COLUMNS]
+    suspect = ~((X >= 0) & (X < math.inf))
+    suspect[:, _INT_COLUMNS] |= (ints >= MAX_EXACT_INT) | (ints != np.floor(ints))
+    return suspect
 
 
 def _convert_block(cells: list[list[str]], first_row: int, what: str) -> np.ndarray:
@@ -207,10 +264,7 @@ def _convert_block(cells: list[list[str]], first_row: int, what: str) -> np.ndar
     except ValueError:  # some cell is not a number: look at every cell
         suspects = itertools.product(range(len(cells)), range(_N_FEATURES))
     else:
-        ints = X[:, _INT_COLUMNS]
-        suspect = ~((X >= 0) & (X < math.inf))
-        suspect[:, _INT_COLUMNS] |= (ints >= MAX_EXACT_INT) | (ints != np.floor(ints))
-        suspects = np.argwhere(suspect).tolist()  # in file order
+        suspects = np.argwhere(_suspect_cells(X)).tolist()  # in file order
     for i, j in suspects:
         if not _cell_ok(cells[i][j], _INT_COLUMNS[j]):
             kind = "an integer from 0 to 2**53" if _INT_COLUMNS[j] else "a finite number >= 0"
@@ -238,9 +292,9 @@ _FEATURE_TYPES = tuple(int if name in INT_FEATURES else float for name in FEATUR
 
 
 def read_features_csv(fp: IO[str]) -> dict[int, FeatureVector]:
-    keys, X = _read_table(fp, ("cluster_id",), "feature table")
+    (cluster_ids,), X = _read_table(fp, ("cluster_id",), "feature table")
     out: dict[int, FeatureVector] = {}
-    for row_no, ((cell,), row) in enumerate(zip(keys, X.tolist()), start=2):
+    for row_no, (cell, row) in enumerate(zip(cluster_ids, X.tolist()), start=2):
         try:
             ci = int(cell)
         except ValueError as exc:
@@ -252,9 +306,9 @@ def read_features_csv(fp: IO[str]) -> dict[int, FeatureVector]:
 
 
 def read_csv(fp: IO[str]) -> Dataset:
-    keys, X = _read_table(fp, ("id", "label"), "dataset")
-    for row_no, (_, label) in enumerate(keys, start=2):
+    (ids, labels), X = _read_table(fp, ("id", "label"), "dataset")
+    for row_no, label in enumerate(labels, start=2):
         if label not in LABEL_OF:
             raise DataError(f"dataset row {row_no}: label must be P or nP, got {label!r}")
-    y = np.fromiter((label == LABEL_PONZI for _, label in keys), dtype=np.int8, count=len(keys))
-    return Dataset(tuple(id_ for id_, _ in keys), y, X)
+    y = np.fromiter(map(LABEL_PONZI.__eq__, labels), dtype=np.int8, count=len(labels))
+    return Dataset(tuple(ids), y, X)

@@ -22,10 +22,11 @@ from .learn import (
     CostMatrix,
     LearnerSpec,
     Model,
+    _value_codes,
     cost_sensitive_predict,
     derive_seeds,
     train_model,
-    undersample,
+    undersample_rows,
 )
 
 REPORT_HEADER = (
@@ -173,19 +174,25 @@ def cross_validate(
     All randomness (fold assignment, per-fold sampling, per-fold training)
     derives from `seed`, so results are reproducible. Folds and trees are
     trained one at a time: `threads` is ignored, and stays only because
-    `bench/worker.py` passes it.
+    `bench/worker.py` passes it. A forest's features are coded once for all
+    the folds (see `train_forest`).
     """
     seeds = derive_seeds(seed, 1 + 2 * k)
     folds = stratified_folds(dataset, k, seeds[0])
     X, y = dataset.X, dataset.y
+    codes, values = _value_codes(X) if learner.kind == "forest" else (None, None)
     outcomes: list[FoldOutcome] = []
     for i, test_idx in enumerate(folds):
-        train_ds = dataset.take(np.setdiff1d(np.arange(len(dataset)), test_idx))
-        if not train_ds.y.any():
+        train_rows = np.setdiff1d(np.arange(len(dataset)), test_idx)
+        if not y[train_rows].any():
             raise DataError(f"fold {i}: training data lost every P instance")
         if sampling_ratio is not None:
-            train_ds = undersample(train_ds, sampling_ratio, seeds[1 + 2 * i])
-        model = train_model(train_ds, learner, seeds[2 + 2 * i])
+            kept = undersample_rows(y[train_rows], sampling_ratio, seeds[1 + 2 * i])
+            if kept is not None:
+                train_rows = train_rows[kept]
+        # take, not codes[:, rows]: the fold's codes stay C-contiguous for the grower
+        coded = None if codes is None else (codes.take(train_rows, axis=1), values)
+        model = train_model(dataset.take(train_rows), learner, seeds[2 + 2 * i], coded=coded)
         p = model.predict_proba_matrix(X[test_idx])
         labels = y[test_idx]
         outcomes.append(FoldOutcome(

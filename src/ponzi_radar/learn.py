@@ -106,10 +106,16 @@ def undersample(dataset: Dataset, ratio: float, seed: int) -> Dataset:
 
     Intended for training splits only; test data keeps its class distribution.
     """
+    rows = undersample_rows(dataset.y, ratio, seed)
+    return dataset if rows is None else dataset.take(rows)
+
+
+def undersample_rows(y: np.ndarray, ratio: float, seed: int) -> list[int] | None:
+    """The ascending positions in labels `y` that `undersample` keeps, or None for all."""
     if ratio < 1:
         raise ValueError("undersampling ratio must be >= 1")
-    pos = np.flatnonzero(dataset.y == 1).tolist()
-    neg = np.flatnonzero(dataset.y == 0).tolist()
+    pos = np.flatnonzero(y == 1).tolist()
+    neg = np.flatnonzero(y == 0).tolist()
     if not pos or not neg:
         raise DataError("undersampling requires both classes to be present")
     target = int(ratio * len(pos))
@@ -119,8 +125,8 @@ def undersample(dataset: Dataset, ratio: float, seed: int) -> Dataset:
                 "undersampling target %d exceeds %d available nP instances; keeping all",
                 target, len(neg),
             )
-        return dataset
-    return dataset.take(sorted(pos + random.Random(seed).sample(neg, target)))
+        return None
+    return sorted(pos + random.Random(seed).sample(neg, target))
 
 
 @dataclass
@@ -138,7 +144,10 @@ class TreeModel:
         return len(self.feature)
 
 
-def _value_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+Coded = tuple[np.ndarray, list[np.ndarray]]  # what _value_codes returns
+
+
+def _value_codes(X: np.ndarray) -> Coded:
     """Each feature's sorted distinct values, and each row's dense rank among them.
 
     The ranks are stored features x rows, in the smallest unsigned dtype that
@@ -343,18 +352,24 @@ def train_forest(
     n_trees: int = 100,
     seed: int = 0,
     reweight: CostMatrix | None = None,
+    coded: Coded | None = None,
 ) -> ForestModel:
     """Train a random forest with per-tree derived seeds.
 
     Every tree's bootstrap resample and node-level feature subsets depend
-    only on its own seed. The features are coded once for all the trees.
+    only on its own seed. The features are coded once for all the trees:
+    by `_value_codes(dataset.X)`, or as `coded` gives them, the columns of
+    the dataset's rows in the codes of a superset of its rows, with that
+    superset's value tables. The trees are the same either way, because
+    codes keep the order and equality of values, and `_best_split` reads
+    both ends of a threshold from the codes present at the node.
     """
     if n_trees < 1:
         raise ValueError(f"a forest needs at least one tree, got n_trees={n_trees}")
     X, y = dataset.X, dataset.y
     if len(dataset) == 0:
         raise DataError("cannot train on an empty dataset")
-    codes, values = _value_codes(X)
+    codes, values = _value_codes(X) if coded is None else coded
     keys = _sort_keys(codes)
     costs = _class_costs(reweight)
     trees = []
@@ -427,16 +442,19 @@ class LearnerSpec:
             raise ValueError(f"unknown learner kind: {self.kind!r}")
 
 
-def train_model(dataset: Dataset, spec: LearnerSpec, seed: int, threads: int = 1) -> Model:
+def train_model(dataset: Dataset, spec: LearnerSpec, seed: int, threads: int = 1, *,
+                coded: Coded | None = None) -> Model:
     """Train what `spec` names, on data that holds a P instance.
 
     Trees grow one at a time: `threads` is ignored, and stays only because
-    `bench/worker.py` passes it.
+    `bench/worker.py` passes it. `coded` goes to `train_forest`; a Bayes
+    model does not read it.
     """
     if spec.kind == "forest":
         if not dataset.y.any():  # its trees would score every row 0
             raise DataError("forest training requires at least one P instance")
-        return train_forest(dataset, n_trees=spec.n_trees, seed=seed, reweight=spec.reweight)
+        return train_forest(dataset, n_trees=spec.n_trees, seed=seed, reweight=spec.reweight,
+                            coded=coded)
     return train_bayes(dataset, reweight=spec.reweight)
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ponzi_radar import evaluate
+from ponzi_radar.dataset import Dataset
 from ponzi_radar.errors import DataError
 from ponzi_radar.evaluate import (
     ConfusionMatrix,
@@ -18,7 +20,13 @@ from ponzi_radar.evaluate import (
     write_report_csv,
     report_row,
 )
-from ponzi_radar.learn import CostMatrix, LearnerSpec, cost_sensitive_predict, train_forest
+from ponzi_radar.learn import (
+    CostMatrix,
+    LearnerSpec,
+    cost_sensitive_predict,
+    train_forest,
+    train_model,
+)
 
 from conftest import dataset_of, make_dataset
 
@@ -272,6 +280,48 @@ class TestCrossValidate:
         assert a.confusion == b.confusion
         for fold_a, fold_b in zip(a.folds, b.folds):
             assert np.array_equal(fold_a.scores, fold_b.scores)
+
+
+def tie_heavy_dataset(n, seed):
+    """Integer columns of four values each, one column of 0.0, -0.0, the
+    smallest subnormal and 1.0, and one of distinct reals."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(n, 20)).astype(np.float64)
+    X[:, 3] = rng.choice([0.0, -0.0, 5e-324, 1.0], size=n)
+    X[:, 7] = rng.random(n)
+    y = (X[:, 0] + X[:, 3] + rng.random(n) > 3.2).astype(np.int8)
+    return Dataset(tuple(f"r{i}" for i in range(n)), y, X)
+
+
+@pytest.mark.parametrize("ratio", [None, 1], ids=["plain", "ratio_1"])
+def test_folds_coded_once_grow_the_trees_of_per_fold_coding(monkeypatch, ratio):
+    # cross_validate codes the features once and hands each fold the columns
+    # of its rows; a fold trained on its own coding must grow the same trees.
+    ds = tie_heavy_dataset(300, 21)
+    fits = []
+
+    def record(data, learner, seed, *args, **kwargs):
+        model = train_model(data, learner, seed, *args, **kwargs)
+        fits.append((data, learner, seed, kwargs, model))
+        return model
+
+    monkeypatch.setattr(evaluate, "train_model", record)
+    cross_validate(ds, LearnerSpec(n_trees=8), CostMatrix(20, 1), k=5, seed=8,
+                   sampling_ratio=ratio)
+    assert len(fits) == 5
+    split_features = set()
+    for data, learner, seed, kwargs, model in fits:
+        assert kwargs["coded"] is not None
+        if ratio == 1:
+            assert len(data) == 2 * data.n_ponzi
+        alone = train_model(data, learner, seed)
+        assert len(model.trees) == len(alone.trees)
+        for got, want in zip(model.trees, alone.trees):
+            for name in ("feature", "threshold", "left", "right", "counts"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            split_features.update(got.feature.tolist())
+    assert {0, 3, 7} <= split_features  # the tied, signed-zero and distinct columns
 
 
 class TestApply:

@@ -26,10 +26,34 @@ from conftest import make_dataset, random_valid_log, tx_line, txid_of
 _ANY_TEXT = st.text(st.characters(blacklist_categories=()), max_size=40)
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
                  | st.floats(allow_nan=True) | _ANY_TEXT)
-_JSON = st.recursive(_JSON_SCALARS,
-                     lambda inner: st.lists(inner, max_size=4)
-                     | st.dictionaries(_ANY_TEXT, inner, max_size=4),
-                     max_leaves=12)
+
+
+def _draw_json(draw, depth, leaves):
+    """(value, its scalar count): a scalar, or a list or dict of up to 4
+    values nested at most `depth` deep, holding at most `leaves` scalars.
+
+    st.recursive(_JSON_SCALARS, lists or dicts of up to 4, max_leaves=12)
+    picks one of five strategies: a scalar, or a container whose items are
+    drawn from the strategies before it, so at most 4 levels deep; a draw of
+    more than 12 scalars is retried. Here a value's level is drawn the same
+    way, and the scalar budget is spent as the value is drawn, so every value
+    that st.recursive draws can be drawn and none runs over and is retried.
+    """
+    level = draw(st.integers(0 if leaves else 1, depth))
+    if level == 0:
+        return draw(_JSON_SCALARS), 1
+    size = 4 if level > 1 else min(4, leaves)  # at level 1 the items are scalars
+    keys = (range(draw(st.integers(0, size))) if draw(st.booleans()) else
+            draw(st.lists(_ANY_TEXT, max_size=size, unique=True)))
+    items, used = [], 0
+    for _ in keys:
+        item, count = _draw_json(draw, level - 1, leaves - used)
+        items.append(item)
+        used += count
+    return (items if isinstance(keys, range) else dict(zip(keys, items))), used
+
+
+_JSON = st.composite(lambda draw: _draw_json(draw, 4, 12)[0])()
 
 
 def _hex64(value, upper):
