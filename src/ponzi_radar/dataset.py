@@ -288,20 +288,21 @@ def write_features_csv(features_by_cluster: Mapping[int, FeatureVector], fp: IO[
                  ((ci, *features_by_cluster[ci]) for ci in sorted(features_by_cluster)))
 
 
-_FEATURE_TYPES = tuple(int if name in INT_FEATURES else float for name in FEATURE_NAMES)
-
-
 def read_features_csv(fp: IO[str]) -> dict[int, FeatureVector]:
     (cluster_ids,), X = _read_table(fp, ("cluster_id",), "feature table")
+    # One tolist per column. The reader bounds integer columns to [0, 2**53],
+    # where int64 holds every value exactly.
+    columns = [X[:, j].astype(np.int64).tolist() if integer else X[:, j].tolist()
+               for j, integer in enumerate(_INT_COLUMNS.tolist())]
     out: dict[int, FeatureVector] = {}
-    for row_no, (cell, row) in enumerate(zip(cluster_ids, X.tolist()), start=2):
+    for row_no, (cell, row) in enumerate(zip(cluster_ids, zip(*columns)), start=2):
         try:
             ci = int(cell)
         except ValueError as exc:
             raise DataError(f"feature table row {row_no}: {exc}") from exc
         if ci in out:
             raise DataError(f"feature table row {row_no}: duplicate cluster id {ci}")
-        out[ci] = FeatureVector(*[kind(v) for kind, v in zip(_FEATURE_TYPES, row)])
+        out[ci] = FeatureVector._make(row)
     return out
 
 

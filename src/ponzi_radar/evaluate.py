@@ -8,10 +8,14 @@ reported as explicitly undefined, never silently 0.
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import signal
+import warnings
 from dataclasses import dataclass, replace
 from decimal import Decimal, ROUND_HALF_EVEN
-from typing import IO, Sequence
+from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,6 +163,13 @@ def _confusion_from_predictions(actual: np.ndarray, predicted_p: np.ndarray) -> 
     return ConfusionMatrix(tp, fn, fp, tn)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the OS cannot say or cannot fork."""
+    if not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def cross_validate(
     dataset: Dataset,
     learner: LearnerSpec,
@@ -172,28 +183,42 @@ def cross_validate(
 
     Undersampling, when requested, is applied to the training folds only.
     All randomness (fold assignment, per-fold sampling, per-fold training)
-    derives from `seed`, so results are reproducible. Folds and trees are
-    trained one at a time: `threads` is ignored, and stays only because
-    `bench/worker.py` passes it. A forest's features are coded once for all
-    the folds (see `train_forest`).
+    derives from `seed`, so results are reproducible. A forest's features
+    are coded once for all the folds (see `train_forest`).
+
+    Every fold is planned here first: its rows, its undersampling and its
+    seed, and a fold whose training data holds no P instance is an error
+    before any training starts. Then the usable CPUs share the folds, fold
+    i on worker i % min(usable_cpus(), k), the others forked children of
+    this process (see `_share_folds`). The outcomes are joined in fold
+    order, so the result is the same for any worker count. `threads` is
+    ignored, and stays only because `bench/worker.py` passes it.
     """
     seeds = derive_seeds(seed, 1 + 2 * k)
     folds = stratified_folds(dataset, k, seeds[0])
     X, y = dataset.X, dataset.y
     codes, values = _value_codes(X) if learner.kind == "forest" else (None, None)
-    outcomes: list[FoldOutcome] = []
+    train_rows = []
     for i, test_idx in enumerate(folds):
-        train_rows = np.setdiff1d(np.arange(len(dataset)), test_idx)
-        if not y[train_rows].any():
+        rows = np.setdiff1d(np.arange(len(dataset)), test_idx)
+        if not y[rows].any():
             raise DataError(f"fold {i}: training data lost every P instance")
         if sampling_ratio is not None:
-            kept = undersample_rows(y[train_rows], sampling_ratio, seeds[1 + 2 * i])
+            kept = undersample_rows(y[rows], sampling_ratio, seeds[1 + 2 * i])
             if kept is not None:
-                train_rows = train_rows[kept]
+                rows = rows[kept]
+        train_rows.append(rows)
+
+    def fold_scores(i: int) -> np.ndarray:
+        rows = train_rows[i]
         # take, not codes[:, rows]: the fold's codes stay C-contiguous for the grower
-        coded = None if codes is None else (codes.take(train_rows, axis=1), values)
-        model = train_model(dataset.take(train_rows), learner, seeds[2 + 2 * i], coded=coded)
-        p = model.predict_proba_matrix(X[test_idx])
+        coded = None if codes is None else (codes.take(rows, axis=1), values)
+        # the module global, looked up per call, so a wrapped train_model sees every fold
+        model = train_model(dataset.take(rows), learner, seeds[2 + 2 * i], coded=coded)
+        return model.predict_proba_matrix(X[folds[i]])
+
+    outcomes: list[FoldOutcome] = []
+    for test_idx, p in zip(folds, _share_folds(fold_scores, k, min(usable_cpus(), k))):
         labels = y[test_idx]
         outcomes.append(FoldOutcome(
             _confusion_from_predictions(labels, cost_sensitive_predict(p, cost)), p, labels))
@@ -208,8 +233,123 @@ def cross_validate(
     return CVResult(aggregate, outcomes, metrics)
 
 
-@dataclass(frozen=True)
-class Prediction:
+def _share_folds(work: Callable[[int], np.ndarray], k: int, workers: int) -> list[np.ndarray]:
+    """`work(i)` for every fold i < k, fold i on worker i % `workers`; in fold order.
+
+    Worker 0 is this process. Each other worker is a child forked before
+    this process trains its own share; it sends its scores back pickled
+    through a pipe. A fork that fails leaves its share to this process. When
+    folds fail, the error of the first failing fold is raised, as one worker
+    would raise it: a child's exception with its type and message, a child
+    that exits without a result as a RuntimeError that names its folds. No
+    child outlives the call: on any exception here, KeyboardInterrupt too,
+    the children still running are killed and reaped.
+    """
+    results: dict[int, np.ndarray] = {}
+    errors: dict[int, BaseException] = {}
+    own = list(range(0, k, workers))
+    children: dict[int, tuple[int, list[int]]] = {}  # pid -> (pipe read end, folds)
+    try:
+        for w in range(1, workers):
+            share = list(range(w, k, workers))
+            child = _fork_share(work, share)
+            if child is None:
+                own.extend(share)
+            else:
+                children[child[0]] = (child[1], share)
+        for i in sorted(own):
+            try:
+                results[i] = work(i)
+            except Exception as exc:  # raised below unless an earlier fold failed too
+                errors[i] = exc
+                break
+        for pid in list(children):
+            fd, share = children[pid]
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            os.close(fd)
+            try:
+                scores, failure = pickle.loads(b"".join(chunks))
+            except Exception:
+                errors[share[0]] = RuntimeError(
+                    f"cross-validation worker for folds {share} exited without a result "
+                    f"(wait status {status})")
+                continue
+            results.update(zip(share, scores))
+            if failure is not None:
+                errors[failure[0]] = failure[1]
+    finally:
+        for pid, (fd, _) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+    if errors:
+        raise errors[min(errors)]
+    return [results[i] for i in range(k)]
+
+
+def _fork_share(work: Callable[[int], np.ndarray], share: list[int]) -> tuple[int, int] | None:
+    """Fork a child that runs `work` on each fold of `share`: (pid, pipe read end).
+
+    None when the pipe or the fork fails. The child sends back one pickle,
+    (the scores of the folds it finished, None or (fold, exception) of the
+    fold that failed), and leaves through os._exit on every path, so it
+    never returns into the caller's stack nor flushes stdio buffers that
+    the parent will flush too.
+
+    Python 3.12+ warns that a fork may deadlock the child when the process
+    has more than one thread, and numpy's OpenBLAS starts a thread of its
+    own at import. The fork is safe here: it copies only the calling
+    thread, the child makes no BLAS call that would need the missing one,
+    and it leaves through os._exit without running any exit handler. So
+    the warning is muted, whatever the warning filters (`-W always`,
+    `-X dev`, a test run's "error") say.
+    """
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid:
+        os.close(w)
+        return pid, r
+    status = 1
+    try:
+        os.close(r)
+        scores: list[np.ndarray] = []
+        failure = None
+        for i in share:
+            try:
+                scores.append(work(i))
+            except BaseException as exc:  # KeyboardInterrupt too: the parent raises it
+                failure = (i, exc)
+                break
+        if failure is not None:
+            try:
+                pickle.loads(pickle.dumps(failure[1]))
+            except Exception:  # an exception that does not pickle: its type and text
+                i, exc = failure
+                failure = (i, RuntimeError(f"fold {i}: {type(exc).__name__}: {exc}"))
+        view = memoryview(pickle.dumps((scores, failure)))
+        while view:
+            view = view[os.write(w, view):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class Prediction(NamedTuple):
     id: str
     label: str
     score: float
@@ -229,11 +369,9 @@ def apply_model(model: Model, cost: CostMatrix, dataset: Dataset) -> ApplyResult
         return ApplyResult(ConfusionMatrix(0, 0, 0, 0), [], None)
     p = model.predict_proba_matrix(dataset.X)
     predicted_p = cost_sensitive_predict(p, cost)
-    predictions = [
-        Prediction(id_, LABEL_OF[actual], score, LABEL_OF[predicted])
-        for id_, actual, score, predicted
-        in zip(dataset.ids, dataset.y.tolist(), p.tolist(), predicted_p.tolist())
-    ]
+    label = LABEL_OF.__getitem__
+    predictions = list(map(Prediction, dataset.ids, map(label, dataset.y.tolist()), p.tolist(),
+                           map(label, predicted_p.tolist())))
     confusion = _confusion_from_predictions(dataset.y, predicted_p)
     return ApplyResult(confusion, predictions, metrics_with_auc(confusion, p, dataset.y))
 

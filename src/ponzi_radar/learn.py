@@ -446,9 +446,10 @@ def train_model(dataset: Dataset, spec: LearnerSpec, seed: int, threads: int = 1
                 coded: Coded | None = None) -> Model:
     """Train what `spec` names, on data that holds a P instance.
 
-    Trees grow one at a time: `threads` is ignored, and stays only because
-    `bench/worker.py` passes it. `coded` goes to `train_forest`; a Bayes
-    model does not read it.
+    Trees grow one at a time, in the calling process; `cross_validate`
+    shares whole folds among processes instead. `threads` is ignored, and
+    stays only because `bench/worker.py` passes it. `coded` goes to
+    `train_forest`; a Bayes model does not read it.
     """
     if spec.kind == "forest":
         if not dataset.y.any():  # its trees would score every row 0

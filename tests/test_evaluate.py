@@ -1,5 +1,7 @@
 import io
+import os
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from ponzi_radar import evaluate
 from ponzi_radar.dataset import Dataset
-from ponzi_radar.errors import DataError
+from ponzi_radar.errors import DataError, ParseError
 from ponzi_radar.evaluate import (
     ConfusionMatrix,
     apply_model,
@@ -24,6 +26,7 @@ from ponzi_radar.learn import (
     CostMatrix,
     LearnerSpec,
     cost_sensitive_predict,
+    derive_seeds,
     train_forest,
     train_model,
 )
@@ -271,15 +274,140 @@ class TestCrossValidate:
         with pytest.raises(DataError, match="lost every P"):
             cross_validate(ds, LearnerSpec(n_trees=2), CostMatrix(1, 1), k=2, seed=0)
 
-    def test_thread_count_does_not_change_result(self):
+    def test_thread_count_does_not_change_result(self, monkeypatch):
+        # Folds are shared by worker i % workers, the others forked children:
+        # every worker count gives the same folds, bit for bit.
         ds = make_dataset(8, 60, seed=13, separable=False)
-        a = cross_validate(ds, LearnerSpec(n_trees=8), CostMatrix(20, 1),
-                           k=4, seed=6, threads=1)
-        b = cross_validate(ds, LearnerSpec(n_trees=8), CostMatrix(20, 1),
-                           k=4, seed=6, threads=4)
-        assert a.confusion == b.confusion
-        for fold_a, fold_b in zip(a.folds, b.folds):
-            assert np.array_equal(fold_a.scores, fold_b.scores)
+        runs = [
+            (LearnerSpec(n_trees=8), None),
+            (LearnerSpec(n_trees=8), 1),
+            (LearnerSpec(n_trees=8, reweight=CostMatrix(5, 1)), None),
+            (LearnerSpec(kind="bayes"), None),
+        ]
+        for learner, ratio in runs:
+            results = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(evaluate, "usable_cpus", lambda: workers)
+                parent_fits = count_parent_fits(monkeypatch)
+                results.append(cross_validate(ds, learner, CostMatrix(20, 1), k=4, seed=6,
+                                              sampling_ratio=ratio, threads=workers))
+                assert len(parent_fits) == len(range(0, 4, workers))
+            want = results[0]
+            for got in results[1:]:
+                assert got.confusion == want.confusion
+                assert got.metrics == want.metrics
+                for fold_got, fold_want in zip(got.folds, want.folds, strict=True):
+                    assert fold_got.confusion == fold_want.confusion
+                    assert fold_got.labels.tobytes() == fold_want.labels.tobytes()
+                    assert fold_got.scores.tobytes() == fold_want.scores.tobytes()
+        assert_no_child_left()
+
+
+def count_parent_fits(monkeypatch) -> list:
+    """Wrap evaluate.train_model; the list it returns grows by one per fit in this process."""
+    fits, parent, train = [], os.getpid(), train_model
+
+    def counted(*args, **kwargs):
+        if os.getpid() == parent:
+            fits.append(args[2])
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "train_model", counted)
+    return fits
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing", [(1, 2), (2, 3)], ids=["child_first", "parent_first"])
+def test_fold_errors_raise_as_one_worker_raises_them(monkeypatch, failing):
+    # 2 workers, k=4: this process trains folds 0 and 2, the child 1 and 3.
+    ds = make_dataset(8, 60, seed=13, separable=False)
+    seeds = derive_seeds(6, 1 + 2 * 4)  # fold i trains with seeds[2 + 2 * i]
+    fold_of = {seeds[2 + 2 * i]: i for i in range(4)}
+
+    def failing_fit(data, learner, seed, *args, **kwargs):
+        if fold_of[seed] in failing:
+            raise DataError(f"fold {fold_of[seed]} cannot be trained")
+        return train_model(data, learner, seed, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "train_model", failing_fit)
+    outcomes = []
+    for workers in (1, 2):
+        monkeypatch.setattr(evaluate, "usable_cpus", lambda: workers)
+        with pytest.raises(DataError) as info:
+            cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=4, seed=6)
+        outcomes.append((type(info.value), str(info.value)))
+        assert_no_child_left()
+    assert outcomes[1] == outcomes[0] == (DataError, f"fold {failing[0]} cannot be trained")
+
+
+def test_child_without_a_result_names_its_folds(monkeypatch):
+    ds = make_dataset(8, 60, seed=13, separable=False)
+    parent = os.getpid()
+
+    def dying_fit(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return train_model(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "train_model", dying_fit)
+    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 3)
+    with pytest.raises(RuntimeError, match=r"folds \[1, 4\] exited without a result"):
+        cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=5, seed=6)
+    assert_no_child_left()
+
+
+def test_child_error_that_does_not_pickle_keeps_its_type_and_text(monkeypatch):
+    ds = make_dataset(8, 60, seed=13, separable=False)
+    parent = os.getpid()
+
+    def fit(*args, **kwargs):
+        if os.getpid() != parent:  # ParseError(message, line) unpickles as ParseError(text)
+            raise ParseError("bad cell", 3)
+        return train_model(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "train_model", fit)
+    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match=r"^fold 1: ParseError: line 3: bad cell$"):
+        cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=4, seed=6)
+    assert_no_child_left()
+
+
+def test_interrupted_parent_kills_its_children(monkeypatch):
+    ds = make_dataset(8, 60, seed=13, separable=False)
+    parent = os.getpid()
+
+    def fit(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)  # killed long before
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(evaluate, "train_model", fit)
+    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 2)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=4, seed=6)
+    assert time.perf_counter() - t0 < 30
+    assert_no_child_left()
+
+
+def test_failed_fork_leaves_the_share_to_the_parent(monkeypatch):
+    ds = make_dataset(8, 60, seed=13, separable=False)
+    want = cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=4, seed=6)
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 2)
+    parent_fits = count_parent_fits(monkeypatch)
+    got = cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=4, seed=6)
+    assert len(parent_fits) == 4
+    assert got.metrics == want.metrics
+    assert [f.scores.tobytes() for f in got.folds] == [f.scores.tobytes() for f in want.folds]
 
 
 def tie_heavy_dataset(n, seed):
@@ -306,6 +434,8 @@ def test_folds_coded_once_grow_the_trees_of_per_fold_coding(monkeypatch, ratio):
         return model
 
     monkeypatch.setattr(evaluate, "train_model", record)
+    # one worker: a child's calls would not reach `fits`
+    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 1)
     cross_validate(ds, LearnerSpec(n_trees=8), CostMatrix(20, 1), k=5, seed=8,
                    sampling_ratio=ratio)
     assert len(fits) == 5

@@ -189,7 +189,8 @@ def outcome(read, text, newline):
         return ("error", type(exc), str(exc))
     if isinstance(got, Dataset):  # -0.0 == 0.0, so compare the bits of X too
         return ("ok", got, got.X.tobytes())
-    return ("ok", got, repr(got))
+    # 1 == 1.0, so compare the type of every key and cell too
+    return ("ok", got, repr(got), [(type(ci), *map(type, fv)) for ci, fv in got.items()])
 
 
 def assert_same_as_reference(kind, text, newline="io"):
