@@ -118,11 +118,16 @@ def exact_ints(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(a.astype(object) for a in arrays)
 
 
-def segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sums of `values[starts[i]:starts[i + 1]]`, exact for `exact_ints` values."""
-    cumulative = np.zeros(len(values) + 1, dtype=values.dtype)
-    cumulative[1:] = np.cumsum(values)
-    return cumulative[starts[1:]] - cumulative[starts[:-1]]
+def segment_reduce(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """`ufunc` reduced over each `values[starts[i]:starts[i + 1]]`, 0 for an empty one.
+
+    `np.add` sums are exact for `exact_ints` values.
+    """
+    out = np.zeros(len(starts) - 1, dtype=values.dtype)
+    nonempty = np.flatnonzero(starts[1:] > starts[:-1])
+    if len(nonempty):
+        out[nonempty] = ufunc.reduceat(values, starts[nonempty])
+    return out
 
 
 def segment_starts(counts: np.ndarray) -> np.ndarray:
@@ -485,7 +490,8 @@ def validate_tx_log(log: TxLog) -> ValidationReport:
     )
 
     in_value, out_value = exact_ints(log.in_value, log.out_value)
-    fee = segment_sums(in_value, log.in_start) - segment_sums(out_value, log.out_start)
+    fee = (segment_reduce(np.add, in_value, log.in_start)
+           - segment_reduce(np.add, out_value, log.out_start))
     unresolved = np.bincount(in_tx[~resolved], minlength=len(txids))
     negative = np.flatnonzero(~log.coinbase & (unresolved == 0) & (fee < 0))
     return ValidationReport(

@@ -57,23 +57,23 @@ def write_rows(fp: IO[str], header: Sequence[str], line_format: str,
         fp.write("".join([line_format % row for row in chunk]))
 
 
-def read_rows(fp: IO[str], what: str, header: Sequence[str], width: int | None = None,
-              header_error: Callable[[list[str] | None], DataError] | None = None,
-              ) -> Iterator[tuple[int, list[str]]]:
+def read_rows(fp: IO[str], what: str, header: Sequence[str],
+              width: int | None = None) -> Iterator[tuple[int, list[str]]]:
     """(row number, cells) of each row after the header, which is row 1.
 
-    A first row other than `header` raises `header_error(first row or None)`,
-    by default "<what> must start with header ...". A row of other than
-    `width` cells, when given, and a `csv.Error` (such as a cell beyond the
-    128 KiB field limit) are DataErrors that name `what` and the row.
+    A first row other than `header` raises "<what> must start with header
+    ...". A row of other than `width` cells, when given, and a `csv.Error`
+    (such as a cell beyond the 128 KiB field limit) are DataErrors that name
+    `what` and the row.
     """
-    read_header(fp, what, header, header_error)
+    read_header(fp, what, header)
     yield from csv_rows(fp, what, width)
 
 
 def read_header(fp: IO[str], what: str, header: Sequence[str],
                 header_error: Callable[[list[str] | None], DataError] | None = None) -> None:
-    """Read row 1, which must be `header`; it raises as `read_rows` does.
+    """Read row 1, which must be `header`; another row raises
+    `header_error(first row or None)`, by default as `read_rows` does.
 
     `csv.reader` takes only the lines of that row from `fp`, so the rest can
     be read from `fp` by any means.

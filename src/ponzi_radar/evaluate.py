@@ -8,6 +8,7 @@ reported as explicitly undefined, never silently 0.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import random
@@ -190,9 +191,11 @@ def cross_validate(
     seed, and a fold whose training data holds no P instance is an error
     before any training starts. Then the usable CPUs share the folds, fold
     i on worker i % min(usable_cpus(), k), the others forked children of
-    this process (see `_share_folds`). The outcomes are joined in fold
-    order, so the result is the same for any worker count. `threads` is
-    ignored, and stays only because `bench/worker.py` passes it.
+    this process (see `_share_folds`). A fold that a child did not score,
+    because it failed, died or could not be forked, is trained here. The
+    outcomes are joined in fold order, so the result is the same for any
+    worker count, and an error is raised as one worker raises it. `threads`
+    is ignored, and stays only because `bench/worker.py` passes it.
     """
     seeds = derive_seeds(seed, 1 + 2 * k)
     folds = stratified_folds(dataset, k, seeds[0])
@@ -237,68 +240,59 @@ def _share_folds(work: Callable[[int], np.ndarray], k: int, workers: int) -> lis
     """`work(i)` for every fold i < k, fold i on worker i % `workers`; in fold order.
 
     Worker 0 is this process. Each other worker is a child forked before
-    this process trains its own share; it sends its scores back pickled
-    through a pipe. A fork that fails leaves its share to this process. When
-    folds fail, the error of the first failing fold is raised, as one worker
-    would raise it: a child's exception with its type and message, a child
-    that exits without a result as a RuntimeError that names its folds. No
-    child outlives the call: on any exception here, KeyboardInterrupt too,
-    the children still running are killed and reaped.
+    this process trains its own share; it sends back the scores of the
+    folds it finished, pickled through a pipe. Then, in fold order, this
+    process trains every fold that has no score: one whose child failed on
+    it, died or could not be forked. Its own first failure is raised when
+    that loop reaches the fold, so the first failing fold raises with its
+    own type, text and traceback, as one worker would raise it. No child
+    outlives the call: on any exception here, KeyboardInterrupt too, the
+    children still running are killed and reaped.
     """
     results: dict[int, np.ndarray] = {}
-    errors: dict[int, BaseException] = {}
-    own = list(range(0, k, workers))
-    children: dict[int, tuple[int, list[int]]] = {}  # pid -> (pipe read end, folds)
+    failed, failure = k, None  # this process's first failing fold, and its exception
+    children: dict[int, int] = {}  # pid -> pipe read end
     try:
         for w in range(1, workers):
-            share = list(range(w, k, workers))
-            child = _fork_share(work, share)
-            if child is None:
-                own.extend(share)
-            else:
-                children[child[0]] = (child[1], share)
-        for i in sorted(own):
+            child = _fork_share(work, range(w, k, workers))
+            if child is not None:
+                children[child[0]] = child[1]
+        for i in range(0, k, workers):
             try:
                 results[i] = work(i)
-            except Exception as exc:  # raised below unless an earlier fold failed too
-                errors[i] = exc
+            except Exception as exc:  # raised below unless an earlier fold fails too
+                failed, failure = i, exc
                 break
-        for pid in list(children):
-            fd, share = children[pid]
+        for pid, fd in list(children.items()):
             chunks = []
             while chunk := os.read(fd, 1 << 16):
                 chunks.append(chunk)
-            _, status = os.waitpid(pid, 0)
+            os.waitpid(pid, 0)
             del children[pid]
             os.close(fd)
-            try:
-                scores, failure = pickle.loads(b"".join(chunks))
-            except Exception:
-                errors[share[0]] = RuntimeError(
-                    f"cross-validation worker for folds {share} exited without a result "
-                    f"(wait status {status})")
-                continue
-            results.update(zip(share, scores))
-            if failure is not None:
-                errors[failure[0]] = failure[1]
+            with contextlib.suppress(Exception):  # an unreadable pickle: no scores
+                results.update(pickle.loads(b"".join(chunks)))
     finally:
-        for pid, (fd, _) in children.items():
+        for pid, fd in children.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)
-    if errors:
-        raise errors[min(errors)]
+    for i in range(k):
+        if i == failed:
+            raise failure
+        if i not in results:
+            results[i] = work(i)
     return [results[i] for i in range(k)]
 
 
-def _fork_share(work: Callable[[int], np.ndarray], share: list[int]) -> tuple[int, int] | None:
+def _fork_share(work: Callable[[int], np.ndarray], share: range) -> tuple[int, int] | None:
     """Fork a child that runs `work` on each fold of `share`: (pid, pipe read end).
 
-    None when the pipe or the fork fails. The child sends back one pickle,
-    (the scores of the folds it finished, None or (fold, exception) of the
-    fold that failed), and leaves through os._exit on every path, so it
-    never returns into the caller's stack nor flushes stdio buffers that
-    the parent will flush too.
+    None when the pipe or the fork fails. The child stops at the first fold
+    that raises, sends back one pickle, {fold: scores} of the folds it
+    finished, and leaves through os._exit(0) on every path, so no exception
+    crosses the pipe, and the child never returns into the caller's stack
+    nor flushes stdio buffers that the parent will flush too.
 
     Python 3.12+ warns that a fork may deadlock the child when the process
     has more than one thread, and numpy's OpenBLAS starts a thread of its
@@ -324,29 +318,17 @@ def _fork_share(work: Callable[[int], np.ndarray], share: list[int]) -> tuple[in
     if pid:
         os.close(w)
         return pid, r
-    status = 1
     try:
         os.close(r)
-        scores: list[np.ndarray] = []
-        failure = None
-        for i in share:
-            try:
-                scores.append(work(i))
-            except BaseException as exc:  # KeyboardInterrupt too: the parent raises it
-                failure = (i, exc)
-                break
-        if failure is not None:
-            try:
-                pickle.loads(pickle.dumps(failure[1]))
-            except Exception:  # an exception that does not pickle: its type and text
-                i, exc = failure
-                failure = (i, RuntimeError(f"fold {i}: {type(exc).__name__}: {exc}"))
-        view = memoryview(pickle.dumps((scores, failure)))
+        scores: dict[int, np.ndarray] = {}
+        with contextlib.suppress(Exception):  # the parent trains this fold again
+            for i in share:
+                scores[i] = work(i)
+        view = memoryview(pickle.dumps(scores))
         while view:
             view = view[os.write(w, view):]
-        status = 0
     finally:
-        os._exit(status)
+        os._exit(0)
 
 
 class Prediction(NamedTuple):

@@ -41,7 +41,7 @@ from typing import Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
-from .chain import MAX_ABS_TIME, TxLog, exact_ints, segment_starts, segment_sums
+from .chain import MAX_ABS_TIME, TxLog, exact_ints, segment_reduce, segment_starts
 from .clustering import ClusterSet
 from .errors import DataError
 
@@ -115,16 +115,6 @@ class LedgerEvent:
     txid: str
     amount: int
     counterparts: frozenset[str]
-
-
-def _segment_reduce(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray,
-                    empty: int = 0) -> np.ndarray:
-    """`ufunc` reduced over each `values[starts[i]:starts[i + 1]]`; `empty` for none."""
-    out = np.full(len(starts) - 1, empty, dtype=values.dtype)
-    nonempty = np.flatnonzero(starts[1:] > starts[:-1])
-    if len(nonempty):
-        out[nonempty] = ufunc.reduceat(values, starts[nonempty])
-    return out
 
 
 def _int_array(values: list[int]) -> np.ndarray:
@@ -292,7 +282,7 @@ def _per_tx_cluster(tx: np.ndarray, cluster: np.ndarray,
     first = np.ones(len(tx), dtype=bool)
     first[1:] = (tx[1:] != tx[:-1]) | (cluster[1:] != cluster[:-1])
     starts = np.append(np.flatnonzero(first), len(tx))
-    return tx[starts[:-1]], cluster[starts[:-1]], _segment_reduce(np.add, values[order], starts)
+    return tx[starts[:-1]], cluster[starts[:-1]], segment_reduce(np.add, values[order], starts)
 
 
 def _only_cluster(tx: np.ndarray, cluster: np.ndarray, n_tx: int) -> np.ndarray:
@@ -354,11 +344,11 @@ def _gini_column(side: _Side, amount: np.ndarray, count: np.ndarray,
     order = np.argsort(amount, kind="stable")
     order = order[np.argsort(side.cluster[order], kind="stable")]
     total_f = total.astype(np.float64)
-    fast = ((count - 1) * total_f <= 2.0**52) & (_segment_reduce(np.minimum, amount, side.start) >= 0)
+    fast = ((count - 1) * total_f <= 2.0**52) & (segment_reduce(np.minimum, amount, side.start) >= 0)
     x = np.where(np.repeat(fast, count), amount[order], 0)
     rank = np.arange(len(x)) - np.repeat(side.start[:-1], count)
     weights = 2 * rank + 1 - np.repeat(count, count)
-    weighted = _segment_reduce(np.add, weights * x, side.start).astype(np.float64)
+    weighted = segment_reduce(np.add, weights * x, side.start).astype(np.float64)
     out = np.divide(weighted, count * total_f, out=np.zeros(len(count)), where=total_f > 0)
     for c in np.flatnonzero(~fast).tolist():
         out[c] = gini(amount[side.start[c]:side.start[c + 1]].tolist())
@@ -407,7 +397,8 @@ def _feature_columns(batch: LedgerBatch) -> dict[str, np.ndarray]:
     n_clusters, inc, out = batch.n_clusters, batch.incoming, batch.outgoing
     in_amount, out_amount = exact_ints(inc.amount, out.amount)
     count_in, count_out = np.diff(inc.start), np.diff(out.start)
-    sum_in, sum_out = segment_sums(in_amount, inc.start), segment_sums(out_amount, out.start)
+    sum_in = segment_reduce(np.add, in_amount, inc.start)
+    sum_out = segment_reduce(np.add, out_amount, out.start)
     columns: dict[str, np.ndarray] = dict(
         gini_in=_gini_column(inc, in_amount, count_in, sum_in),
         gini_out=_gini_column(out, out_amount, count_out, sum_out),
@@ -440,16 +431,16 @@ def _feature_columns(batch: LedgerBatch) -> dict[str, np.ndarray]:
     # the largest absolute net flow of an event day after the first.
     after_first = np.ones(len(day_cluster), dtype=bool)
     after_first[by_cluster[:-1][activity_days > 0]] = False
-    delta = np.where(after_first, np.abs(_segment_reduce(np.add, net, day_starts)), 0)
+    delta = np.where(after_first, np.abs(segment_reduce(np.add, net, day_starts)), 0)
     last_day = np.zeros(n_clusters, dtype=np.int64)
     last_day[activity_days > 0] = day_of[by_cluster[1:][activity_days > 0] - 1]
-    first_in_day = _segment_reduce(np.minimum, inc.time // SECONDS_PER_DAY, inc.start)
+    first_in_day = segment_reduce(np.minimum, inc.time // SECONDS_PER_DAY, inc.start)
     columns.update(
         lifetime_days=np.where(count_in > 0, last_day - first_in_day, 0),
         activity_days=activity_days,
-        max_daily_tx=_segment_reduce(
-            np.maximum, _segment_reduce(np.add, new_tx.astype(np.int64), day_starts), by_cluster),
-        max_daily_balance_delta=_segment_reduce(np.maximum, delta, by_cluster),
+        max_daily_tx=segment_reduce(
+            np.maximum, segment_reduce(np.add, new_tx.astype(np.int64), day_starts), by_cluster),
+        max_daily_balance_delta=segment_reduce(np.maximum, delta, by_cluster),
     )
 
     # Delay of each outgoing event behind the latest incoming at or before it.
@@ -465,10 +456,10 @@ def _feature_columns(batch: LedgerBatch) -> dict[str, np.ndarray]:
     n_delays = np.diff(delay_start)
     (exact_delay,) = exact_ints(delay)
     columns.update(
-        delay_min=_segment_reduce(np.minimum, delay, delay_start),
-        delay_max=_segment_reduce(np.maximum, delay, delay_start),
-        delay_avg=np.divide(segment_sums(exact_delay, delay_start).astype(np.float64), n_delays,
-                            out=np.zeros(n_clusters), where=n_delays > 0),
+        delay_min=segment_reduce(np.minimum, delay, delay_start),
+        delay_max=segment_reduce(np.maximum, delay, delay_start),
+        delay_avg=np.divide(segment_reduce(np.add, exact_delay, delay_start).astype(np.float64),
+                            n_delays, out=np.zeros(n_clusters), where=n_delays > 0),
     )
     return columns
 

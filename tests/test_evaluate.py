@@ -1,6 +1,7 @@
 import io
 import os
 import random
+import signal
 import time
 from collections import Counter
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ponzi_radar import evaluate
-from ponzi_radar.dataset import Dataset
+from ponzi_radar.cli import main
+from ponzi_radar.dataset import Dataset, write_csv
 from ponzi_radar.errors import DataError, ParseError
 from ponzi_radar.evaluate import (
     ConfusionMatrix,
@@ -344,35 +346,88 @@ def test_fold_errors_raise_as_one_worker_raises_them(monkeypatch, failing):
     assert outcomes[1] == outcomes[0] == (DataError, f"fold {failing[0]} cannot be trained")
 
 
-def test_child_without_a_result_names_its_folds(monkeypatch):
-    ds = make_dataset(8, 60, seed=13, separable=False)
-    parent = os.getpid()
-
-    def dying_fit(*args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(3)
-        return train_model(*args, **kwargs)
-
-    monkeypatch.setattr(evaluate, "train_model", dying_fit)
-    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 3)
-    with pytest.raises(RuntimeError, match=r"folds \[1, 4\] exited without a result"):
-        cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=5, seed=6)
-    assert_no_child_left()
+def fold_seeds(seed: int, k: int) -> dict[int, int]:
+    """Fold i's training seed -> i, for cross_validate(..., k=k, seed=seed)."""
+    seeds = derive_seeds(seed, 1 + 2 * k)
+    return {seeds[2 + 2 * i]: i for i in range(k)}
 
 
-def test_child_error_that_does_not_pickle_keeps_its_type_and_text(monkeypatch):
-    ds = make_dataset(8, 60, seed=13, separable=False)
-    parent = os.getpid()
+def child_fails_at(monkeypatch, fold: int, seed: int, k: int, kill: bool = True) -> None:
+    """Make the child that trains `fold` die by SIGKILL, as the OOM killer
+    kills, or raise a DataError that this process would not raise; the other
+    fits go on to the evaluate.train_model of the time of the call."""
+    parent, fold_of, train = os.getpid(), fold_seeds(seed, k), evaluate.train_model
 
-    def fit(*args, **kwargs):
-        if os.getpid() != parent:  # ParseError(message, line) unpickles as ParseError(text)
-            raise ParseError("bad cell", 3)
-        return train_model(*args, **kwargs)
+    def fit(data, learner, fit_seed, *args, **kwargs):
+        if os.getpid() != parent and fold_of[fit_seed] == fold:
+            if kill:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise DataError("only a child fails")
+        return train(data, learner, fit_seed, *args, **kwargs)
 
     monkeypatch.setattr(evaluate, "train_model", fit)
+
+
+@pytest.mark.parametrize("workers, failing, kill, missing", [
+    (2, 3, True, [1, 3]), (3, 4, True, [1, 4]), (2, 3, False, [3]), (3, 4, False, [4]),
+], ids=["2_workers_killed", "3_workers_killed", "2_workers_raising", "3_workers_raising"])
+def test_failed_child_costs_time_not_the_run(monkeypatch, workers, failing, kill, missing):
+    # k=5: the child with folds 1 and `failing` finishes fold 1 and fails on
+    # `failing`. Killed, it sends nothing; raising, it sends fold 1's scores.
+    # With 3 workers, fold 2's child sends its scores either way.
+    ds = make_dataset(8, 60, seed=13, separable=False)
+    learner, cost = LearnerSpec(n_trees=4), CostMatrix(20, 1)
+    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 1)
+    want = cross_validate(ds, learner, cost, k=5, seed=6)
+    monkeypatch.setattr(evaluate, "usable_cpus", lambda: workers)
+    parent_fits = count_parent_fits(monkeypatch)
+    child_fails_at(monkeypatch, failing, seed=6, k=5, kill=kill)
+    got = cross_validate(ds, learner, cost, k=5, seed=6)
+    assert_no_child_left()
+    fold_of = fold_seeds(6, 5)
+    assert [fold_of[s] for s in parent_fits] == [*range(0, 5, workers), *missing]
+    assert got.confusion == want.confusion
+    assert got.metrics == want.metrics
+    for fold_got, fold_want in zip(got.folds, want.folds, strict=True):
+        assert fold_got.confusion == fold_want.confusion
+        assert fold_got.labels.tobytes() == fold_want.labels.tobytes()
+        assert fold_got.scores.tobytes() == fold_want.scores.tobytes()
+
+
+def test_cv_command_with_a_killed_child_writes_the_one_worker_report(monkeypatch, tmp_path):
+    with open(tmp_path / "dataset.csv", "w", encoding="utf-8", newline="") as fp:
+        write_csv(make_dataset(8, 60, seed=13, separable=False), fp)
+    argv = ["cv", str(tmp_path / "dataset.csv"), "--trees", "4", "--k", "5", "--seed", "6"]
+    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 1)
+    assert main([*argv, "-o", str(tmp_path / "one.csv")]) == 0
+    child_fails_at(monkeypatch, 1, seed=6, k=5)
     monkeypatch.setattr(evaluate, "usable_cpus", lambda: 2)
-    with pytest.raises(RuntimeError, match=r"^fold 1: ParseError: line 3: bad cell$"):
+    assert main([*argv, "-o", str(tmp_path / "killed.csv")]) == 0
+    assert_no_child_left()
+    assert (tmp_path / "killed.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fold_error_that_does_not_pickle_raises_with_its_type_and_text(monkeypatch, workers):
+    # ParseError(message, line) would unpickle as ParseError(text): no
+    # exception crosses a pipe, so it need not pickle.
+    ds = make_dataset(8, 60, seed=13, separable=False)
+    parent, fold_of, parent_fits = os.getpid(), fold_seeds(6, 4), []
+
+    def fit(data, learner, seed, *args, **kwargs):
+        if os.getpid() == parent:
+            parent_fits.append(fold_of[seed])
+        if fold_of[seed] == 1:  # in every process
+            raise ParseError("bad cell", 3)
+        return train_model(data, learner, seed, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "train_model", fit)
+    monkeypatch.setattr(evaluate, "usable_cpus", lambda: workers)
+    with pytest.raises(ParseError, match=r"^line 3: bad cell$") as info:
         cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=4, seed=6)
+    assert type(info.value) is ParseError and info.value.line == 3
+    # its own share up to fold 1, then fold 1 once if a child had it
+    assert parent_fits == {1: [0, 1], 2: [0, 2, 1], 3: [0, 3, 1]}[workers]
     assert_no_child_left()
 
 

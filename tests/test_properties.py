@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import tempfile
 from pathlib import Path
@@ -38,13 +39,15 @@ def _draw_json(draw, depth, leaves):
     more than 12 scalars is retried. Here a value's level is drawn the same
     way, and the scalar budget is spent as the value is drawn, so every value
     that st.recursive draws can be drawn and none runs over and is retried.
+    A dict's keys are a drawn list with its repeats dropped: every key set
+    is still drawn, and none is retried for a repeat, as unique=True would.
     """
     level = draw(st.integers(0 if leaves else 1, depth))
     if level == 0:
         return draw(_JSON_SCALARS), 1
     size = 4 if level > 1 else min(4, leaves)  # at level 1 the items are scalars
     keys = (range(draw(st.integers(0, size))) if draw(st.booleans()) else
-            draw(st.lists(_ANY_TEXT, max_size=size, unique=True)))
+            list(dict.fromkeys(draw(st.lists(_ANY_TEXT, max_size=size)))))
     items, used = [], 0
     for _ in keys:
         item, count = _draw_json(draw, level - 1, leaves - used)
@@ -268,3 +271,100 @@ def test_odd_cells_round_trip_through_the_cli(world):
         with open(path["predictions.csv"], encoding="utf-8", newline="") as fp:
             rows = list(csv.reader(fp))
         assert [row[0] for row in rows[1:]] == list(data.ids)
+
+
+# Every subcommand that reads a file, on the files of a tiny world: each
+# argument that names one of them is an input the property may mutate.
+_WORLD_FILES = ("log.jsonl", "labels.csv", "seeds.csv", "clusters.csv", "features.csv",
+                "dataset.csv", "model.json")
+_CLI_RUNS = [
+    ["validate", "log.jsonl"],
+    ["cluster", "log.jsonl", "--seeds", "seeds.csv"],
+    ["features", "log.jsonl"],
+    ["dataset", "--log", "log.jsonl", "--labels", "labels.csv"],
+    ["dataset", "--features", "features.csv", "--clusters", "clusters.csv",
+     "--labels", "labels.csv"],
+    ["train", "dataset.csv", "--trees", "2"],
+    ["cv", "dataset.csv", "--trees", "2", "--k", "2"],
+    ["apply", "dataset.csv", "--model", "model.json"],
+    ["rank", "dataset.csv", "--relieff-k", "2"],
+]
+_INSERTS = [b"\xef\xbb\xbf", b"\r", b"\r\n", b"\x00", b"nan", b"inf", b"1e999", b"-", b'"']
+
+
+def _in_dir(argv: list[str], root, out=None) -> list[str]:
+    """`argv` with its world files in `root`, and `-o out` when `out` is given."""
+    return [*(str(Path(root, a)) if a in _WORLD_FILES else a for a in argv),
+            *([] if out is None else ["-o", str(out)])]
+
+
+@pytest.fixture(scope="module")
+def tiny_world(tmp_path_factory):
+    """The bytes of every world file of a tiny synthetic world, by name."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for argv, out in ((["synth", "--ponzi", "3", "--background", "12", "--seed", "4",
+                        "--labels", str(root / "labels.csv")], "log.jsonl"),
+                      (["cluster", "log.jsonl"], "clusters.csv"),
+                      (["features", "log.jsonl"], "features.csv"),
+                      (["dataset", "--log", "log.jsonl", "--labels", "labels.csv"], "dataset.csv"),
+                      (["train", "dataset.csv", "--trees", "2"], "model.json")):
+        assert main(_in_dir(argv, root, root / out)) == 0, argv
+    with open(root / "labels.csv", encoding="utf-8", newline="") as fp:
+        labels = read_labels(fp)
+    with open(root / "seeds.csv", "w", encoding="utf-8", newline="") as fp:
+        csv.writer(fp, lineterminator="\n").writerows(
+            [("label", "address"), *((label, addr) for addr, label in labels.items())])
+    for argv in _CLI_RUNS:  # every run succeeds on the files as they are
+        out = None if argv[0] == "validate" else root / "out"
+        assert main(_in_dir(argv, root, out)) == 0, argv
+    return {name: (root / name).read_bytes() for name in _WORLD_FILES}
+
+
+@st.composite
+def _mutation(draw, data: bytes) -> bytes:
+    """`data` truncated, with a byte flipped, a line repeated, or a piece
+    inserted: a BOM, CR, CRLF, NUL, nan, inf, 1e999, a minus, a quote, or a
+    number of 20 to 5 000 digits."""
+    kind = draw(st.sampled_from(["truncate", "flip", "repeat", "insert", "digits"]))
+    at = draw(st.integers(0, len(data) - 1 if kind == "flip" else len(data)))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    if kind == "repeat":
+        lines = data.splitlines(keepends=True)
+        i = draw(st.integers(0, len(lines) - 1))
+        return b"".join([*lines[:i + 1], *lines[i:]])
+    if kind == "insert":
+        piece = draw(st.sampled_from(_INSERTS))
+    else:
+        piece = str(draw(st.integers(1, 9))).encode() * draw(st.integers(20, 5000))
+    return data[:at] + piece + data[at:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_inputs_exit_0_or_2_with_one_error_line(tiny_world, data):
+    # validate has no -o, and exits 2 without an error line on a log that
+    # parses but is invalid, as documented.
+    argv = data.draw(st.sampled_from(_CLI_RUNS), label="argv")
+    target = data.draw(st.sampled_from([a for a in argv if a in _WORLD_FILES]), label="target")
+    mutated = data.draw(_mutation(tiny_world[target]), label="mutated")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in argv:
+            if name in _WORLD_FILES:
+                Path(tmp, name).write_bytes(mutated if name == target else tiny_world[name])
+        out = None if argv[0] == "validate" else Path(tmp, "out")
+        before = sorted(os.listdir(tmp))
+        err, stdout = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+            code = main(_in_dir(argv, tmp, out))
+        assert code in (0, 2)
+        errors = [line for line in err.getvalue().splitlines()
+                  if line.startswith("ponzi-radar: error:")]
+        if code == 0 or "ok: false" in stdout.getvalue():
+            assert errors == []
+            assert out is None or out.is_file()
+        else:
+            assert len(errors) == 1, err.getvalue()
+            assert sorted(os.listdir(tmp)) == before
