@@ -2,8 +2,8 @@
 
 Every non-coinbase transaction with two or more inputs merges all of its
 input addresses into one cluster (they are assumed to be controlled by the
-same user). No other merges occur; coinbase transactions have no inputs and
-never merge anything.
+same user); nothing else merges. The clusters are found on arrays, by
+hooking and pointer jumping on the ranks of the address names.
 """
 
 from __future__ import annotations
@@ -17,31 +17,6 @@ import numpy as np
 from .chain import TxLog
 from .csvrows import read_rows, text_cells, write_rows
 from .errors import DataError
-
-
-class UnionFind:
-    """Disjoint sets over dense integer ids, path compression + union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
 
 
 @dataclass(frozen=True)
@@ -64,32 +39,37 @@ class ClusterSet:
 def build_clusters(log: TxLog) -> ClusterSet:
     """Partition the log's addresses by the multi-input heuristic.
 
-    Union-find runs on address ids, over one edge from the first resolved
-    input of each non-coinbase transaction to each of its other resolved
-    inputs.
+    Addresses are named by their rank among the names, and the merge edges
+    join the first resolved input of each non-coinbase transaction to each
+    of its other resolved inputs. Each round hooks the larger root of every
+    edge whose ends differ under the smaller one, then jumps pointers until
+    every address points at a root. Roots only decrease, so each address
+    ends at the smallest name of its cluster, which numbers the clusters.
+    After a round, a root that neither hooked nor was hooked has only
+    smaller roots beside it, so it hooks in the next; each root that was
+    hooked has a hooker of its own. So two rounds at least halve the roots
+    of each component: at most 2*ceil(log2 n) + 1 rounds for n addresses.
     """
     spends = np.flatnonzero((log.in_addr >= 0) & ~log.coinbase[log.in_tx])
     tx, addr = log.in_tx[spends], log.in_addr[spends]
     first = np.ones(len(tx), dtype=bool)
     first[1:] = tx[1:] != tx[:-1]
     first_addr = addr[np.maximum.accumulate(np.where(first, np.arange(len(tx)), 0))]
-    uf = UnionFind(len(log.addresses))
-    for a, b in zip(first_addr[~first].tolist(), addr[~first].tolist()):
-        uf.union(a, b)
-
-    root = np.array(uf.parent, dtype=np.int64)
-    while not np.array_equal(root, root[root]):
-        root = root[root]
-    # Number the clusters by their smallest member address.
     names = log.addresses
     by_name = np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.int64)
-    _, first_seen, group = np.unique(root[by_name], return_index=True, return_inverse=True)
-    number = np.empty(len(first_seen), dtype=np.int64)
-    number[np.argsort(first_seen)] = np.arange(len(first_seen))
-    cluster = number[group]
+    rank = np.argsort(by_name)  # the inverse permutation
+    a, b = rank[first_addr[~first]], rank[addr[~first]]
+    root = np.arange(len(names))
+    while len(a):
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(root, jumped := root[root]):
+            root = jumped
+        a, b = root[a], root[b]
+        a, b = a[a != b], b[a != b]
+    roots, cluster = np.unique(root, return_inverse=True)  # cluster by name rank
     grouped = np.argsort(cluster, kind="stable")
-    ordered = [names[a] for a in by_name[grouped].tolist()]
-    ends = np.cumsum(np.bincount(cluster, minlength=len(first_seen))).tolist()
+    ordered = [names[i] for i in by_name[grouped].tolist()]
+    ends = np.cumsum(np.bincount(cluster, minlength=len(roots))).tolist()
     members = tuple(tuple(ordered[lo:hi]) for lo, hi in zip([0, *ends], ends))
     return ClusterSet(members, dict(zip(ordered, cluster[grouped].tolist())))
 

@@ -274,7 +274,20 @@ def _convert_block(cells: list[list[str]], first_row: int, what: str) -> np.ndar
 
 
 def write_csv(dataset: Dataset, fp: IO[str]) -> None:
+    """Write the dataset as CSV, or raise DataError before writing anything.
+
+    An integer-column value that is not an integer from 0 to 2**53 has no
+    exact cell; the first one in file order is named as `read_csv` names a
+    bad cell.
+    """
     X = dataset.X
+    for start in range(0, len(X), CHUNK_ROWS):  # a chunk at a time, to bound memory
+        ints = X[start:start + CHUNK_ROWS, _INT_COLUMNS]
+        bad = np.argwhere((ints > MAX_EXACT_INT) | (ints != np.floor(ints)))
+        if len(bad):
+            i, j = start + bad[0, 0], np.flatnonzero(_INT_COLUMNS)[bad[0, 1]]
+            raise DataError(f"dataset row {i + 2}, column {FEATURE_NAMES[j]}: "
+                            f"{X[i, j].item()!r} is not an integer from 0 to 2**53")
     values = (row for start in range(0, len(X), CHUNK_ROWS)
               for row in X[start:start + CHUNK_ROWS].tolist())
     _write_table(fp, ("id", "label"),

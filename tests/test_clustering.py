@@ -1,4 +1,5 @@
 import io
+import itertools
 import logging
 import random
 from collections import deque
@@ -77,10 +78,43 @@ def test_join_merges_distinct_change_addresses(fan_out_then_join):
     assert clusters.index_of["addr_a"] != clusters.index_of["addr_b"]
 
 
+def co_spend_log(groups):
+    """A log whose k-th spend co-spends one coinbase output of each address of
+    groups[k], in that order, so its first address is the first input."""
+    fund = txid_of("fund")
+    lines = [tx_line(fund, 10, coinbase=True,
+                     outputs=[(addr, 10) for group in groups for addr in group])]
+    index = itertools.count()
+    for k, group in enumerate(groups):
+        lines.append(tx_line(txid_of(f"spend{k}"), 20, inputs=[(fund, next(index)) for _ in group],
+                             outputs=[(group[0], 10 * len(group))]))
+    return parse_lines(lines)
+
+
+def zigzag(n, prefix):
+    """n names whose ranks run 0, n-1, 1, n-2, ... along the list."""
+    return [f"{prefix}{i // 2 if i % 2 == 0 else n - 1 - i // 2:04d}" for i in range(n)]
+
+
+def adversarial_logs():
+    """Shapes that make hooking slow or wrong if done carelessly: a star whose
+    centre has the largest name, a path whose names zigzag low/high, a
+    caterpillar (a zigzag spine with three legs a node) and a chain of two-input
+    merges across 2 000 transactions."""
+    path, spine = zigzag(301, "p"), zigzag(60, "m")
+    return [
+        co_spend_log([("z", f"a{i:03d}") for i in range(200)]),
+        co_spend_log(list(zip(path, path[1:]))),
+        co_spend_log([*zip(spine, spine[1:]),
+                      *((f"{leg}{i:02d}", s) for i, s in enumerate(spine) for leg in "alz")]),
+        co_spend_log([(f"c{i + 1:04d}", f"c{i:04d}") for i in range(2000)]),
+    ]
+
+
 def test_matches_bfs_components_on_random_logs():
     rng = random.Random(23)
-    for _ in range(40):
-        log = random_valid_log(rng, rng.randint(1, 120), n_addrs=12)
+    logs = [random_valid_log(rng, rng.randint(1, 120), n_addrs=12) for _ in range(40)]
+    for log in [*logs, *adversarial_logs()]:
         clusters = build_clusters(log)
         assert partition_of(clusters) == co_spend_components(log)
 
@@ -116,6 +150,8 @@ def test_indices_ordered_by_smallest_member():
     ])
     clusters = build_clusters(log)
     assert clusters.members == (("a",), ("m",), ("z",))
+    # Merged, {a, z} comes before {m} by its smallest member, not its largest.
+    assert build_clusters(co_spend_log([("z", "a"), ("m",)])).members == (("a", "z"), ("m",))
 
 
 def test_order_independence():

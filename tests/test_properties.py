@@ -10,6 +10,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,8 +19,9 @@ from ponzi_radar.cli import main
 from ponzi_radar.clustering import build_clusters, read_clusters
 from ponzi_radar.dataset import read_csv, read_features_csv, write_csv, write_features_csv
 from ponzi_radar.errors import ParseError
-from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES, cluster_feature_table
-from ponzi_radar.synth import read_labels, write_labels
+from ponzi_radar.features import (FEATURE_NAMES, INT_FEATURES, SECONDS_PER_DAY,
+                                  cluster_feature_table)
+from ponzi_radar.synth import SynthParams, generate, read_labels, write_labels
 
 from conftest import make_dataset, random_valid_log, tx_line, txid_of
 
@@ -146,6 +148,53 @@ def test_features_finite_and_integer_columns_int(seed, n_tx, n_addrs):
                 assert type(value) is int, name
             else:
                 assert type(value) is float and math.isfinite(value), name
+
+
+# Tiny synthetic worlds: up to two schemes, 10 to 40 users, either mode.
+_TINY_WORLDS = st.builds(SynthParams, st.integers(0, 2), st.integers(10, 40),
+                         st.integers(0, 2**32), st.booleans())
+
+
+def _reparsed(log, edit):
+    """The log parsed again from its serialized lines, each record through `edit`."""
+    return parse_tx_log(json.dumps(edit(json.loads(line))) for line in serialize_tx_log(log))
+
+
+def _features(log, clusters):
+    return np.array(cluster_feature_table(log, clusters), dtype=np.float64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TINY_WORLDS)
+def test_whole_day_time_shift_keeps_clusters_and_features(params):
+    """Clusters never read times, and FEATURES.md counts days between UTC
+    dates and delays between times, so moving every time by 37 whole days
+    leaves the clusters and the feature table as they were."""
+    log, _ = generate(params)
+    shifted = _reparsed(log, lambda record: {**record,
+                                             "time": record["time"] + 37 * SECONDS_PER_DAY})
+    clusters = build_clusters(shifted)
+    assert clusters == build_clusters(log)
+    assert _features(shifted, clusters) == _features(log, clusters)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TINY_WORLDS, st.integers(0, 2**32))
+def test_order_preserving_renaming_keeps_clusters_and_features(params, seed):
+    """Clusters are numbered by their smallest member name and features
+    compare addresses only for equality, so renaming every address to fresh
+    names of one length, in the same order, renames the clusters and leaves
+    the feature table as it was."""
+    log, _ = generate(params)
+    names = sorted(log.addresses)
+    codes = sorted(random.Random(seed).sample(range(10**12), len(names)))
+    new = {name: f"r{code:012d}" for name, code in zip(names, codes)}
+    renamed = _reparsed(log, lambda record: {**record, "out": [
+        {**out, "addr": new[out["addr"]]} for out in record["out"]]})
+    base, clusters = build_clusters(log), build_clusters(renamed)
+    assert clusters.members == tuple(tuple(map(new.get, group)) for group in base.members)
+    assert clusters.index_of == {new[name]: ci for name, ci in base.index_of.items()}
+    assert _features(renamed, clusters) == _features(log, base)
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,10 @@ row is written with csv.writer's default "\r\n" terminator, which quotes a
 cell holding `\r` or `\n` on every Python, and that terminator is then
 swapped for "\n". The current writers format each whole row with one `%`
 and quote only text cells that need it, and must give the same text for any
-ids, addresses and values.
+ids, addresses and values. A dataset with an integer-column value that is
+not an integer from 0 to 2**53 has no exact text: `write_csv` refuses it,
+where the reference printed such a value truncated (2.5 as 2) or as an
+integer of hundreds of digits that the reader rejects.
 """
 
 import csv
@@ -23,7 +26,8 @@ from hypothesis.extra.numpy import arrays
 
 from ponzi_radar.clustering import ClusterSet, write_clusters
 from ponzi_radar.csvrows import CHUNK_ROWS
-from ponzi_radar.dataset import LABEL_OF, Dataset, write_csv, write_features_csv
+from ponzi_radar.dataset import LABEL_OF, Dataset, read_csv, write_csv, write_features_csv
+from ponzi_radar.errors import DataError
 from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES, SCHEMA_VERSION, FeatureVector
 
 
@@ -79,8 +83,25 @@ def outcome(write, *args):
         return f"csv.Error: {exc}"
 
 
+def unwritable(data: Dataset) -> str | None:
+    """The error for the first integer-column value, in file order, that is
+    not an integer from 0 to 2**53, or None."""
+    for i, row in enumerate(data.X.tolist()):
+        for name, value in zip(FEATURE_NAMES, row):
+            if name in INT_FEATURES and not (value.is_integer() and value <= 2 ** 53):
+                return (f"dataset row {i + 2}, column {name}: {value!r} "
+                        "is not an integer from 0 to 2**53")
+    return None
+
+
 def assert_same_tables(data: Dataset, table: dict, clusters: ClusterSet) -> None:
-    assert outcome(write_csv, data) == outcome(reference_write_csv, data)
+    error = unwritable(data)
+    if error is None:
+        assert outcome(write_csv, data) == outcome(reference_write_csv, data)
+    else:
+        with pytest.raises(DataError) as err:
+            written(write_csv, data)
+        assert str(err.value) == error
     assert (outcome(write_features_csv, table)
             == outcome(reference_write_features_csv, table))
     assert outcome(write_clusters, clusters) == outcome(reference_write_clusters, clusters)
@@ -106,15 +127,32 @@ _INT_CELL = st.one_of(st.sampled_from([0, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 *
                       st.sampled_from([-0.0, 5e-324, 2.0 ** 53, 1e308]))
 _REAL_CELL = st.one_of(_CELL, st.floats())
 _INT_COLUMNS = np.array([name in INT_FEATURES for name in FEATURE_NAMES])
+# A dataset's integer-column cells: integral floats from 0 to 2**53, and up to
+# two cells that no integer cell holds exactly (none in half the datasets).
+_INT_EDGE_VALUES = [-0.0, 0.0, 1.0, 2.0 ** 53 - 1, 2.0 ** 53]
+_INT_X_CELL = st.one_of(st.sampled_from(_INT_EDGE_VALUES), st.integers(0, 2 ** 53))
+_UNWRITABLE_CELL = st.one_of(
+    st.sampled_from([2.5, 0.1, 5e-324, 2.0 ** 53 + 2, 1e300, 1.7976931348623157e308]),
+    st.floats(0, 1, exclude_min=True, exclude_max=True),
+    st.floats(min_value=2.0 ** 53 + 2, allow_infinity=False))
 
 
 @st.composite
-def tables(draw):
+def datasets(draw):
     n = draw(st.integers(0, 12))
     ids = draw(st.lists(_TEXT, min_size=n, max_size=n))
     y = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     X = draw(arrays(np.float64, (n, len(FEATURE_NAMES)), elements=_CELL))
-    data = Dataset(tuple(ids), np.array(y, dtype=np.int8), X)
+    X[:, _INT_COLUMNS] = draw(arrays(np.float64, (n, len(INT_FEATURES)), elements=_INT_X_CELL))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if n else 0):
+        X[draw(st.integers(0, n - 1)),
+          draw(st.sampled_from(np.flatnonzero(_INT_COLUMNS).tolist()))] = draw(_UNWRITABLE_CELL)
+    return Dataset(tuple(ids), np.array(y, dtype=np.int8), X)
+
+
+@st.composite
+def tables(draw):
+    data = draw(datasets())
     # The feature table's integer and real columns are drawn as two arrays,
     # each cell from its column's strategy, and interleaved in schema order.
     keys = draw(st.lists(st.integers(-2 ** 64, 2 ** 64), unique=True, max_size=8))
@@ -137,17 +175,41 @@ def test_writers_match_references(case):
     assert_same_tables(*case)
 
 
+@settings(max_examples=150, deadline=None)
+@given(datasets())
+def test_dataset_is_refused_at_write_or_reads_back_equal(data):
+    buf = io.StringIO(newline="")
+    error = unwritable(data)
+    try:
+        write_csv(data, buf)
+    except DataError as exc:
+        assert str(exc) == error
+        assert buf.getvalue() == ""
+        return
+    except csv.Error:  # NUL in an id, before Python 3.11
+        return
+    assert error is None
+    buf.seek(0)
+    assert read_csv(buf) == data
+
+
 @pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3])
 def test_chunk_boundaries_match_references(n):
     rng = random.Random(n)
     ids = tuple(rng.choice(_ODD_TEXT) if rng.random() < 0.05 else f"c{i}" for i in range(n))
     X = np.array([[rng.choice(_EDGE_VALUES) for _ in FEATURE_NAMES] for _ in range(n)])
-    data = Dataset(ids, np.array([rng.random() < 0.1 for _ in range(n)], dtype=np.int8), X)
     table = {ci: FeatureVector(*(int(v) if name in INT_FEATURES else v
                                  for name, v in zip(FEATURE_NAMES, row)))
              for ci, row in enumerate(X.tolist())}
+    # The dataset's integer columns take the integral edges, so it can be written.
+    X[:, _INT_COLUMNS] = [[rng.choice(_INT_EDGE_VALUES) for _ in INT_FEATURES] for _ in range(n)]
+    data = Dataset(ids, np.array([rng.random() < 0.1 for _ in range(n)], dtype=np.int8), X)
     members = tuple((id_, f"{id_}+") for id_ in ids[: n // 2 + 1])
     assert_same_tables(data, table, ClusterSet(members, {}))
+    # The writer checks a chunk at a time: a fraction in the last row is found.
+    X = X.copy()
+    X[-1, FEATURE_NAMES.index("max_daily_balance_delta")] = 2.5
+    assert_same_tables(Dataset(ids, data.y, X), table, ClusterSet(members, {}))
 
 
 def test_write_peak_memory_is_bounded(tmp_path):
