@@ -8,18 +8,14 @@ reported as explicitly undefined, never silently 0.
 
 from __future__ import annotations
 
-import contextlib
-import os
-import pickle
 import random
-import signal
-import warnings
 from dataclasses import dataclass, replace
 from decimal import Decimal, ROUND_HALF_EVEN
-from typing import IO, Callable, NamedTuple, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
+from . import share
 from .csvrows import text_cells, write_rows
 from .dataset import LABEL_OF, Dataset
 from .errors import DataError
@@ -164,13 +160,6 @@ def _confusion_from_predictions(actual: np.ndarray, predicted_p: np.ndarray) -> 
     return ConfusionMatrix(tp, fn, fp, tn)
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the OS cannot say or cannot fork."""
-    if not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def cross_validate(
     dataset: Dataset,
     learner: LearnerSpec,
@@ -189,11 +178,11 @@ def cross_validate(
 
     Every fold is planned here first: its rows, its undersampling and its
     seed, and a fold whose training data holds no P instance is an error
-    before any training starts. Then the usable CPUs share the folds, fold
-    i on worker i % min(usable_cpus(), k), the others forked children of
-    this process (see `_share_folds`). A fold that a child did not score,
-    because it failed, died or could not be forked, is trained here. The
-    outcomes are joined in fold order, so the result is the same for any
+    before any training starts. Then the folds go to the pool that ReliefF
+    shares too (`share.share`): fold i on worker i % min(usable CPUs, k),
+    the others forked children of this process. A fold that a child did not
+    score, because it failed, died or could not be forked, is trained here.
+    The outcomes are joined in fold order, so the result is the same for any
     worker count, and an error is raised as one worker raises it. `threads`
     is ignored, and stays only because `bench/worker.py` passes it.
     """
@@ -221,7 +210,7 @@ def cross_validate(
         return model.predict_proba_matrix(X[folds[i]])
 
     outcomes: list[FoldOutcome] = []
-    for test_idx, p in zip(folds, _share_folds(fold_scores, k, min(usable_cpus(), k))):
+    for test_idx, p in zip(folds, share.share(fold_scores, k, share.usable_cpus())):
         labels = y[test_idx]
         outcomes.append(FoldOutcome(
             _confusion_from_predictions(labels, cost_sensitive_predict(p, cost)), p, labels))
@@ -234,101 +223,6 @@ def cross_validate(
         np.concatenate([o.labels for o in outcomes]),
     )
     return CVResult(aggregate, outcomes, metrics)
-
-
-def _share_folds(work: Callable[[int], np.ndarray], k: int, workers: int) -> list[np.ndarray]:
-    """`work(i)` for every fold i < k, fold i on worker i % `workers`; in fold order.
-
-    Worker 0 is this process. Each other worker is a child forked before
-    this process trains its own share; it sends back the scores of the
-    folds it finished, pickled through a pipe. Then, in fold order, this
-    process trains every fold that has no score: one whose child failed on
-    it, died or could not be forked. Its own first failure is raised when
-    that loop reaches the fold, so the first failing fold raises with its
-    own type, text and traceback, as one worker would raise it. No child
-    outlives the call: on any exception here, KeyboardInterrupt too, the
-    children still running are killed and reaped.
-    """
-    results: dict[int, np.ndarray] = {}
-    failed, failure = k, None  # this process's first failing fold, and its exception
-    children: dict[int, int] = {}  # pid -> pipe read end
-    try:
-        for w in range(1, workers):
-            child = _fork_share(work, range(w, k, workers))
-            if child is not None:
-                children[child[0]] = child[1]
-        for i in range(0, k, workers):
-            try:
-                results[i] = work(i)
-            except Exception as exc:  # raised below unless an earlier fold fails too
-                failed, failure = i, exc
-                break
-        for pid, fd in list(children.items()):
-            chunks = []
-            while chunk := os.read(fd, 1 << 16):
-                chunks.append(chunk)
-            os.waitpid(pid, 0)
-            del children[pid]
-            os.close(fd)
-            with contextlib.suppress(Exception):  # an unreadable pickle: no scores
-                results.update(pickle.loads(b"".join(chunks)))
-    finally:
-        for pid, fd in children.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
-    for i in range(k):
-        if i == failed:
-            raise failure
-        if i not in results:
-            results[i] = work(i)
-    return [results[i] for i in range(k)]
-
-
-def _fork_share(work: Callable[[int], np.ndarray], share: range) -> tuple[int, int] | None:
-    """Fork a child that runs `work` on each fold of `share`: (pid, pipe read end).
-
-    None when the pipe or the fork fails. The child stops at the first fold
-    that raises, sends back one pickle, {fold: scores} of the folds it
-    finished, and leaves through os._exit(0) on every path, so no exception
-    crosses the pipe, and the child never returns into the caller's stack
-    nor flushes stdio buffers that the parent will flush too.
-
-    Python 3.12+ warns that a fork may deadlock the child when the process
-    has more than one thread, and numpy's OpenBLAS starts a thread of its
-    own at import. The fork is safe here: it copies only the calling
-    thread, the child makes no BLAS call that would need the missing one,
-    and it leaves through os._exit without running any exit handler. So
-    the warning is muted, whatever the warning filters (`-W always`,
-    `-X dev`, a test run's "error") say.
-    """
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid:
-        os.close(w)
-        return pid, r
-    try:
-        os.close(r)
-        scores: dict[int, np.ndarray] = {}
-        with contextlib.suppress(Exception):  # the parent trains this fold again
-            for i in share:
-                scores[i] = work(i)
-        view = memoryview(pickle.dumps(scores))
-        while view:
-            view = view[os.write(w, view):]
-    finally:
-        os._exit(0)
 
 
 class Prediction(NamedTuple):

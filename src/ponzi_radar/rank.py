@@ -14,7 +14,13 @@ distances are summed in float32, one feature at a time; every member within
 EPS of a row's approximate k-th distance is a candidate, and the candidates'
 exact float64 row-wise distances pick and order the k neighbours. Means and
 weights are summed in the order of the per-row loop this replaced, so the
-weights are bit-identical to it (README, "How ReliefF is computed").
+weights are bit-identical to it (README, "How ReliefF is computed"). The
+blocks are independent, so they go to the pool that cross-validation uses
+(`share.share`): block b on worker b % min(usable CPUs, blocks), the others
+forked children that read Z and the class columns from the memory they share
+with this process and send back their blocks' row differences. Those rows
+are added into the weights in sample order here, so the weights are the same
+for any worker count.
 
 The window EPS. With F = 20 features, Z lies in [0, 1], so rounding a value
 to float32 moves it by at most 2**-25, and each float32 term |Z[j] - Z[i]|
@@ -36,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import share
 from .dataset import Dataset
 from .errors import DataError
 from .features import FEATURE_NAMES
@@ -197,9 +204,9 @@ def relieff(
     # A row alone in its class has no hits and contributes nothing.
     active = sample[class_counts[cls[sample]] > 1]
     block = max(1, _BLOCK_CELLS // (n + min(k, n) * n_feat))
-    weights = np.zeros(n_feat, dtype=np.float64)
-    for start in range(0, len(active), block):
-        rows = active[start:start + block]
+
+    def work(b: int) -> np.ndarray:
+        rows = active[b * block:(b + 1) * block]
         own = cls[rows]
         near = Z[rows].astype(np.float32)
         hit_diff = np.empty((len(rows), n_feat))
@@ -207,12 +214,18 @@ def relieff(
         for c, (mem, cols) in enumerate(zip(members, columns)):
             hit = own == c
             kk = np.where(hit, min(k, len(mem) - 1), min(k, len(mem)))
+            # the module global, looked up per call, so a wrapped one sees every block
             means = _neighbour_means(Z, rows, near, hit, mem, cols, kk)
             hit_diff[hit] = means[hit]
             miss = ~hit
             w_c = priors[c] / (1.0 - priors[own[miss]])
             miss_diff[miss] += w_c[:, None] * means[miss]
-        for diff in miss_diff - hit_diff:  # one row at a time, in sample order
+        return miss_diff - hit_diff
+
+    n_blocks = -(-len(active) // block)
+    weights = np.zeros(n_feat, dtype=np.float64)
+    for diffs in share.share(work, n_blocks, share.usable_cpus()):
+        for diff in diffs:  # one row at a time, in sample order
             weights += diff
     weights /= len(sample)
     return weights

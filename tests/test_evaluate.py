@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ponzi_radar import evaluate
+from ponzi_radar import evaluate, share
 from ponzi_radar.cli import main
 from ponzi_radar.dataset import Dataset, write_csv
 from ponzi_radar.errors import DataError, ParseError
@@ -289,7 +289,7 @@ class TestCrossValidate:
         for learner, ratio in runs:
             results = []
             for workers in (1, 2, 3):
-                monkeypatch.setattr(evaluate, "usable_cpus", lambda: workers)
+                monkeypatch.setattr(share, "usable_cpus", lambda: workers)
                 parent_fits = count_parent_fits(monkeypatch)
                 results.append(cross_validate(ds, learner, CostMatrix(20, 1), k=4, seed=6,
                                               sampling_ratio=ratio, threads=workers))
@@ -338,7 +338,7 @@ def test_fold_errors_raise_as_one_worker_raises_them(monkeypatch, failing):
     monkeypatch.setattr(evaluate, "train_model", failing_fit)
     outcomes = []
     for workers in (1, 2):
-        monkeypatch.setattr(evaluate, "usable_cpus", lambda: workers)
+        monkeypatch.setattr(share, "usable_cpus", lambda: workers)
         with pytest.raises(DataError) as info:
             cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=4, seed=6)
         outcomes.append((type(info.value), str(info.value)))
@@ -377,9 +377,9 @@ def test_failed_child_costs_time_not_the_run(monkeypatch, workers, failing, kill
     # With 3 workers, fold 2's child sends its scores either way.
     ds = make_dataset(8, 60, seed=13, separable=False)
     learner, cost = LearnerSpec(n_trees=4), CostMatrix(20, 1)
-    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(share, "usable_cpus", lambda: 1)
     want = cross_validate(ds, learner, cost, k=5, seed=6)
-    monkeypatch.setattr(evaluate, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(share, "usable_cpus", lambda: workers)
     parent_fits = count_parent_fits(monkeypatch)
     child_fails_at(monkeypatch, failing, seed=6, k=5, kill=kill)
     got = cross_validate(ds, learner, cost, k=5, seed=6)
@@ -398,10 +398,10 @@ def test_cv_command_with_a_killed_child_writes_the_one_worker_report(monkeypatch
     with open(tmp_path / "dataset.csv", "w", encoding="utf-8", newline="") as fp:
         write_csv(make_dataset(8, 60, seed=13, separable=False), fp)
     argv = ["cv", str(tmp_path / "dataset.csv"), "--trees", "4", "--k", "5", "--seed", "6"]
-    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(share, "usable_cpus", lambda: 1)
     assert main([*argv, "-o", str(tmp_path / "one.csv")]) == 0
     child_fails_at(monkeypatch, 1, seed=6, k=5)
-    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(share, "usable_cpus", lambda: 2)
     assert main([*argv, "-o", str(tmp_path / "killed.csv")]) == 0
     assert_no_child_left()
     assert (tmp_path / "killed.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
@@ -422,7 +422,7 @@ def test_fold_error_that_does_not_pickle_raises_with_its_type_and_text(monkeypat
         return train_model(data, learner, seed, *args, **kwargs)
 
     monkeypatch.setattr(evaluate, "train_model", fit)
-    monkeypatch.setattr(evaluate, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(share, "usable_cpus", lambda: workers)
     with pytest.raises(ParseError, match=r"^line 3: bad cell$") as info:
         cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=4, seed=6)
     assert type(info.value) is ParseError and info.value.line == 3
@@ -441,7 +441,7 @@ def test_interrupted_parent_kills_its_children(monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(evaluate, "train_model", fit)
-    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(share, "usable_cpus", lambda: 2)
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=4, seed=6)
@@ -457,7 +457,7 @@ def test_failed_fork_leaves_the_share_to_the_parent(monkeypatch):
         raise OSError("fork refused")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(share, "usable_cpus", lambda: 2)
     parent_fits = count_parent_fits(monkeypatch)
     got = cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=4, seed=6)
     assert len(parent_fits) == 4
@@ -490,7 +490,7 @@ def test_folds_coded_once_grow_the_trees_of_per_fold_coding(monkeypatch, ratio):
 
     monkeypatch.setattr(evaluate, "train_model", record)
     # one worker: a child's calls would not reach `fits`
-    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(share, "usable_cpus", lambda: 1)
     cross_validate(ds, LearnerSpec(n_trees=8), CostMatrix(20, 1), k=5, seed=8,
                    sampling_ratio=ratio)
     assert len(fits) == 5

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ponzi_radar.dataset import Dataset
 from ponzi_radar.errors import DataError
 from ponzi_radar.features import FEATURE_NAMES
 from ponzi_radar.rank import (
@@ -361,3 +362,49 @@ class TestRankings:
         consensus = consensus_rank(rankings, top_n=8)
         top7 = {name for name, _, _ in consensus[:7]}
         assert set(signal) == top7
+
+
+# Metamorphic relations that follow from the rankers' definitions, on small
+# matrices. Values stay in [1e-6, 1e9] or on a few ties, so a power-of-two
+# scaling and the subtractions of scaled values stay in the normal range and
+# are exact.
+_VALUES = st.sampled_from([0.0, 1.0, 3.0, 10.0]) | st.floats(1e-6, 1e9)
+
+
+@st.composite
+def labeled_matrices(draw):
+    n = draw(st.integers(2, 30))
+    X = draw(arrays(np.float64, (n, len(FEATURE_NAMES)), elements=_VALUES))
+    y = draw(arrays(np.int8, n, elements=st.integers(0, 1)))
+    return Dataset(tuple(f"r{i}" for i in range(n)), y, X)
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_matrices(), st.lists(st.integers(-6, -1), min_size=len(FEATURE_NAMES),
+                                    max_size=len(FEATURE_NAMES)),
+       st.integers(1, 12), st.none() | st.integers(1, 30), st.integers(0, 2**16))
+def test_power_of_two_column_scaling_keeps_relieff_weights(ds, exponents, k, m, seed):
+    # ReliefF's diff(A, I1, I2) is |A(I1) - A(I2)| / (max A - min A): scaling a
+    # column by a power of two scales both exactly, so every normalized value,
+    # distance and weight keeps its bits.
+    m = None if m is None else min(m, len(ds))
+    scaled = Dataset(ds.ids, ds.y, ds.X * np.exp2(exponents))
+    want = relieff(ds, k=k, m=m, seed=seed)
+    assert relieff(scaled, k=k, m=m, seed=seed).tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_matrices(), st.integers(2, 10), st.integers(0, 2**32 - 1))
+def test_increasing_column_remap_keeps_the_discretizing_rankings(ds, bins, seed):
+    # Equal-frequency bins are cut at positions in the sorted column, between
+    # distinct values, so a strictly increasing remap of a column gives the
+    # same bins, the same (bin, class) tables and the same scores.
+    rng = np.random.default_rng(seed)
+    X = np.empty_like(ds.X)
+    for j, col in enumerate(ds.X.T):
+        distinct, inverse = np.unique(col, return_inverse=True)
+        X[:, j] = np.cumsum(rng.uniform(0.5, 1e4, size=len(distinct)))[inverse]
+    remapped = Dataset(ds.ids, ds.y, X)
+    for method in ("info_gain", "gain_ratio", "sym_uncertainty", "one_r"):
+        want = rank_features(ds, method, bins=bins)
+        assert rank_features(remapped, method, bins=bins) == want, method

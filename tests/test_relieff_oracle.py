@@ -3,12 +3,13 @@
 `loop_relieff` is the previous implementation: for each sampled row it takes
 the row-wise L1 distance to every instance, orders hits and misses by
 (distance, index) with one lexsort each, and adds that row's contribution to
-the weights. The blocked version must give `array_equal` weights on every
-input.
+the weights. The blocked version must give the same weights, bit for bit, on
+every input and for 1, 2 and 3 usable CPUs, among which it shares its blocks.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import tracemalloc
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ponzi_radar import rank
+from ponzi_radar import rank, share
 from ponzi_radar.dataset import Dataset
 from ponzi_radar.errors import DataError
 from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES
@@ -81,9 +82,19 @@ def matrix_dataset(rows, labels) -> Dataset:
     return dataset_of(instances)
 
 
+def relieff_on(workers, *args, **kwargs):
+    """relieff as it runs with `workers` usable CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(share, "usable_cpus", lambda: workers)
+        return relieff(*args, **kwargs)
+
+
 def assert_matches_loop(ds, k=10, m=None, seed=0):
-    weights = relieff(ds, k=k, m=m, seed=seed)
-    assert np.array_equal(weights, loop_relieff(ds, k=k, m=m, seed=seed))
+    """relieff's weights for 1, 2 and 3 usable CPUs, each bit for bit the loop's."""
+    want = loop_relieff(ds, k=k, m=m, seed=seed).tobytes()
+    for workers in (1, 2, 3):
+        weights = relieff_on(workers, ds, k=k, m=m, seed=seed)
+        assert weights.tobytes() == want, f"{workers} workers"
     return weights
 
 
@@ -163,6 +174,18 @@ class TestTies:
     def test_many_blocks(self):
         ds = tie_heavy(2500, 3, levels=4, duplicates=400, p_share=0.1)
         assert_matches_loop(ds, k=10, m=700, seed=2)
+
+    def test_one_block_caps_the_workers(self, monkeypatch):
+        # 2 500 rows make blocks of 37 rows: a sample of 30 is one block, so
+        # 3 usable CPUs fork no child; 40 rows make two blocks and one child.
+        ds = tie_heavy(2500, 4, levels=4, duplicates=400, p_share=0.1)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        for m, children in ((30, 0), (40, 1)):
+            forks.clear()
+            want = loop_relieff(ds, k=10, m=m, seed=5).tobytes()
+            assert relieff_on(3, ds, k=10, m=m, seed=5).tobytes() == want
+            assert len(forks) == children
 
 
 def window_bound(n_feat):
