@@ -179,8 +179,9 @@ def cross_validate(
     Every fold is planned here first: its rows, its undersampling and its
     seed, and a fold whose training data holds no P instance is an error
     before any training starts. Then the folds go to the pool that ReliefF
-    shares too (`share.share`): fold i on worker i % min(usable CPUs, k),
-    the others forked children of this process. A fold that a child did not
+    and a forest's trees share too (`share.share`): fold i on worker
+    i % min(usable CPUs, k), the others forked children of this process,
+    and each fold's trees grow in its worker. A fold that a child did not
     score, because it failed, died or could not be forked, is trained here.
     The outcomes are joined in fold order, so the result is the same for any
     worker count, and an error is raised as one worker raises it. `threads`

@@ -6,8 +6,9 @@ resample and grows until every leaf is pure or cannot be split. At each
 node it takes the binary split with the largest Gini impurity decrease over
 FEATURES_PER_SPLIT = log2(20) + 1 = 5 features drawn at random (the other
 15 only when those 5 are constant there), with a midpoint threshold; a leaf
-holds its class masses. Per-tree seeds are derived up front and the trees
-grow one after another, so training is bit-deterministic. The Bayes
+holds its class masses. Per-tree seeds are derived up front, and the trees
+are shared among the usable CPUs (`share.share`) and joined in tree order,
+so training is bit-deterministic for any worker count. The Bayes
 classifier assumes conditional independence with per-class Gaussian
 likelihoods.
 
@@ -46,6 +47,7 @@ from typing import IO
 
 import numpy as np
 
+from . import share
 from .dataset import Dataset
 from .errors import DataError, SchemaMismatchError
 from .features import FEATURE_NAMES, SCHEMA_VERSION
@@ -357,7 +359,11 @@ def train_forest(
     """Train a random forest with per-tree derived seeds.
 
     Every tree's bootstrap resample and node-level feature subsets depend
-    only on its own seed. The features are coded once for all the trees:
+    only on its own seed, so tree i grows alike on any worker of the pool
+    (`share.share`), and the trees come back in tree order; inside a
+    cross-validation fold they grow in the fold's worker, one after
+    another. The features are coded and keyed once for all the trees,
+    before the share, so forked workers read them from shared memory:
     by `_value_codes(dataset.X)`, or as `coded` gives them, the columns of
     the dataset's rows in the codes of a superset of its rows, with that
     superset's value tables. The trees are the same either way, because
@@ -372,12 +378,14 @@ def train_forest(
     codes, values = _value_codes(X) if coded is None else coded
     keys = _sort_keys(codes)
     costs = _class_costs(reweight)
-    trees = []
-    for tree_seed in derive_seeds(seed, n_trees):
-        rng = np.random.default_rng(tree_seed)
+    seeds = derive_seeds(seed, n_trees)
+
+    def grow(i: int) -> TreeModel:
+        rng = np.random.default_rng(seeds[i])
         mult = np.bincount(rng.integers(0, len(X), size=len(X)), minlength=len(X))
-        trees.append(_grow_tree(keys, values, _packed_counts(y, mult), costs, rng))
-    return ForestModel(trees, seed)
+        return _grow_tree(keys, values, _packed_counts(y, mult), costs, rng)
+
+    return ForestModel(share.share(grow, n_trees, share.usable_cpus()), seed)
 
 
 @dataclass
@@ -446,10 +454,9 @@ def train_model(dataset: Dataset, spec: LearnerSpec, seed: int, threads: int = 1
                 coded: Coded | None = None) -> Model:
     """Train what `spec` names, on data that holds a P instance.
 
-    Trees grow one at a time, in the calling process; `cross_validate`
-    shares whole folds among processes instead. `threads` is ignored, and
-    stays only because `bench/worker.py` passes it. `coded` goes to
-    `train_forest`; a Bayes model does not read it.
+    A forest shares its trees among the usable CPUs (see `train_forest`).
+    `threads` is ignored, and stays only because `bench/worker.py` passes
+    it. `coded` goes to `train_forest`; a Bayes model does not read it.
     """
     if spec.kind == "forest":
         if not dataset.y.any():  # its trees would score every row 0

@@ -2,13 +2,19 @@
 
 `share(work, n, workers)` runs `work(i)` for every item i < n and returns
 the results in item order. Cross-validation shares its folds this way
-(`evaluate.cross_validate`) and ReliefF its blocks of sampled rows
-(`rank.relieff`). Item i goes to worker i % min(workers, n). Worker 0 is
-the calling process; each other worker is a child forked before the caller
-starts its own share, so a child reads whatever the caller built before the
-call from the memory it shares with it, and sends back only its results.
-Since the results are joined in item order, a caller that combines them in
-that order gets the same bits for any worker count.
+(`evaluate.cross_validate`), ReliefF its blocks of sampled rows
+(`rank.relieff`) and a forest its trees (`learn.train_forest`). Item i goes
+to worker i % min(workers, n). Worker 0 is the calling process; each other
+worker is a child forked before the caller starts its own share, so a child
+reads whatever the caller built before the call from the memory it shares
+with it, and sends back only its results. Since the results are joined in
+item order, a caller that combines them in that order gets the same bits
+for any worker count.
+
+Shares do not nest: a share started while this process runs the items of
+another one, in the caller or in a child, runs all its items here, in
+order, and forks nothing. So a cross-validation forks only for its folds,
+and each fold's forest grows its trees in the worker that has the fold.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ import warnings
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
+
+_running = False  # this process, or the one that forked it, is running a share's items
 
 
 def usable_cpus() -> int:
@@ -41,12 +49,17 @@ def share(work: Callable[[int], T], n: int, workers: int) -> list[T]:
     is raised when that loop reaches the item, so the first failing item
     raises with its own type, text and traceback, as one worker would raise
     it. No child outlives the call: on any exception here, KeyboardInterrupt
-    too, the children still running are killed and reaped.
+    too, the children still running are killed and reaped. Called from
+    inside an item of another share, it is `[work(i) for i in range(n)]`.
     """
+    global _running
+    if _running:
+        return [work(i) for i in range(n)]
     workers = max(1, min(workers, n))
     results: dict[int, T] = {}
     failed, failure = n, None  # this process's first failing item, and its exception
     children: dict[int, int] = {}  # pid -> pipe read end
+    _running = True  # before the forks, so the children inherit it
     try:
         for w in range(1, workers):
             child = _fork(work, range(w, n, workers))
@@ -67,16 +80,17 @@ def share(work: Callable[[int], T], n: int, workers: int) -> list[T]:
             os.close(fd)
             with contextlib.suppress(Exception):  # an unreadable pickle: no results
                 results.update(pickle.loads(b"".join(chunks)))
+        for i in range(n):  # every child is reaped by now
+            if i == failed:
+                raise failure
+            if i not in results:
+                results[i] = work(i)
     finally:
+        _running = False
         for pid, fd in children.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)
-    for i in range(n):
-        if i == failed:
-            raise failure
-        if i not in results:
-            results[i] = work(i)
     return [results[i] for i in range(n)]
 
 

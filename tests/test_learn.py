@@ -4,14 +4,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from ponzi_radar import share
+from ponzi_radar.dataset import Dataset
 from ponzi_radar.errors import DataError, SchemaMismatchError
+from ponzi_radar.evaluate import cross_validate
 from ponzi_radar.features import FEATURE_NAMES
 from ponzi_radar.learn import (
     PREDICT_BLOCK,
     BayesModel,
     CostMatrix,
     ForestModel,
+    LearnerSpec,
     TreeModel,
     cost_sensitive_predict,
     load_model,
@@ -589,3 +595,62 @@ class TestLoadRejectsBadTrees:
 def test_forest_needs_a_tree():
     with pytest.raises(ValueError, match="at least one tree"):
         train_forest(make_dataset(3, 9, seed=0), n_trees=0)
+
+
+# Metamorphic relations that follow from the forest's definitions (README,
+# "How trees are grown"), on small matrices. Values stay in [1e-6, 1e9] or on
+# a few ties, so a power-of-two scaling, and the sums and halvings of scaled
+# values, stay in the normal range and are exact. The relations do not depend
+# on the worker count, and on one worker no fork costs more than the fit.
+_VALUES = st.sampled_from([0.0, 1.0, 3.0, 10.0]) | st.floats(1e-6, 1e9)
+
+
+@st.composite
+def labeled_matrices(draw, per_class):
+    """At least `per_class` rows of each class, up to 30 rows."""
+    n = draw(st.integers(2 * per_class, 30))
+    X = draw(arrays(np.float64, (n, len(FEATURE_NAMES)), elements=_VALUES))
+    y = draw(arrays(np.int8, n, elements=st.integers(0, 1)))
+    y[:per_class], y[per_class:2 * per_class] = 1, 0
+    return Dataset(tuple(f"r{i}" for i in range(n)), y, X)
+
+
+@settings(max_examples=30, deadline=None)
+@given(labeled_matrices(5), st.lists(st.integers(-6, -1), min_size=len(FEATURE_NAMES),
+                                     max_size=len(FEATURE_NAMES)), st.integers(0, 2**16))
+def test_power_of_two_column_scaling_keeps_the_forest_cv_scores(ds, exponents, seed):
+    # A node splits on a column's codes, its rows' ranks among its distinct
+    # values (`_value_codes`), which any positive scaling keeps, so every fold
+    # grows the same nodes. Its threshold is the midpoint (lo + hi) / 2 of two
+    # values (`_best_split`); scaling both by a power of two scales their
+    # rounded sum and its halving exactly, so every test row falls on the
+    # same side of it, reaches the same leaf and gets the same score bits.
+    scaled = Dataset(ds.ids, ds.y, ds.X * np.exp2(exponents))
+    learner, cost = LearnerSpec(n_trees=4), CostMatrix(20, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(share, "usable_cpus", lambda: 1)
+        want = cross_validate(ds, learner, cost, k=5, seed=seed)
+        got = cross_validate(scaled, learner, cost, k=5, seed=seed)
+    assert [f.scores.tobytes() for f in got.folds] == [f.scores.tobytes() for f in want.folds]
+
+
+@settings(max_examples=40, deadline=None)
+@given(labeled_matrices(1), st.integers(0, 2**32 - 1))
+def test_increasing_column_remap_keeps_every_trees_shape(ds, seed):
+    # The split search reads a column only through its codes (`_value_codes`,
+    # `_best_split`): a strictly increasing remap keeps every code, so every
+    # node draws the same candidates, takes the same feature and cut and
+    # holds the same rows. Only the thresholds, midpoints of the new values,
+    # move.
+    rng = np.random.default_rng(seed)
+    X = np.empty_like(ds.X)
+    for j, col in enumerate(ds.X.T):
+        distinct, inverse = np.unique(col, return_inverse=True)
+        X[:, j] = np.cumsum(rng.uniform(0.5, 1e4, size=len(distinct)))[inverse]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(share, "usable_cpus", lambda: 1)
+        want = train_forest(ds, n_trees=5, seed=seed)
+        got = train_forest(Dataset(ds.ids, ds.y, X), n_trees=5, seed=seed)
+    for tree_got, tree_want in zip(got.trees, want.trees, strict=True):
+        for part in ("feature", "left", "right", "counts"):
+            assert getattr(tree_got, part).tobytes() == getattr(tree_want, part).tobytes(), part
