@@ -8,6 +8,7 @@ reported as explicitly undefined, never silently 0.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from decimal import Decimal, ROUND_HALF_EVEN
@@ -82,7 +83,7 @@ def metrics_from_confusion(cm: ConfusionMatrix) -> MetricsReport:
         f_measure = 2 * precision * recall / (precision + recall)
     g_mean = None
     if recall is not None and specificity is not None:
-        g_mean = (recall * specificity) ** 0.5
+        g_mean = math.sqrt(recall * specificity)
     return MetricsReport(accuracy, recall, specificity, precision, f_measure, g_mean)
 
 
@@ -179,11 +180,10 @@ def cross_validate(
     Every fold is planned here first: its rows, its undersampling and its
     seed, and a fold whose training data holds no P instance is an error
     before any training starts. Then the folds go to the pool that ReliefF
-    and a forest's trees share too (`share.share`): fold i on worker
-    i % min(usable CPUs, k), the others forked children of this process,
-    and each fold's trees grow in its worker. A fold that a child did not
-    score, because it failed, died or could not be forked, is trained here.
-    The outcomes are joined in fold order, so the result is the same for any
+    and a forest's trees share too (`share.share`), and each fold's trees
+    grow in the worker that has the fold. A fold that a child did not score,
+    because it failed, died or could not be forked, is trained here. The
+    outcomes are joined in fold order, so the result is the same for any
     worker count, and an error is raised as one worker raises it. `threads`
     is ignored, and stays only because `bench/worker.py` passes it.
     """
@@ -211,7 +211,7 @@ def cross_validate(
         return model.predict_proba_matrix(X[folds[i]])
 
     outcomes: list[FoldOutcome] = []
-    for test_idx, p in zip(folds, share.share(fold_scores, k, share.usable_cpus())):
+    for test_idx, p in zip(folds, share.share(fold_scores, k)):
         labels = y[test_idx]
         outcomes.append(FoldOutcome(
             _confusion_from_predictions(labels, cost_sensitive_predict(p, cost)), p, labels))

@@ -262,17 +262,6 @@ class ClusterLedger:
     def outgoing(self) -> tuple[LedgerEvent, ...]:
         return self._batch.events(self._ci, incoming=False)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClusterLedger):
-            return NotImplemented
-        return self.incoming == other.incoming and self.outgoing == other.outgoing
-
-    def __hash__(self) -> int:
-        return hash((self.incoming, self.outgoing))
-
-    def __repr__(self) -> str:
-        return f"ClusterLedger(incoming={self.incoming!r}, outgoing={self.outgoing!r})"
-
 
 def _per_tx_cluster(tx: np.ndarray, cluster: np.ndarray,
                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

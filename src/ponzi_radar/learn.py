@@ -385,7 +385,7 @@ def train_forest(
         mult = np.bincount(rng.integers(0, len(X), size=len(X)), minlength=len(X))
         return _grow_tree(keys, values, _packed_counts(y, mult), costs, rng)
 
-    return ForestModel(share.share(grow, n_trees, share.usable_cpus()), seed)
+    return ForestModel(share.share(grow, n_trees), seed)
 
 
 @dataclass

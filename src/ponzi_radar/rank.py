@@ -16,11 +16,10 @@ exact float64 row-wise distances pick and order the k neighbours. Means and
 weights are summed in the order of the per-row loop this replaced, so the
 weights are bit-identical to it (README, "How ReliefF is computed"). The
 blocks are independent, so they go to the pool that cross-validation uses
-(`share.share`): block b on worker b % min(usable CPUs, blocks), the others
-forked children that read Z and the class columns from the memory they share
-with this process and send back their blocks' row differences. Those rows
-are added into the weights in sample order here, so the weights are the same
-for any worker count.
+(`share.share`), whose forked children read Z and the class columns from the
+memory they share with this process and send back their blocks' row
+differences. Those rows are added into the weights in sample order here, so
+the weights are the same for any worker count.
 
 The window EPS. With F = 20 features, Z lies in [0, 1], so rounding a value
 to float32 moves it by at most 2**-25, and each float32 term |Z[j] - Z[i]|
@@ -224,7 +223,7 @@ def relieff(
 
     n_blocks = -(-len(active) // block)
     weights = np.zeros(n_feat, dtype=np.float64)
-    for diffs in share.share(work, n_blocks, share.usable_cpus()):
+    for diffs in share.share(work, n_blocks):
         for diff in diffs:  # one row at a time, in sample order
             weights += diff
     weights /= len(sample)

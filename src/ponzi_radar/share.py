@@ -1,15 +1,14 @@
 """Independent work items shared among the usable CPUs by forked workers.
 
-`share(work, n, workers)` runs `work(i)` for every item i < n and returns
-the results in item order. Cross-validation shares its folds this way
+`share(work, n)` runs `work(i)` for every item i < n and returns the
+results in item order. Cross-validation shares its folds this way
 (`evaluate.cross_validate`), ReliefF its blocks of sampled rows
-(`rank.relieff`) and a forest its trees (`learn.train_forest`). Item i goes
-to worker i % min(workers, n). Worker 0 is the calling process; each other
-worker is a child forked before the caller starts its own share, so a child
-reads whatever the caller built before the call from the memory it shares
-with it, and sends back only its results. Since the results are joined in
-item order, a caller that combines them in that order gets the same bits
-for any worker count.
+(`rank.relieff`) and a forest its trees (`learn.train_forest`). The
+calling process is one worker; the others are children forked before it
+starts its own items, so a child reads whatever the caller built before
+the call from the memory it shares with it, and sends back only its
+results. Since the results are joined in item order, a caller that
+combines them in that order gets the same bits for any worker count.
 
 Shares do not nest: a share started while this process runs the items of
 another one, in the caller or in a child, runs all its items here, in
@@ -38,24 +37,26 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def share(work: Callable[[int], T], n: int, workers: int) -> list[T]:
-    """`work(i)` for every item i < n, item i on worker i % min(`workers`, n); in item order.
+def share(work: Callable[[int], T], n: int) -> list[T]:
+    """`work(i)` for every item i < n, in item order.
 
-    Worker 0 is this process, and at least this one runs. Each other worker
-    is a child forked before this process runs its own share; it sends back
-    the results of the items it finished, pickled through a pipe. Then, in
-    item order, this process runs every item that has no result: one whose
-    child failed on it, died or could not be forked. Its own first failure
-    is raised when that loop reaches the item, so the first failing item
-    raises with its own type, text and traceback, as one worker would raise
-    it. No child outlives the call: on any exception here, KeyboardInterrupt
-    too, the children still running are killed and reaped. Called from
-    inside an item of another share, it is `[work(i) for i in range(n)]`.
+    The workers are min(`usable_cpus()`, n), at least one, and item i goes
+    to worker i % workers, so no worker is without an item. Worker 0 is
+    this process; each other worker is a child forked before this process
+    runs its own share, and sends back the results of the items it
+    finished, pickled through a pipe. Then, in item order, this process
+    runs every item that has no result: one whose child failed on it, died
+    or could not be forked. Its own first failure is raised when that loop
+    reaches the item, so the first failing item raises with its own type,
+    text and traceback, as one worker would raise it. No child outlives the
+    call: on any exception here, KeyboardInterrupt too, the children still
+    running are killed and reaped. Called from inside an item of another
+    share, it is `[work(i) for i in range(n)]`, and asks for no CPU count.
     """
     global _running
     if _running:
         return [work(i) for i in range(n)]
-    workers = max(1, min(workers, n))
+    workers = max(1, min(usable_cpus(), n))
     results: dict[int, T] = {}
     failed, failure = n, None  # this process's first failing item, and its exception
     children: dict[int, int] = {}  # pid -> pipe read end

@@ -1,8 +1,6 @@
 import io
 import os
 import random
-import signal
-import time
 from collections import Counter
 
 import numpy as np
@@ -12,7 +10,7 @@ from hypothesis import given, strategies as st
 from ponzi_radar import evaluate, share
 from ponzi_radar.cli import main
 from ponzi_radar.dataset import Dataset, write_csv
-from ponzi_radar.errors import DataError, ParseError
+from ponzi_radar.errors import DataError
 from ponzi_radar.evaluate import (
     ConfusionMatrix,
     apply_model,
@@ -28,12 +26,22 @@ from ponzi_radar.learn import (
     CostMatrix,
     LearnerSpec,
     cost_sensitive_predict,
-    derive_seeds,
     train_forest,
     train_model,
 )
 
 from conftest import dataset_of, make_dataset
+from test_share import (
+    FOLDS,
+    assert_no_child_left,
+    child_fails_on_its_second_item,
+    cv_outcome,
+    error_everywhere,
+    failing_child,
+    hooked,
+    interrupted_parent,
+    refused_fork,
+)
 
 
 class TestMetrics:
@@ -277,8 +285,8 @@ class TestCrossValidate:
             cross_validate(ds, LearnerSpec(n_trees=2), CostMatrix(1, 1), k=2, seed=0)
 
     def test_thread_count_does_not_change_result(self, monkeypatch):
-        # Folds are shared by worker i % workers, the others forked children:
-        # every worker count gives the same folds, bit for bit.
+        # Folds are shared among the workers (`share.share`): every worker
+        # count gives the same folds, bit for bit.
         ds = make_dataset(8, 60, seed=13, separable=False)
         runs = [
             (LearnerSpec(n_trees=8), None),
@@ -294,14 +302,7 @@ class TestCrossValidate:
                 results.append(cross_validate(ds, learner, CostMatrix(20, 1), k=4, seed=6,
                                               sampling_ratio=ratio, threads=workers))
                 assert len(parent_fits) == len(range(0, 4, workers))
-            want = results[0]
-            for got in results[1:]:
-                assert got.confusion == want.confusion
-                assert got.metrics == want.metrics
-                for fold_got, fold_want in zip(got.folds, want.folds, strict=True):
-                    assert fold_got.confusion == fold_want.confusion
-                    assert fold_got.labels.tobytes() == fold_want.labels.tobytes()
-                    assert fold_got.scores.tobytes() == fold_want.scores.tobytes()
+            assert cv_outcome(results[1]) == cv_outcome(results[2]) == cv_outcome(results[0])
         assert_no_child_left()
 
 
@@ -318,80 +319,23 @@ def count_parent_fits(monkeypatch) -> list:
     return fits
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("failing", [(1, 2), (2, 3)], ids=["child_first", "parent_first"])
-def test_fold_errors_raise_as_one_worker_raises_them(monkeypatch, failing):
-    # 2 workers, k=4: this process trains folds 0 and 2, the child 1 and 3.
-    ds = make_dataset(8, 60, seed=13, separable=False)
-    seeds = derive_seeds(6, 1 + 2 * 4)  # fold i trains with seeds[2 + 2 * i]
-    fold_of = {seeds[2 + 2 * i]: i for i in range(4)}
-
-    def failing_fit(data, learner, seed, *args, **kwargs):
-        if fold_of[seed] in failing:
-            raise DataError(f"fold {fold_of[seed]} cannot be trained")
-        return train_model(data, learner, seed, *args, **kwargs)
-
-    monkeypatch.setattr(evaluate, "train_model", failing_fit)
-    outcomes = []
+@pytest.mark.parametrize("failing, parent_folds", [
+    ({1, 2}, {1: [0, 1], 2: [0, 2, 1]}), ({2, 3}, {1: [0, 1, 2], 2: [0, 2]}),
+], ids=["child_first", "parent_first"])
+def test_fold_errors_raise_as_one_worker_raises_them(failing, parent_folds):
+    # 2 workers: this process trains folds 0, 2 and 4, the child 1 and 3.
     for workers in (1, 2):
-        monkeypatch.setattr(share, "usable_cpus", lambda: workers)
-        with pytest.raises(DataError) as info:
-            cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=4, seed=6)
-        outcomes.append((type(info.value), str(info.value)))
-        assert_no_child_left()
-    assert outcomes[1] == outcomes[0] == (DataError, f"fold {failing[0]} cannot be trained")
+        with pytest.MonkeyPatch.context() as mp:
+            error_everywhere(mp, FOLDS, workers, failing, parent_folds[workers])
 
 
-def fold_seeds(seed: int, k: int) -> dict[int, int]:
-    """Fold i's training seed -> i, for cross_validate(..., k=k, seed=seed)."""
-    seeds = derive_seeds(seed, 1 + 2 * k)
-    return {seeds[2 + 2 * i]: i for i in range(k)}
-
-
-def child_fails_at(monkeypatch, fold: int, seed: int, k: int, kill: bool = True) -> None:
-    """Make the child that trains `fold` die by SIGKILL, as the OOM killer
-    kills, or raise a DataError that this process would not raise; the other
-    fits go on to the evaluate.train_model of the time of the call."""
-    parent, fold_of, train = os.getpid(), fold_seeds(seed, k), evaluate.train_model
-
-    def fit(data, learner, fit_seed, *args, **kwargs):
-        if os.getpid() != parent and fold_of[fit_seed] == fold:
-            if kill:
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise DataError("only a child fails")
-        return train(data, learner, fit_seed, *args, **kwargs)
-
-    monkeypatch.setattr(evaluate, "train_model", fit)
-
-
-@pytest.mark.parametrize("workers, failing, kill, missing", [
-    (2, 3, True, [1, 3]), (3, 4, True, [1, 4]), (2, 3, False, [3]), (3, 4, False, [4]),
+@pytest.mark.parametrize("workers, kill, missing", [
+    (2, True, [1, 3]), (3, True, [1, 4]), (2, False, [3]), (3, False, [4]),
 ], ids=["2_workers_killed", "3_workers_killed", "2_workers_raising", "3_workers_raising"])
-def test_failed_child_costs_time_not_the_run(monkeypatch, workers, failing, kill, missing):
-    # k=5: the child with folds 1 and `failing` finishes fold 1 and fails on
-    # `failing`. Killed, it sends nothing; raising, it sends fold 1's scores.
+def test_failed_child_costs_time_not_the_run(monkeypatch, workers, kill, missing):
     # With 3 workers, fold 2's child sends its scores either way.
-    ds = make_dataset(8, 60, seed=13, separable=False)
-    learner, cost = LearnerSpec(n_trees=4), CostMatrix(20, 1)
-    monkeypatch.setattr(share, "usable_cpus", lambda: 1)
-    want = cross_validate(ds, learner, cost, k=5, seed=6)
-    monkeypatch.setattr(share, "usable_cpus", lambda: workers)
-    parent_fits = count_parent_fits(monkeypatch)
-    child_fails_at(monkeypatch, failing, seed=6, k=5, kill=kill)
-    got = cross_validate(ds, learner, cost, k=5, seed=6)
-    assert_no_child_left()
-    fold_of = fold_seeds(6, 5)
-    assert [fold_of[s] for s in parent_fits] == [*range(0, 5, workers), *missing]
-    assert got.confusion == want.confusion
-    assert got.metrics == want.metrics
-    for fold_got, fold_want in zip(got.folds, want.folds, strict=True):
-        assert fold_got.confusion == fold_want.confusion
-        assert fold_got.labels.tobytes() == fold_want.labels.tobytes()
-        assert fold_got.scores.tobytes() == fold_want.scores.tobytes()
+    child_fails_on_its_second_item(monkeypatch, FOLDS, workers, kill,
+                                   [*range(0, 5, workers), *missing])
 
 
 def test_cv_command_with_a_killed_child_writes_the_one_worker_report(monkeypatch, tmp_path):
@@ -400,7 +344,7 @@ def test_cv_command_with_a_killed_child_writes_the_one_worker_report(monkeypatch
     argv = ["cv", str(tmp_path / "dataset.csv"), "--trees", "4", "--k", "5", "--seed", "6"]
     monkeypatch.setattr(share, "usable_cpus", lambda: 1)
     assert main([*argv, "-o", str(tmp_path / "one.csv")]) == 0
-    child_fails_at(monkeypatch, 1, seed=6, k=5)
+    hooked(monkeypatch, FOLDS, failing_child(kill=True))  # FOLDS's k, seed and data
     monkeypatch.setattr(share, "usable_cpus", lambda: 2)
     assert main([*argv, "-o", str(tmp_path / "killed.csv")]) == 0
     assert_no_child_left()
@@ -409,60 +353,17 @@ def test_cv_command_with_a_killed_child_writes_the_one_worker_report(monkeypatch
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_fold_error_that_does_not_pickle_raises_with_its_type_and_text(monkeypatch, workers):
-    # ParseError(message, line) would unpickle as ParseError(text): no
-    # exception crosses a pipe, so it need not pickle.
-    ds = make_dataset(8, 60, seed=13, separable=False)
-    parent, fold_of, parent_fits = os.getpid(), fold_seeds(6, 4), []
-
-    def fit(data, learner, seed, *args, **kwargs):
-        if os.getpid() == parent:
-            parent_fits.append(fold_of[seed])
-        if fold_of[seed] == 1:  # in every process
-            raise ParseError("bad cell", 3)
-        return train_model(data, learner, seed, *args, **kwargs)
-
-    monkeypatch.setattr(evaluate, "train_model", fit)
-    monkeypatch.setattr(share, "usable_cpus", lambda: workers)
-    with pytest.raises(ParseError, match=r"^line 3: bad cell$") as info:
-        cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=4, seed=6)
-    assert type(info.value) is ParseError and info.value.line == 3
     # its own share up to fold 1, then fold 1 once if a child had it
-    assert parent_fits == {1: [0, 1], 2: [0, 2, 1], 3: [0, 3, 1]}[workers]
-    assert_no_child_left()
+    error_everywhere(monkeypatch, FOLDS, workers, {1},
+                     {1: [0, 1], 2: [0, 2, 4, 1], 3: [0, 3, 1]}[workers])
 
 
 def test_interrupted_parent_kills_its_children(monkeypatch):
-    ds = make_dataset(8, 60, seed=13, separable=False)
-    parent = os.getpid()
-
-    def fit(*args, **kwargs):
-        if os.getpid() != parent:
-            time.sleep(60)  # killed long before
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(evaluate, "train_model", fit)
-    monkeypatch.setattr(share, "usable_cpus", lambda: 2)
-    t0 = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=4, seed=6)
-    assert time.perf_counter() - t0 < 30
-    assert_no_child_left()
+    interrupted_parent(monkeypatch, FOLDS)
 
 
 def test_failed_fork_leaves_the_share_to_the_parent(monkeypatch):
-    ds = make_dataset(8, 60, seed=13, separable=False)
-    want = cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=4, seed=6)
-
-    def no_fork():
-        raise OSError("fork refused")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(share, "usable_cpus", lambda: 2)
-    parent_fits = count_parent_fits(monkeypatch)
-    got = cross_validate(ds, LearnerSpec(n_trees=4), CostMatrix(20, 1), k=4, seed=6)
-    assert len(parent_fits) == 4
-    assert got.metrics == want.metrics
-    assert [f.scores.tobytes() for f in got.folds] == [f.scores.tobytes() for f in want.folds]
+    refused_fork(monkeypatch, FOLDS)
 
 
 def tie_heavy_dataset(n, seed):

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ponzi_radar import share
 from ponzi_radar.dataset import Dataset
 from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES
 from ponzi_radar.learn import (
@@ -236,7 +237,11 @@ def _tie_heavy_datasets(draw):
     st.integers(0, 2**32),
 )
 def test_coded_grower_matches_oracle(ds, reweight, seed):
-    forest = train_forest(ds, n_trees=3, seed=seed, reweight=reweight)
+    # One worker: a fork would cost more than these 3 tiny trees, and
+    # tests/test_share.py compares the forest across worker counts.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(share, "usable_cpus", lambda: 1)
+        forest = train_forest(ds, n_trees=3, seed=seed, reweight=reweight)
     assert_same_trees(forest.trees, oracle_forest(ds, 3, seed, reweight))
 
 

@@ -191,6 +191,32 @@ def test_whole_day_time_shift_keeps_clusters_and_features(params):
     assert _features(shifted, clusters) == _features(log, clusters)
 
 
+_LINEAR = ("sum_in", "sum_out", "avg_in", "avg_out", "max_daily_balance_delta")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TINY_WORLDS)
+def test_doubled_values_double_the_money_columns_only(params):
+    """FEATURES.md's sums, means and largest daily balance change are linear
+    in the values, the Gini coefficients and the other columns do not scale
+    with them, and doubling a float is exact. So doubling every output value
+    doubles those five columns exactly and leaves the others bit-identical.
+    The std columns are left out: tests/test_features.py's
+    test_doubled_amounts_double_the_std_exactly says why."""
+    log, _ = generate(params)
+    doubled = _reparsed(log, lambda record: {
+        **record, "out": [{**out, "val": 2 * out["val"]} for out in record["out"]]})
+    clusters = build_clusters(doubled)
+    assert clusters == build_clusters(log)
+    got, want = (np.array(cluster_feature_table(world, clusters), dtype=np.float64).T
+                 for world in (doubled, log))
+    for name, column_got, column_want in zip(FEATURE_NAMES, got, want):
+        if name in _LINEAR:
+            assert column_got.tobytes() == (2 * column_want).tobytes(), name
+        elif not name.startswith("std_"):
+            assert column_got.tobytes() == column_want.tobytes(), name
+
+
 @settings(max_examples=40, deadline=None)
 @given(_TINY_WORLDS, st.integers(0, 2**32))
 def test_order_preserving_renaming_keeps_clusters_and_features(params, seed):
