@@ -4,9 +4,9 @@ The entropy-based rankers (information gain, gain ratio, symmetrical
 uncertainty) and OneR work on discretized columns; discretization is
 equal-frequency binning with cut points snapped to the nearest boundary
 between distinct values, so heavily tied columns simply produce fewer bins.
-`rank_features` counts each column's (bin, class) table with one bincount
-and scores it; OneR's score is the sum of each bin's largest class count,
-over n.
+`rank_features` counts each column's (bin, class) table with one bincount,
+and the four scorers read that table alone; OneR's score is the sum of each
+bin's largest class count, over n.
 
 ReliefF works on min-max normalized numeric columns directly, in blocks of
 sampled rows, and returns the weights alone. Per class, a block's L1
@@ -78,46 +78,12 @@ def discretize(values: Sequence[float], bins: int) -> np.ndarray:
 
 
 def _entropy_of_counts(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
+    p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log2(p)).sum())
 
 
-def _contingency(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Counts of each (x value, y value) pair, both in ascending order."""
-    xs, xi = np.unique(x, return_inverse=True)
-    ys, yi = np.unique(y, return_inverse=True)
-    cells = np.bincount(xi * len(ys) + yi, minlength=len(xs) * len(ys))
-    return cells.reshape(len(xs), len(ys))
-
-
-def entropy(labels: Sequence) -> float:
-    """Shannon entropy in bits of a discrete label sequence."""
-    _, counts = np.unique(np.asarray(labels), return_counts=True)
-    return _entropy_of_counts(counts)
-
-
-def info_gain(x: Sequence, y: Sequence) -> float:
-    """H(Y) - H(Y | X) in bits for discrete x."""
-    return _info_gain(_contingency(np.asarray(x), np.asarray(y)))
-
-
-def gain_ratio(x: Sequence, y: Sequence) -> float:
-    return _gain_ratio(_contingency(np.asarray(x), np.asarray(y)))
-
-
-def sym_uncertainty(x: Sequence, y: Sequence) -> float:
-    return _sym_uncertainty(_contingency(np.asarray(x), np.asarray(y)))
-
-
-def one_r(x: Sequence, y: Sequence) -> float:
-    """Training accuracy of the rule mapping each bin to its majority class."""
-    return _one_r(_contingency(np.asarray(x), np.asarray(y)))
-
-
 def _info_gain(table: np.ndarray) -> float:
+    """H(Y) - H(Y | X) in bits."""
     n = table.sum()
     h_y = _entropy_of_counts(table.sum(axis=0))
     h_y_given_x = 0.0
@@ -143,8 +109,6 @@ def _sym_uncertainty(table: np.ndarray) -> float:
 
 
 def _one_r(table: np.ndarray) -> float:
-    if table.size == 0:
-        raise DataError("one_r requires a non-empty column")
     return int(table.max(axis=1).sum()) / int(table.sum())
 
 
@@ -294,7 +258,7 @@ def rank_features(
         return _to_ranking(method, relieff(dataset, k=relieff_k, m=relieff_m, seed=seed))
     scorer = _TABLE_SCORERS[method]
     X, y = dataset.X, dataset.y
-    present = np.bincount(y, minlength=2) > 0  # classes that occur, as in _contingency
+    present = np.bincount(y, minlength=2) > 0  # a class that never occurs has no column
     scores = []
     for col in X.T:
         bins_of = discretize(col, bins)

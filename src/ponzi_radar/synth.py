@@ -254,10 +254,7 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
         elif kind == "payout":
             s, dep_seq = payload
             scheme = schemes[s]
-            dep = scheme.deposits.get(dep_seq)
-            if dep is None:
-                continue  # the deposit itself never happened
-            dep_value, payer_addr, payer_user = dep
+            dep_value, payer_addr, payer_user = scheme.deposits[dep_seq]
             target = int(round(PAYOUT_MULTIPLIER * dep_value))
             inputs: list = []
             collected = 0

@@ -559,6 +559,32 @@ def seeds(world, tmp_path_factory):
     return path
 
 
+def test_cluster_seeds_prints_labels_collisions_and_unresolved_seeds(tmp_path, capsys):
+    # Clusters by smallest name: 0 {a1, a2}, 1 {b1, b2}, 2 {c1}, 3 {z}, 4 {z2}.
+    a, b, c = txid_of("seed-a"), txid_of("seed-b"), txid_of("seed-c")
+    log = tmp_path / "log.jsonl"
+    log.write_text("\n".join([
+        tx_line(a, 10, coinbase=True, outputs=[("a1", 10), ("a2", 10)]),
+        tx_line(b, 11, coinbase=True, outputs=[("b1", 10), ("b2", 10)]),
+        tx_line(c, 12, coinbase=True, outputs=[("c1", 10)]),
+        tx_line(txid_of("merge-a"), 20, inputs=[(a, 0), (a, 1)], outputs=[("z", 20)]),
+        tx_line(txid_of("merge-b"), 21, inputs=[(b, 0), (b, 1)], outputs=[("z2", 20)]),
+    ]) + "\n")
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text("label,address\nwide,a1\nwide,b2\ntwin,b1\nsolo,c1\nlost,nowhere\n")
+    summary = ("solo: clusters [2] sizes [1]\n"
+               "twin: clusters [1] sizes [2]\n"
+               "wide: clusters [0, 1] sizes [2, 2]\n"
+               "unresolved: lost nowhere\n"
+               "collision: cluster 1 shared by wide, twin\n")
+    argv = ["cluster", str(log), "--seeds", str(seeds)]
+    saved = tmp_path / "clusters.csv"
+    assert main([*argv, "-o", str(saved)]) == 0
+    assert capsys.readouterr() == (summary, "")
+    assert main(argv) == 0
+    assert capsys.readouterr() == (saved.read_bytes().decode(), summary)
+
+
 @pytest.mark.parametrize("command, first_row", [
     ("apply", ["id", "label", "score", "predicted"]),
     ("rank", ["method", "feature", "score", "rank"]),

@@ -230,6 +230,11 @@ def test_cluster_csv_round_trip(fan_out_then_join):
     assert read_clusters(buf) == clusters
 
 
+def test_read_clusters_names_the_id_range_it_expects():
+    with pytest.raises(DataError, match=r"^cluster dump ids are not 0\.\.1$"):
+        read_clusters(io.StringIO("cluster_id,address\n0,a\n2,b\n"))
+
+
 def test_read_seeds_rejects_bad_header():
     with pytest.raises(DataError):
         read_seeds(io.StringIO("nope,format\n"))
