@@ -14,9 +14,13 @@ unpaid tail and three times the background payments.
 
 Generation is fully deterministic under the seed: identical params produce a
 byte-identical serialized log. Every action is planned, then replayed in time
-order into the columns that `LogBuilder.extend` takes; the replay's only
-draws, the coinbase output values, come from one call. A scheme that finds no
-depositor never reaches the log and is not labeled.
+order into the columns that `LogBuilder.extend` takes, each txid hashed as its
+transaction is emitted; the replay's only draws, the coinbase output values,
+come from one call. Every payment spends whole outputs from the front of its
+payer's pool. A wallet with several addresses, a user's or a scheme's, spends
+one output per address the first time it spends, so the multi-input heuristic
+reunites it. A scheme that finds no depositor never reaches the log and is
+not labeled.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ class SynthParams:
 
 
 class _User:
-    __slots__ = ("addrs", "coin_time", "n_extra", "budget", "pool", "reserved")
+    __slots__ = ("addrs", "coin_time", "n_extra", "budget", "pool")
 
     def __init__(self, addrs: list[str], coin_time: float, n_extra: int):
         self.addrs = addrs
@@ -79,18 +83,32 @@ class _User:
         # Planned spends never exceed the initial freely spendable outputs,
         # so a planned payment always finds an unspent output to consume.
         self.budget = n_extra + (1 if len(addrs) == 1 else 0)
-        self.pool: deque = deque()  # ((position, index), value, addr)
-        self.reserved: list = []  # outputs set aside for the merge payment
+        # ((txid, index), value), spent from the front. A multi-address
+        # coinbase puts its one output per address first, for the merging first
+        # spend; every other output a user holds is on its first address.
+        self.pool: deque = deque()
 
 
 class _Scheme:
-    __slots__ = ("addrs", "pool", "merged", "deposits")
+    __slots__ = ("addrs", "pool", "deposits")
 
     def __init__(self, addrs: list[str]):
         self.addrs = addrs
-        self.pool: deque = deque()  # ((position, index), value, addr)
-        self.merged = len(addrs) == 1
-        self.deposits: dict[int, tuple[int, str, int]] = {}  # seq -> (value, payer, user)
+        # ((txid, index), value), spent from the front; deposits are dealt
+        # round-robin, so the first len(addrs) hold one per address.
+        self.pool: deque = deque()
+        self.deposits: dict[int, int] = {}  # deposit seq -> value received
+
+
+def _spend(pool: deque, n: int, need: int = 0) -> tuple[list, int]:
+    """Pop n outputs from the front of pool, then more while their values sum
+    below need; return their outpoints and that sum."""
+    ops, total = [], 0
+    while len(ops) < n or (total < need and pool):
+        op, value = pool.popleft()
+        ops.append(op)
+        total += value
+    return ops, total
 
 
 def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
@@ -116,77 +134,65 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
         users.append(_User(addrs, coin_time, n_extra=int(rng.integers(2, 5))))
 
     # Planned actions: (time, seq, kind, payload); seq keeps the sort stable
-    # and identifies deposits for their matching payouts.
+    # and keys each deposit's entry in its scheme's deposit book.
     plan: list[tuple] = []
 
-    def add(t: float, kind: str, payload: tuple) -> int:
+    def add(t: float, kind: str, payload) -> int:
         plan.append((t, len(plan), kind, payload))
         return len(plan) - 1
 
+    # A user's first spend, 600 s after its coinbase, comes before any other
+    # payment or deposit of its own: a multi-address wallet merges there.
+    def send(t: float, ui: int, n_spent: int) -> None:
+        """Plan user ui's payment of n_spent outputs to another drawn user."""
+        other = int(rng.integers(0, params.n_background))
+        payee = users[(other + 1) % params.n_background if other == ui else other]
+        add(t, "pay", (users[ui].pool, n_spent, payee.addrs[0], payee.pool, None))
+
     for ui, user in enumerate(users):
-        add(user.coin_time, "coinbase", (ui,))
+        add(user.coin_time, "coinbase", user)
         if len(user.addrs) > 1:
-            # The user's first payment co-spends one output per address so the
-            # multi-input heuristic always reunites the wallet.
-            recipient = int(rng.integers(0, params.n_background))
-            if recipient == ui:
-                recipient = (recipient + 1) % params.n_background
-            add(user.coin_time + 600, "merge_send", (ui, recipient))
+            send(user.coin_time + 600, ui, len(user.addrs))
         n_sends = min(int(rng.poisson(send_rate)), user.budget)
         for _ in range(n_sends):
-            t = float(rng.uniform(user.coin_time + 7200, T0 + span))
-            recipient = int(rng.integers(0, params.n_background))
-            if recipient == ui:
-                recipient = (recipient + 1) % params.n_background
-            add(t, "send", (ui, recipient))
-            user.budget -= 1
+            send(float(rng.uniform(user.coin_time + 7200, T0 + span)), ui, 1)
+        user.budget -= n_sends
 
     schemes: list[_Scheme] = []
     for s in range(params.n_ponzi):
         n_addr = [1, 2, 3, 4, 6, 8][bisect_right(scheme_cdf, rng.random())]
-        addrs = [f"px{s:03d}x{j}" for j in range(n_addr)]
+        scheme = _Scheme([f"px{s:03d}x{j}" for j in range(n_addr)])
+        schemes.append(scheme)
         window_start = T0 + float(rng.uniform(span * 0.10, span * 0.55))
         duration = float(rng.uniform(10 * DAY, 50 * DAY))
         count = max(4 * n_addr, int(round(rng.lognormal(count_mu, DEPOSIT_COUNT_SIGMA))))
-        dep_times = np.sort(rng.uniform(window_start, window_start + duration, size=count))
-        depositors: list[int | None] = []
-        for t in dep_times:
-            depositor = None
+        dep_times = np.sort(rng.uniform(window_start, window_start + duration, size=count)).tolist()
+        funded: dict[int, tuple] = {}  # deposit index -> (seq of its payment, payer)
+        for d, t in enumerate(dep_times):
             for _ in range(200):
-                cand = int(rng.integers(0, params.n_background))
-                if users[cand].budget > 0 and users[cand].coin_time + 7200 <= t:
-                    depositor = cand
+                payer = users[int(rng.integers(0, params.n_background))]
+                if payer.budget > 0 and payer.coin_time + 7200 <= t:
+                    payer.budget -= 1
+                    # Round-robin over funded deposits so every address receives one.
+                    seq = add(t, "pay", (payer.pool, 1, scheme.addrs[len(funded) % n_addr],
+                                         scheme.pool, scheme.deposits))
+                    funded[d] = (seq, payer)
                     break
-            if depositor is not None:
-                users[depositor].budget -= 1
-            depositors.append(depositor)
-        funded = [d for d in range(count) if depositors[d] is not None]
-        if len(funded) < n_addr:
-            # Not enough depositors to cover every address; shrink the wallet
-            # so the merge payout stays reachable.
-            n_addr = max(1, len(funded))
-            addrs = addrs[:n_addr]
-        scheme = _Scheme(addrs)
-        schemes.append(scheme)
-        dep_seqs: list[int | None] = [None] * count
-        for rank, d in enumerate(funded):
-            # Round-robin over funded deposits so every address receives one.
-            target_addr = rank % n_addr
-            dep_seqs[d] = add(float(dep_times[d]), "deposit",
-                              (depositors[d], s, target_addr))
         if not funded:
             continue
+        # Too few deposits to cover every address: the wallet shrinks to the
+        # addresses paid, so its merging first payout stays reachable.
+        del scheme.addrs[len(funded):]
         n_payable = math.ceil((1.0 - implosion) * count)
-        covered = funded[: min(n_addr, len(funded))]
-        merge_ready = float(dep_times[covered[-1]]) + 600.0
-        for d in range(n_payable):
-            if dep_seqs[d] is None:
-                continue
-            delay = float(rng.lognormal(delay_mu, delay_sigma))
-            # No payout before every address holds a deposit, so the first
-            # one can always co-spend across the whole wallet.
-            t = max(float(dep_times[d]) + delay, merge_ready)
-            add(t, "payout", (s, dep_seqs[d]))
+        # No payout before every address holds a deposit, so the first one,
+        # which pops one deposit per address, co-spends across the wallet.
+        merge_ready = dep_times[list(funded)[len(scheme.addrs) - 1]] + 600.0
+        # In time order, ties by deposit: the order the plan's sort gives them.
+        payouts = sorted((max(dep_times[d] + float(rng.lognormal(delay_mu, delay_sigma)),
+                              merge_ready), seq, payer)
+                         for d, (seq, payer) in funded.items() if d < n_payable)
+        for i, (t, dep_seq, payer) in enumerate(payouts):
+            add(t, "payout", (scheme, dep_seq, 0 if i else len(scheme.addrs), payer))
 
     plan.sort()  # by (time, seq); seq is unique
 
@@ -197,97 +203,61 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
 
     # Materialize in time order into columns; the clock is strictly increasing
     # so the sorted log order always sees an output before the input spending it.
-    times, coinbase, n_in, prevs, n_out, outputs = [], [], [], [], [], []
+    txids, times, coinbase, n_in, prevs, n_out, outputs = [], [], [], [], [], [], []
     clock = 0
 
-    def emit(t: float, is_coinbase: bool, inputs: list, outs: list) -> int:
+    def emit(t: float, ops: list, outs: list) -> str:
+        """Append one transaction spending the outpoints `ops`, which only a
+        coinbase leaves empty; return its txid."""
         nonlocal clock
         clock = max(clock + 1, int(t))
+        txid = hashlib.sha256(f"{params.seed}:{len(txids)}".encode()).hexdigest()
+        txids.append(txid)
         times.append(clock)
-        coinbase.append(is_coinbase)
-        n_in.append(len(inputs))
-        prevs.extend(inputs)
+        coinbase.append(not ops)
+        n_in.append(len(ops))
+        prevs.extend(ops)
         n_out.append(len(outs))
         outputs.extend(outs)
-        return len(times) - 1
+        return txid
 
     def fee_for(total: int) -> int:
         return FEE if total > 10 * FEE else 0
 
     for t, sq, kind, payload in plan:
         if kind == "coinbase":
-            (ui,) = payload
-            user = users[ui]
+            user = payload
             outs = [(addr, next(values)) for addr in user.addrs]
             outs += [(user.addrs[0], next(values)) for _ in range(user.n_extra)]
-            pos = emit(t, True, [], outs)
-            for idx, (addr, val) in enumerate(outs):
-                entry = ((pos, idx), val, addr)
-                if len(user.addrs) > 1 and idx < len(user.addrs):
-                    user.reserved.append(entry)
-                else:
-                    user.pool.append(entry)
-        elif kind == "merge_send":
-            ui, recipient = payload
-            reserved = users[ui].reserved
-            val = sum(v for _, v, _ in reserved)
+            txid = emit(t, [], outs)
+            entries = [((txid, k), val) for k, (_, val) in enumerate(outs)]
+            n_front = len(user.addrs) if len(user.addrs) > 1 else 0
+            user.pool.extendleft(reversed(entries[:n_front]))
+            user.pool.extend(entries[n_front:])
+        elif kind == "pay":
+            pool, n_spent, dest, dest_pool, book = payload
+            ops, val = _spend(pool, n_spent)
             val -= fee_for(val)
-            dest = users[recipient].addrs[0]
-            pos = emit(t, False, [op for op, _, _ in reserved], [(dest, val)])
-            users[recipient].pool.append(((pos, 0), val, dest))
-        elif kind == "send":
-            ui, recipient = payload
-            op, val, _ = users[ui].pool.popleft()
-            val -= fee_for(val)
-            dest = users[recipient].addrs[0]
-            pos = emit(t, False, [op], [(dest, val)])
-            users[recipient].pool.append(((pos, 0), val, dest))
-        elif kind == "deposit":
-            ui, s, target_addr = payload
-            scheme = schemes[s]
-            op, val, payer_addr = users[ui].pool.popleft()
-            val -= fee_for(val)
-            dest = scheme.addrs[target_addr]
-            pos = emit(t, False, [op], [(dest, val)])
-            scheme.pool.append(((pos, 0), val, dest))
-            scheme.deposits[sq] = (val, payer_addr, ui)
+            txid = emit(t, ops, [(dest, val)])
+            dest_pool.append(((txid, 0), val))
+            if book is not None:  # a deposit
+                book[sq] = val
         elif kind == "payout":
-            s, dep_seq = payload
-            scheme = schemes[s]
-            dep_value, payer_addr, payer_user = scheme.deposits[dep_seq]
-            target = int(round(PAYOUT_MULTIPLIER * dep_value))
-            inputs: list = []
-            collected = 0
-            if not scheme.merged:
-                # First payout co-spends one output per scheme address, which
-                # merges the whole wallet for the clustering heuristic.
-                by_addr: dict[str, tuple] = {}
-                for entry in scheme.pool:
-                    if entry[2] not in by_addr:
-                        by_addr[entry[2]] = entry
-                if len(by_addr) == len(scheme.addrs):
-                    for entry in by_addr.values():
-                        scheme.pool.remove(entry)
-                        inputs.append(entry[0])
-                        collected += entry[1]
-                    scheme.merged = True
-            while collected < target + FEE and scheme.pool:
-                op, val, _ = scheme.pool.popleft()
-                inputs.append(op)
-                collected += val
-            if not inputs or collected <= FEE:
+            scheme, dep_seq, n_spent, payer = payload
+            target = int(round(PAYOUT_MULTIPLIER * scheme.deposits[dep_seq]))
+            ops, collected = _spend(scheme.pool, n_spent, target + FEE)
+            if collected <= FEE:
                 continue
-            if collected >= target + FEE:
-                change = collected - target - FEE
-                outs = [(payer_addr, target)]
-                if change > 0:
-                    outs.append((scheme.addrs[0], change))
-            else:
-                outs = [(payer_addr, collected - fee_for(collected))]
-            pos = emit(t, False, inputs, outs)
-            users[payer_user].pool.append(((pos, 0), outs[0][1], payer_addr))
-            if len(outs) > 1:
-                scheme.pool.append(((pos, 1), outs[1][1], scheme.addrs[0]))
+            # The deposit spent an output on the payer's first address; repay it there.
+            paid = target if collected >= target + FEE else collected - fee_for(collected)
+            change = collected - paid - FEE  # positive only if the target is paid
+            outs = [(payer.addrs[0], paid)]
+            if change > 0:
+                outs.append((scheme.addrs[0], change))
+            txid = emit(t, ops, outs)
+            payer.pool.append(((txid, 0), paid))
+            if change > 0:
+                scheme.pool.append(((txid, 1), change))
 
     labels = {scheme.addrs[0]: LABEL_PONZI for scheme in schemes if scheme.deposits}
     if len(labels) < len(schemes):
@@ -295,9 +265,8 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
                        len(schemes) - len(labels), len(schemes))
     for user in users:
         labels[user.addrs[0]] = LABEL_OTHER
-    txids = [hashlib.sha256(f"{params.seed}:{i}".encode()).hexdigest() for i in range(len(times))]
     log = LogBuilder()
-    log.extend(txids, times, coinbase, n_in, [(txids[p], k) for p, k in prevs], n_out, outputs)
+    log.extend(txids, times, coinbase, n_in, prevs, n_out, outputs)
     return log.build(), labels
 
 

@@ -25,13 +25,18 @@ def test_generated_log_validates(small_world):
     assert report.negative_fees == ()
 
 
-def test_labels_cover_every_generated_cluster(small_world):
-    log, labels = small_world
+# One cluster per user and per labelled scheme: each multi-address wallet's
+# first spend co-spends one output per address. Not every world has this: a
+# multi-address scheme with no payable funded deposit never merges.
+@pytest.mark.parametrize("params", [SMALL, SynthParams(5, 250, 42, hard_mode=True)],
+                         ids=["easy", "hard"])
+def test_labels_cover_every_generated_cluster(params):
+    log, labels = generate(params)
     clusters = build_clusters(log)
-    assert clusters.n_clusters == SMALL.n_ponzi + SMALL.n_background
+    assert clusters.n_clusters == params.n_ponzi + params.n_background
     label_clusters = {clusters.index_of[addr] for addr in labels}
     assert len(label_clusters) == clusters.n_clusters
-    assert sum(1 for v in labels.values() if v == "P") == SMALL.n_ponzi
+    assert sum(1 for v in labels.values() if v == "P") == params.n_ponzi
 
 
 def test_ponzi_clusters_look_like_schemes(small_world):
