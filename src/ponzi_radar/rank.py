@@ -6,13 +6,16 @@ equal-frequency binning with cut points snapped to the nearest boundary
 between distinct values, so heavily tied columns simply produce fewer bins.
 `rank_features` counts each column's (bin, class) table with one bincount,
 and the four scorers read that table alone; OneR's score is the sum of each
-bin's largest class count, over n.
+bin's largest class count, over n. The tables of the last (X, y, bins)
+ranked are kept, keyed by X's and y's exact bytes, so the four table
+rankers of one `rank` run discretize each column once between them.
 
 ReliefF works on min-max normalized numeric columns directly, in blocks of
 sampled rows, and returns the weights alone. Per class, a block's L1
 distances are summed in float32, one feature at a time; every member within
-EPS of a row's approximate k-th distance is a candidate, and the candidates'
-exact float64 row-wise distances pick and order the k neighbours. Means and
+EPS of a row's approximate k-th distance is a candidate, found by one flat
+scan of the block's (rows x members) mask, and the candidates' exact
+float64 row-wise distances pick and order the k neighbours. Means and
 weights are summed in the order of the per-row loop this replaced, so the
 weights are bit-identical to it (README, "How ReliefF is computed"). The
 blocks are independent, so they go to the pool that cross-validation uses
@@ -213,7 +216,7 @@ def _neighbour_means(Z, rows, near, hit, members, columns, kk) -> np.ndarray:
     term[...] = dist
     term.partition(np.unique(kk) - 1, axis=1)
     kth = term[np.arange(len(rows)), kk - 1]
-    r, j = np.nonzero(dist <= (kth + _EPS)[:, None])
+    r, j = np.divmod(np.flatnonzero(dist <= (kth + _EPS)[:, None]), len(members))
     cand = members[j]
     exact = np.empty(len(cand))
     step = max(1, _BLOCK_CELLS // Z.shape[1])
@@ -257,14 +260,29 @@ def rank_features(
     if method == "relieff":
         return _to_ranking(method, relieff(dataset, k=relieff_k, m=relieff_m, seed=seed))
     scorer = _TABLE_SCORERS[method]
-    X, y = dataset.X, dataset.y
+    return _to_ranking(method, [scorer(table) for table in _tables_of(dataset.X, dataset.y, bins)])
+
+
+# The (bin, class) tables of the last (X, y, bins) ranked, as at most one
+# (key, tables) pair. The key holds X's and y's exact bytes, so a dataset
+# edited in place, or any other one, builds its own tables.
+_tables: list[tuple[tuple, list[np.ndarray]]] = []
+
+
+def _tables_of(X: np.ndarray, y: np.ndarray, bins: int) -> list[np.ndarray]:
+    """Each column's (bin, class) counts, one bincount per column."""
+    key = (X.shape, X.tobytes(), y.shape, y.tobytes(), bins)
+    for kept, tables in _tables:
+        if kept == key:
+            return tables
     present = np.bincount(y, minlength=2) > 0  # a class that never occurs has no column
-    scores = []
+    tables = []
     for col in X.T:
         bins_of = discretize(col, bins)
         cells = np.bincount(2 * bins_of + y, minlength=2 * (bins_of.max() + 1))
-        scores.append(scorer(cells.reshape(-1, 2)[:, present]))
-    return _to_ranking(method, scores)
+        tables.append(cells.reshape(-1, 2)[:, present])
+    _tables[:] = [(key, tables)]
+    return tables
 
 
 def consensus_rank(rankings: Sequence[Ranking], top_n: int = 8) -> list[tuple[str, int, float]]:

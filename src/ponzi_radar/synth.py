@@ -16,11 +16,12 @@ Generation is fully deterministic under the seed: identical params produce a
 byte-identical serialized log. Every action is planned, then replayed in time
 order into the columns that `LogBuilder.extend` takes, each txid hashed as its
 transaction is emitted; the replay's only draws, the coinbase output values,
-come from one call. Every payment spends whole outputs from the front of its
-payer's pool. A wallet with several addresses, a user's or a scheme's, spends
-one output per address the first time it spends, so the multi-input heuristic
-reunites it. A scheme that finds no depositor never reaches the log and is
-not labeled.
+come from one call. The plan names wallets by index and holds no objects, so
+the garbage collector stops tracking it. Every payment spends whole outputs
+from the front of its payer's pool. A wallet with several addresses, a
+user's or a scheme's, spends one output per address the first time it
+spends, so the multi-input heuristic reunites it. A scheme that finds no
+depositor never reaches the log and is not labeled.
 """
 
 from __future__ import annotations
@@ -90,14 +91,13 @@ class _User:
 
 
 class _Scheme:
-    __slots__ = ("addrs", "pool", "deposits")
+    __slots__ = ("addrs", "pool")
 
     def __init__(self, addrs: list[str]):
         self.addrs = addrs
         # ((txid, index), value), spent from the front; deposits are dealt
         # round-robin, so the first len(addrs) hold one per address.
         self.pool: deque = deque()
-        self.deposits: dict[int, int] = {}  # deposit seq -> value received
 
 
 def _spend(pool: deque, n: int, need: int = 0) -> tuple[list, int]:
@@ -134,7 +134,9 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
         users.append(_User(addrs, coin_time, n_extra=int(rng.integers(2, 5))))
 
     # Planned actions: (time, seq, kind, payload); seq keeps the sort stable
-    # and keys each deposit's entry in its scheme's deposit book.
+    # and keys each deposit's value in the deposit book. A payload names
+    # wallets by index: user u is wallet u, the i-th scheme that finds a
+    # depositor wallet n_background + i.
     plan: list[tuple] = []
 
     def add(t: float, kind: str, payload) -> int:
@@ -146,11 +148,11 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
     def send(t: float, ui: int, n_spent: int) -> None:
         """Plan user ui's payment of n_spent outputs to another drawn user."""
         other = int(rng.integers(0, params.n_background))
-        payee = users[(other + 1) % params.n_background if other == ui else other]
-        add(t, "pay", (users[ui].pool, n_spent, payee.addrs[0], payee.pool, None))
+        payee = (other + 1) % params.n_background if other == ui else other
+        add(t, "pay", (ui, n_spent, users[payee].addrs[0], payee))
 
     for ui, user in enumerate(users):
-        add(user.coin_time, "coinbase", user)
+        add(user.coin_time, "coinbase", ui)
         if len(user.addrs) > 1:
             send(user.coin_time + 600, ui, len(user.addrs))
         n_sends = min(int(rng.poisson(send_rate)), user.budget)
@@ -158,28 +160,29 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
             send(float(rng.uniform(user.coin_time + 7200, T0 + span)), ui, 1)
         user.budget -= n_sends
 
-    schemes: list[_Scheme] = []
+    schemes: list[_Scheme] = []  # those that find a depositor
     for s in range(params.n_ponzi):
         n_addr = [1, 2, 3, 4, 6, 8][bisect_right(scheme_cdf, rng.random())]
         scheme = _Scheme([f"px{s:03d}x{j}" for j in range(n_addr)])
-        schemes.append(scheme)
+        wallet = params.n_background + len(schemes)
         window_start = T0 + float(rng.uniform(span * 0.10, span * 0.55))
         duration = float(rng.uniform(10 * DAY, 50 * DAY))
         count = max(4 * n_addr, int(round(rng.lognormal(count_mu, DEPOSIT_COUNT_SIGMA))))
         dep_times = np.sort(rng.uniform(window_start, window_start + duration, size=count)).tolist()
-        funded: dict[int, tuple] = {}  # deposit index -> (seq of its payment, payer)
+        funded: dict[int, tuple] = {}  # deposit index -> (seq of its payment, payer index)
         for d, t in enumerate(dep_times):
             for _ in range(200):
-                payer = users[int(rng.integers(0, params.n_background))]
+                pi = int(rng.integers(0, params.n_background))
+                payer = users[pi]
                 if payer.budget > 0 and payer.coin_time + 7200 <= t:
                     payer.budget -= 1
                     # Round-robin over funded deposits so every address receives one.
-                    seq = add(t, "pay", (payer.pool, 1, scheme.addrs[len(funded) % n_addr],
-                                         scheme.pool, scheme.deposits))
-                    funded[d] = (seq, payer)
+                    seq = add(t, "pay", (pi, 1, scheme.addrs[len(funded) % n_addr], wallet))
+                    funded[d] = (seq, pi)
                     break
         if not funded:
             continue
+        schemes.append(scheme)
         # Too few deposits to cover every address: the wallet shrinks to the
         # addresses paid, so its merging first payout stays reachable.
         del scheme.addrs[len(funded):]
@@ -192,7 +195,7 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
                               merge_ready), seq, payer)
                          for d, (seq, payer) in funded.items() if d < n_payable)
         for i, (t, dep_seq, payer) in enumerate(payouts):
-            add(t, "payout", (scheme, dep_seq, 0 if i else len(scheme.addrs), payer))
+            add(t, "payout", (wallet, dep_seq, 0 if i else len(scheme.addrs), payer))
 
     plan.sort()  # by (time, seq); seq is unique
 
@@ -205,6 +208,8 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
     # so the sorted log order always sees an output before the input spending it.
     txids, times, coinbase, n_in, prevs, n_out, outputs = [], [], [], [], [], [], []
     clock = 0
+    wallets = users + schemes
+    deposits: dict[int, int] = {}  # deposit seq -> value received
 
     def emit(t: float, ops: list, outs: list) -> str:
         """Append one transaction spending the outpoints `ops`, which only a
@@ -226,7 +231,7 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
 
     for t, sq, kind, payload in plan:
         if kind == "coinbase":
-            user = payload
+            user = users[payload]
             outs = [(addr, next(values)) for addr in user.addrs]
             outs += [(user.addrs[0], next(values)) for _ in range(user.n_extra)]
             txid = emit(t, [], outs)
@@ -235,16 +240,17 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
             user.pool.extendleft(reversed(entries[:n_front]))
             user.pool.extend(entries[n_front:])
         elif kind == "pay":
-            pool, n_spent, dest, dest_pool, book = payload
-            ops, val = _spend(pool, n_spent)
+            payer, n_spent, dest, payee = payload
+            ops, val = _spend(wallets[payer].pool, n_spent)
             val -= fee_for(val)
             txid = emit(t, ops, [(dest, val)])
-            dest_pool.append(((txid, 0), val))
-            if book is not None:  # a deposit
-                book[sq] = val
+            wallets[payee].pool.append(((txid, 0), val))
+            if payee >= len(users):  # a deposit
+                deposits[sq] = val
         elif kind == "payout":
-            scheme, dep_seq, n_spent, payer = payload
-            target = int(round(PAYOUT_MULTIPLIER * scheme.deposits[dep_seq]))
+            s, dep_seq, n_spent, pi = payload
+            scheme, payer = wallets[s], users[pi]
+            target = int(round(PAYOUT_MULTIPLIER * deposits[dep_seq]))
             ops, collected = _spend(scheme.pool, n_spent, target + FEE)
             if collected <= FEE:
                 continue
@@ -259,10 +265,10 @@ def generate(params: SynthParams) -> tuple[TxLog, dict[str, str]]:
             if change > 0:
                 scheme.pool.append(((txid, 1), change))
 
-    labels = {scheme.addrs[0]: LABEL_PONZI for scheme in schemes if scheme.deposits}
-    if len(labels) < len(schemes):
+    labels = {scheme.addrs[0]: LABEL_PONZI for scheme in schemes}
+    if len(schemes) < params.n_ponzi:
         logger.warning("%d of %d schemes found no depositor and are left out of the labels",
-                       len(schemes) - len(labels), len(schemes))
+                       params.n_ponzi - len(schemes), params.n_ponzi)
     for user in users:
         labels[user.addrs[0]] = LABEL_OTHER
     log = LogBuilder()

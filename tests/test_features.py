@@ -263,8 +263,9 @@ class TestExtract:
     # correctly. Here the mean is 67543045 and one deviation is 100771515,
     # which `** 2` squares through libm's pow, and glibc 2.36's pow rounds
     # that exact tie the wrong way (1.0154898235395226e16, not ...224e16).
-    # CHANGES.md and ROADMAP item 8 keep the FOUND: `(a - m) * (a - m)`
-    # would fix it, but moves the golden and benchmark digests.
+    # CHANGES.md and ROADMAP's item "Bytes that no CPU kernel or libm can
+    # move" keep the FOUND: `(a - m) * (a - m)` would fix it, but moves the
+    # golden and benchmark digests.
     @pytest.mark.xfail(condition=100771515.0 ** 2 != 100771515.0 * 100771515.0, strict=True,
                        reason="_mean_std_columns squares through libm pow")
     def test_doubled_amounts_double_the_std_exactly(self):

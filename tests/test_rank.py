@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ponzi_radar import rank
 from ponzi_radar.dataset import Dataset
 from ponzi_radar.errors import DataError
 from ponzi_radar.features import FEATURE_NAMES
@@ -296,6 +297,82 @@ class TestTablePath:
     def test_empty_dataset_rejected(self, method):
         with pytest.raises(DataError, match="^dataset has no rows$"):
             rank_features(dataset_of([]), method)
+
+
+class TestSharedTables:
+    """The four table rankers share the (bin, class) tables of the last
+    (X, y, bins) ranked; every ranking equals one of a fresh copy."""
+
+    METHODS = ("info_gain", "gain_ratio", "sym_uncertainty", "one_r")
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(rank, "_tables", [])
+
+    def fresh(self, ds, bins=10):
+        """Each table ranker's ranking of a copy of ds, from an empty memo."""
+        copy = Dataset(ds.ids, ds.y.copy(), ds.X.copy())
+        rank._tables.clear()
+        return [rank_features(copy, method, bins=bins) for method in self.METHODS]
+
+    def ranked(self, ds, bins=10):
+        rankings = [rank_features(ds, method, bins=bins) for method in self.METHODS]
+        assert len(rank._tables) == 1
+        return rankings
+
+    def test_two_datasets_in_turn(self):
+        a = make_dataset(6, 40, seed=1, separable=False)
+        b = make_dataset(6, 40, seed=2, separable=False)  # the same shape as a
+        want_a, want_b = self.fresh(a), self.fresh(b)
+        assert want_a != want_b
+        rank._tables.clear()
+        for ds, want in [(a, want_a), (b, want_b), (a, want_a), (b, want_b)]:
+            assert self.ranked(ds) == want
+
+    def test_one_dataset_at_two_bin_counts(self):
+        ds = make_dataset(6, 40, seed=3, separable=False)
+        want = {bins: self.fresh(ds, bins) for bins in (3, 10)}
+        assert want[3] != want[10]
+        rank._tables.clear()
+        for bins in (10, 3, 10):
+            assert self.ranked(ds, bins) == want[bins]
+
+    def test_dataset_edited_in_place(self):
+        ds = make_dataset(6, 40, seed=4, separable=False)
+        edited_x = Dataset(ds.ids, ds.y, ds.X.copy())
+        edited_x.X[:, 0] = ds.y  # the first feature now separates the classes
+        edited_y = Dataset(ds.ids, ds.y.copy(), edited_x.X)
+        edited_y.y[:3] ^= 1
+        wants = [self.fresh(ds), self.fresh(edited_x), self.fresh(edited_y)]
+        assert wants[0] != wants[1] != wants[2]
+        rank._tables.clear()
+        assert self.ranked(ds) == wants[0]
+        ds.X[:, 0] = ds.y
+        assert self.ranked(ds) == wants[1]
+        ds.y[:3] ^= 1
+        assert self.ranked(ds) == wants[2]
+
+    def test_one_class_dataset(self):
+        two = make_dataset(6, 40, seed=5, separable=False)
+        one = Dataset(two.ids, np.zeros_like(two.y), two.X)
+        want_two, want_one = self.fresh(two), self.fresh(one)
+        rank._tables.clear()
+        for ds, want, n_classes in [(two, want_two, 2), (one, want_one, 1), (two, want_two, 2)]:
+            assert self.ranked(ds) == want
+            assert {table.shape[1] for table in rank._tables[0][1]} == {n_classes}
+
+    def test_five_rankers_discretize_each_column_once(self, monkeypatch):
+        calls = []
+
+        def counted(values, bins):
+            calls.append(bins)
+            return discretize(values, bins)
+
+        monkeypatch.setattr(rank, "discretize", counted)
+        ds = make_dataset(6, 40, seed=6, separable=False)
+        for method in RANKER_NAMES:
+            rank_features(ds, method)
+        assert len(calls) == len(FEATURE_NAMES)
 
 
 class TestRankings:
