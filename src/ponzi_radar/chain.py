@@ -178,11 +178,6 @@ class TxLog:
     def __len__(self) -> int:
         return len(self.txids)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TxLog):
-            return NotImplemented
-        return self.transactions == other.transactions
-
     def prev(self, j: int) -> OutPoint:
         """The outpoint that input `j` references."""
         odd = self.odd_prevs.get(j)

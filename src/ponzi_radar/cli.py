@@ -197,7 +197,7 @@ def _cmd_features(args) -> int:
     clusters = clustering.build_clusters(log)
     table = features.cluster_feature_table(log, clusters)
     with _output(args.out) as out:
-        ds.write_features_csv(dict(enumerate(table)), out)
+        ds.write_features_csv(table, out)
     return EXIT_OK
 
 
@@ -219,7 +219,7 @@ def _cmd_dataset(args) -> int:
     if args.log is not None:
         log = _read(args.log, chain.parse_tx_log)
         clusters = clustering.build_clusters(log)
-        table = dict(enumerate(features.cluster_feature_table(log, clusters)))
+        table = features.cluster_feature_table(log, clusters)
     else:
         table = _read(args.features, ds.read_features_csv)
         clusters = _read(args.clusters, clustering.read_clusters)
@@ -275,9 +275,7 @@ def _cmd_cv(args) -> int:
     )
     rows = [evaluate.report_row(_setting(args), result.confusion, result.metrics)]
     for i, fold in enumerate(result.folds):
-        fold_metrics = evaluate.metrics_with_auc(fold.confusion, fold.scores, fold.labels)
-        rows.append(evaluate.report_row(
-            _setting(args, f"fold{i}"), fold.confusion, fold_metrics))
+        rows.append(evaluate.report_row(_setting(args, f"fold{i}"), fold.confusion, fold.metrics))
     with _output(args.out) as out:
         evaluate.write_report_csv(rows, out)
     with _summary(args.out):

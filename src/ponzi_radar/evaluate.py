@@ -1,9 +1,10 @@
 """Stratified cross-validation, confusion matrices, metrics, AUC.
 
-P is the positive class. Cross-validation aggregates the per-fold confusion
-matrices by summing counts (not by averaging metrics), and pools the per-fold
-scores for a single AUC. Metric values that would divide zero by zero are
-reported as explicitly undefined, never silently 0.
+P is the positive class. Cross-validation counts one confusion matrix over
+the pooled predictions of every fold (not by averaging metrics), which equals
+the sum of the per-fold matrices, and pools the per-fold scores for a single
+AUC. Metric values that would divide zero by zero are reported as explicitly
+undefined, never silently 0.
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ class ConfusionMatrix:
     def __post_init__(self):
         if min(self.tp, self.fn, self.fp, self.tn) < 0:
             raise ValueError("confusion counts must be non-negative")
-
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(
-            self.tp + other.tp, self.fn + other.fn,
-            self.fp + other.fp, self.tn + other.tn,
-        )
 
     @property
     def total(self) -> int:
@@ -144,6 +139,7 @@ class FoldOutcome:
     confusion: ConfusionMatrix
     scores: np.ndarray  # float64 P-probabilities of the test rows
     labels: np.ndarray  # int8 labels of the test rows, 1 = P
+    metrics: MetricsReport  # of `confusion`, with the AUC of `scores` when defined
 
 
 @dataclass
@@ -213,17 +209,12 @@ def cross_validate(
     outcomes: list[FoldOutcome] = []
     for test_idx, p in zip(folds, share.share(fold_scores, k)):
         labels = y[test_idx]
-        outcomes.append(FoldOutcome(
-            _confusion_from_predictions(labels, cost_sensitive_predict(p, cost)), p, labels))
-    aggregate = outcomes[0].confusion
-    for outcome in outcomes[1:]:
-        aggregate = aggregate + outcome.confusion
-    metrics = metrics_with_auc(
-        aggregate,
-        np.concatenate([o.scores for o in outcomes]),
-        np.concatenate([o.labels for o in outcomes]),
-    )
-    return CVResult(aggregate, outcomes, metrics)
+        confusion = _confusion_from_predictions(labels, cost_sensitive_predict(p, cost))
+        outcomes.append(FoldOutcome(confusion, p, labels, metrics_with_auc(confusion, p, labels)))
+    scores = np.concatenate([o.scores for o in outcomes])
+    labels = np.concatenate([o.labels for o in outcomes])
+    total = _confusion_from_predictions(labels, cost_sensitive_predict(scores, cost))
+    return CVResult(total, outcomes, metrics_with_auc(total, scores, labels))
 
 
 class Prediction(NamedTuple):

@@ -10,11 +10,12 @@ transactions, single-day lifetime, ...) produce the documented sentinel 0
 rather than NaN, so downstream classifiers never see missing values.
 
 Ledgers and features are computed for all clusters at once, on arrays.
-`build_all_ledgers` sums the inputs and outputs of each (transaction,
-cluster) pair, drops fully internal transactions and sorts the events by
-(cluster, transaction); the first `extract_features` call then reduces the
-events of every cluster into the feature columns with segment reductions.
-The arithmetic is exact:
+`build_all_ledgers`, the one builder of a `LedgerBatch`, sums the inputs and
+outputs of each (transaction, cluster) pair, drops fully internal
+transactions and sorts the events by (cluster, transaction); a
+`ClusterLedger` is a view of one cluster of that batch. The first
+`extract_features` call then reduces the events of every cluster into the
+feature columns with segment reductions. The arithmetic is exact:
 
 - Integer sums run in int64 while the total magnitude of the values is
   below 2**62, and on Python ints otherwise (`chain.exact_ints`). Timestamps
@@ -41,7 +42,7 @@ from typing import Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
-from .chain import MAX_ABS_TIME, TxLog, exact_ints, segment_reduce, segment_starts
+from .chain import TxLog, exact_ints, segment_reduce, segment_starts
 from .clustering import ClusterSet
 from .errors import DataError
 
@@ -117,20 +118,13 @@ class LedgerEvent:
     counterparts: frozenset[str]
 
 
-def _int_array(values: list[int]) -> np.ndarray:
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 class _Side:
     """The events of one direction for many clusters, sorted by (cluster, tx).
 
-    `tx` is a transaction key: its position in the log, or for a ledger built
-    by hand the index of its txid. `start[c]:start[c + 1]` are cluster `c`'s
-    events. Counterpart pair k names address `pair_addr[k]` as one on the
-    other side of event `pair_event[k]`'s transaction; pairs are in event
+    `tx` is a transaction key, an index into the batch's txids: the
+    transaction's position in the log. `start[c]:start[c + 1]` are cluster
+    `c`'s events. Counterpart pair k names address `pair_addr[k]` as one on
+    the other side of event `pair_event[k]`'s transaction; pairs are in event
     order and an address may repeat.
     """
 
@@ -159,31 +153,10 @@ class LedgerBatch(Mapping):
         self._rows: list[tuple] | None = None  # computed on first use
         self._over: list[str] = []
 
-    @classmethod
-    def of_events(cls, incoming: Sequence[LedgerEvent],
-                  outgoing: Sequence[LedgerEvent]) -> "LedgerBatch":
-        """A batch of one cluster, 0, from its events."""
-        txids: dict[str, int] = {}
-        names: dict[str, int] = {}
-        sides = []
-        for events in (incoming, outgoing):
-            times = [ev.timestamp for ev in events]
-            if not all(-MAX_ABS_TIME < t < MAX_ABS_TIME for t in times):
-                raise ValueError("ledger event timestamps must lie within (-2**62, 2**62)")
-            pairs = [(k, names.setdefault(addr, len(names)))
-                     for k, ev in enumerate(events) for addr in ev.counterparts]
-            sides.append(_Side(
-                1, np.zeros(len(events), dtype=np.int64),
-                np.array([txids.setdefault(ev.txid, len(txids)) for ev in events], dtype=np.int64),
-                np.array(times, dtype=np.int64), _int_array([ev.amount for ev in events]),
-                np.array([k for k, _ in pairs], dtype=np.int64),
-                np.array([a for _, a in pairs], dtype=np.int64)))
-        return cls(1, *sides, tuple(txids), tuple(names))
-
     def __getitem__(self, ci: int) -> "ClusterLedger":
         if not isinstance(ci, (int, np.integer)) or not 0 <= ci < self.n_clusters:
             raise KeyError(ci)
-        return ClusterLedger._view(self, int(ci))
+        return ClusterLedger(self, int(ci))
 
     def __len__(self) -> int:
         return self.n_clusters
@@ -236,23 +209,14 @@ class ClusterLedger:
     non-cluster output addresses). A transaction can appear in both lists when
     it spends cluster coins and also pays the cluster (e.g. change).
 
-    A ledger is a view of one cluster of a `LedgerBatch`, whose events are
-    built only when read; a ledger built from events makes a batch of one
-    and views its cluster 0.
+    A ledger is a view of cluster `ci` of a `LedgerBatch`, handed out by
+    `batch[ci]`; its events are built only when read.
     """
 
     __slots__ = ("_batch", "_ci")
 
-    def __init__(self, incoming: Sequence[LedgerEvent] = (),
-                 outgoing: Sequence[LedgerEvent] = ()):
-        self._batch = LedgerBatch.of_events(incoming, outgoing)
-        self._ci = 0
-
-    @classmethod
-    def _view(cls, batch: LedgerBatch, ci: int) -> "ClusterLedger":
-        view = cls.__new__(cls)
-        view._batch, view._ci = batch, ci
-        return view
+    def __init__(self, batch: LedgerBatch, ci: int):
+        self._batch, self._ci = batch, ci
 
     @property
     def incoming(self) -> tuple[LedgerEvent, ...]:
@@ -470,7 +434,8 @@ def extract_features(ledger: ClusterLedger, n_addr: int) -> FeatureVector:
     return ledger._batch.features(ledger._ci, n_addr)
 
 
-def cluster_feature_table(log: TxLog, clusters: ClusterSet) -> list[FeatureVector]:
-    """Feature vector of every cluster, indexed by cluster id."""
+def cluster_feature_table(log: TxLog, clusters: ClusterSet) -> dict[int, FeatureVector]:
+    """Feature vector of every cluster, keyed by cluster id in id order: the
+    mapping that `dataset.write_features_csv` and `dataset.assemble` take."""
     batch = build_all_ledgers(log, clusters)
-    return [batch.features(ci, len(members)) for ci, members in enumerate(clusters.members)]
+    return {ci: batch.features(ci, len(members)) for ci, members in enumerate(clusters.members)}

@@ -9,9 +9,16 @@ import random
 import numpy as np
 import pytest
 
-from ponzi_radar.chain import TxLog, parse_tx_log, serialize_tx_log
+from ponzi_radar.chain import MAX_ABS_TIME, TxLog, parse_tx_log, serialize_tx_log
 from ponzi_radar.dataset import Dataset
-from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES, FeatureVector
+from ponzi_radar.features import (
+    FEATURE_NAMES,
+    INT_FEATURES,
+    ClusterLedger,
+    FeatureVector,
+    LedgerBatch,
+    _Side,
+)
 
 BTC = 100_000_000
 
@@ -134,6 +141,36 @@ def make_dataset(n_ponzi: int, n_other: int, seed: int = 0,
 
 def canonical_lines(log: TxLog) -> list[str]:
     return list(serialize_tx_log(log))
+
+
+def hand_ledger(incoming, outgoing) -> ClusterLedger:
+    """A ledger built by hand from `LedgerEvent`s: cluster 0 of a batch of one.
+
+    Amounts are int64 arrays, or Python ints when one does not fit, and
+    timestamps must lie within (-2**62, 2**62), as in a parsed log. Transaction
+    keys and counterpart ids number the txids and addresses as first seen.
+    """
+    txids: dict[str, int] = {}
+    names: dict[str, int] = {}
+    sides = []
+    for events in (incoming, outgoing):
+        times = [ev.timestamp for ev in events]
+        if not all(-MAX_ABS_TIME < t < MAX_ABS_TIME for t in times):
+            raise ValueError("ledger event timestamps must lie within (-2**62, 2**62)")
+        amounts = [ev.amount for ev in events]
+        try:
+            amount = np.array(amounts, dtype=np.int64)
+        except OverflowError:
+            amount = np.array(amounts, dtype=object)
+        pairs = [(k, names.setdefault(addr, len(names)))
+                 for k, ev in enumerate(events) for addr in ev.counterparts]
+        sides.append(_Side(
+            1, np.zeros(len(events), dtype=np.int64),
+            np.array([txids.setdefault(ev.txid, len(txids)) for ev in events], dtype=np.int64),
+            np.array(times, dtype=np.int64), amount,
+            np.array([k for k, _ in pairs], dtype=np.int64),
+            np.array([a for _, a in pairs], dtype=np.int64)))
+    return LedgerBatch(1, *sides, tuple(txids), tuple(names))[0]
 
 
 @pytest.fixture

@@ -19,9 +19,9 @@ from ponzi_radar.dataset import (
     write_features_csv,
 )
 from ponzi_radar.errors import DataError, SchemaMismatchError
-from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES, ClusterLedger, LedgerEvent, extract_features
+from ponzi_radar.features import FEATURE_NAMES, INT_FEATURES, LedgerEvent, extract_features
 
-from conftest import dataset_of, make_features
+from conftest import dataset_of, hand_ledger, make_features
 
 
 def singleton_clusters(n):
@@ -185,8 +185,8 @@ class TestCellChecks:
             read_csv(io.StringIO(_csv_with_cell("sum_in", str(2**53 + 1))))
 
         def ledger(*amounts):
-            return ClusterLedger(tuple(LedgerEvent(1000 + i, f"t{i}", a, frozenset({"x"}))
-                                       for i, a in enumerate(amounts)), ())
+            return hand_ledger(tuple(LedgerEvent(1000 + i, f"t{i}", a, frozenset({"x"}))
+                                     for i, a in enumerate(amounts)), ())
         assert extract_features(ledger(2**52, 2**52), 1).sum_in == 2**53
         with pytest.raises(DataError, match="feature sum_in is above 2\\*\\*53"):
             extract_features(ledger(2**52, 2**52 + 1), 1)

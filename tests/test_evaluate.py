@@ -17,6 +17,7 @@ from ponzi_radar.evaluate import (
     cross_validate,
     format_metric,
     metrics_from_confusion,
+    metrics_with_auc,
     roc_auc,
     stratified_folds,
     write_report_csv,
@@ -250,13 +251,26 @@ class TestCrossValidate:
         assert result.metrics.auc == 1.0
 
     def test_fold_sum_equals_aggregate(self):
+        # The total is counted once, over the pooled predictions; it must
+        # equal the field-wise sum of the fold matrices.
         ds = make_dataset(8, 60, seed=8, separable=False)
         result = cross_validate(ds, LearnerSpec(n_trees=5), CostMatrix(10, 1),
                                 k=4, seed=3)
-        total = ConfusionMatrix(0, 0, 0, 0)
+        for field in ("tp", "fn", "fp", "tn"):
+            assert getattr(result.confusion, field) == sum(
+                getattr(fold.confusion, field) for fold in result.folds), field
+
+    @pytest.mark.parametrize("kind", ["forest", "bayes"])
+    @pytest.mark.parametrize("ratio", [None, 4])
+    def test_fold_metrics_are_the_folds_metrics_with_auc(self, kind, ratio):
+        # 3 P rows in 5 folds: two folds test on nP rows only, so their AUC
+        # is undefined.
+        ds = make_dataset(3, 60, seed=14, separable=False)
+        result = cross_validate(ds, LearnerSpec(kind=kind, n_trees=5), CostMatrix(10, 1),
+                                k=5, seed=6, sampling_ratio=ratio)
         for fold in result.folds:
-            total = total + fold.confusion
-        assert total == result.confusion
+            assert fold.metrics == metrics_with_auc(fold.confusion, fold.scores, fold.labels)
+        assert [fold.metrics.auc is None for fold in result.folds].count(True) == 2
 
     def test_every_instance_scored_once(self):
         ds = make_dataset(6, 30, seed=9)
@@ -424,7 +438,7 @@ class TestApply:
             log, labels = generate(SynthParams(n_ponzi=n_p, n_background=n_bg,
                                                seed=seed))
             clusters = build_clusters(log)
-            table = dict(enumerate(cluster_feature_table(log, clusters)))
+            table = cluster_feature_table(log, clusters)
             ponzi = {clusters.index_of[a]: a
                      for a, lbl in labels.items() if lbl == "P"}
             return assemble(table, ponzi)

@@ -8,14 +8,13 @@ from ponzi_radar.clustering import build_clusters
 from ponzi_radar.features import (
     FEATURE_NAMES,
     INT_FEATURES,
-    ClusterLedger,
     LedgerEvent,
     build_all_ledgers,
     extract_features,
     gini,
 )
 
-from conftest import BTC, parse_lines, random_valid_log, tx_line, txid_of
+from conftest import BTC, hand_ledger, parse_lines, random_valid_log, tx_line, txid_of
 from test_ingest_oracle import reference_ledgers
 
 
@@ -146,25 +145,25 @@ class TestLedger:
 
 class TestPaidBack:
     def test_no_outgoing(self):
-        ledger = ClusterLedger((_ev(1, "i", 10, {"a"}),), ())
+        ledger = hand_ledger((_ev(1, "i", 10, {"a"}),), ())
         assert extract_features(ledger, 1).paid_back_addrs == 0
 
     def test_payer_then_payee_counts_once(self):
-        ledger = ClusterLedger(
+        ledger = hand_ledger(
             (_ev(1, "i", 10, {"a"}),),
             (_ev(2, "o1", 5, {"a"}), _ev(3, "o2", 5, {"b"})),
         )
         assert extract_features(ledger, 1).paid_back_addrs == 1
 
     def test_wrong_temporal_order(self):
-        ledger = ClusterLedger(
+        ledger = hand_ledger(
             (_ev(2, "i", 10, {"a"}),),
             (_ev(1, "o", 5, {"a"}),),
         )
         assert extract_features(ledger, 1).paid_back_addrs == 0
 
     def test_same_timestamp_not_subsequent(self):
-        ledger = ClusterLedger(
+        ledger = hand_ledger(
             (_ev(5, "i", 10, {"a"}),),
             (_ev(5, "o", 5, {"a"}),),
         )
@@ -176,7 +175,7 @@ DAY = 86_400
 
 class TestExtract:
     def test_single_incoming_event(self):
-        fv = extract_features(ClusterLedger((_ev(50, "i", 10, {"a"}),), ()), n_addr=1)
+        fv = extract_features(hand_ledger((_ev(50, "i", 10, {"a"}),), ()), n_addr=1)
         assert fv.lifetime_days == 0
         assert fv.activity_days == 1
         assert fv.count_out == 0
@@ -186,7 +185,7 @@ class TestExtract:
         assert fv.sum_in == 10
 
     def test_delay_pairing(self):
-        ledger = ClusterLedger(
+        ledger = hand_ledger(
             (_ev(0, "i", 10, {"a"}),),
             (_ev(3600, "o", 4, {"b"}),),
         )
@@ -196,7 +195,7 @@ class TestExtract:
         assert fv.sum_in == 10 and fv.sum_out == 4
 
     def test_outgoing_pairs_with_latest_at_or_before(self):
-        ledger = ClusterLedger(
+        ledger = hand_ledger(
             (_ev(0, "i1", 10), _ev(100, "i2", 10)),
             (_ev(100, "o1", 5), _ev(150, "o2", 5)),
         )
@@ -205,7 +204,7 @@ class TestExtract:
         assert fv.delay_max == 50
 
     def test_unpaired_outgoing_skipped(self):
-        ledger = ClusterLedger(
+        ledger = hand_ledger(
             (_ev(100, "i", 10),),
             (_ev(50, "early", 3), _ev(160, "late", 3)),
         )
@@ -214,7 +213,7 @@ class TestExtract:
 
     def test_daily_balance_delta(self):
         # Day 1 nets +100, day 2 nets -70: balances [100, 30], max delta 70.
-        ledger = ClusterLedger(
+        ledger = hand_ledger(
             (_ev(10, "i1", 120),),
             (_ev(20, "o1", 20), _ev(DAY + 10, "o2", 70)),
         )
@@ -222,7 +221,7 @@ class TestExtract:
         assert fv.max_daily_balance_delta == 70
 
     def test_balance_delta_spans_quiet_days(self):
-        ledger = ClusterLedger(
+        ledger = hand_ledger(
             (_ev(10, "i1", 100), _ev(5 * DAY, "i2", 40)),
             (),
         )
@@ -233,7 +232,7 @@ class TestExtract:
 
     def test_max_daily_tx_counts_distinct_transactions(self):
         shared = txid_of("both-ways")
-        ledger = ClusterLedger(
+        ledger = hand_ledger(
             (LedgerEvent(10, shared, 10, frozenset()), _ev(20, "i2", 5)),
             (LedgerEvent(10, shared, 3, frozenset()),),
         )
@@ -242,7 +241,7 @@ class TestExtract:
         assert fv.count_in + fv.count_out >= fv.max_daily_tx
 
     def test_empty_ledger_sentinels(self):
-        fv = extract_features(ClusterLedger((), ()), n_addr=3)
+        fv = extract_features(hand_ledger((), ()), n_addr=3)
         assert fv.n_addr == 3
         assert fv.lifetime_days == 0
         assert fv.activity_days == 0
@@ -250,7 +249,7 @@ class TestExtract:
         assert fv.gini_in == 0.0 and fv.gini_out == 0.0
 
     def test_population_std(self):
-        ledger = ClusterLedger(
+        ledger = hand_ledger(
             (_ev(0, "i1", 2), _ev(10, "i2", 4), _ev(20, "i3", 6)),
             (),
         )
@@ -271,8 +270,8 @@ class TestExtract:
     def test_doubled_amounts_double_the_std_exactly(self):
         def std_in(scale):
             amounts = (168314560, 11524276, 22790299)
-            ledger = ClusterLedger(tuple(_ev(10 * i, f"i{i}", scale * a)
-                                         for i, a in enumerate(amounts)), ())
+            ledger = hand_ledger(tuple(_ev(10 * i, f"i{i}", scale * a)
+                                       for i, a in enumerate(amounts)), ())
             return extract_features(ledger, n_addr=1).std_in
 
         assert std_in(2) == 2 * std_in(1)

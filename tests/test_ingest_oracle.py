@@ -41,7 +41,6 @@ from ponzi_radar.errors import DataError, ParseError
 from ponzi_radar.features import (
     MAX_EXACT_INT,
     SECONDS_PER_DAY,
-    ClusterLedger,
     FeatureVector,
     LedgerEvent,
     build_all_ledgers,
@@ -49,7 +48,7 @@ from ponzi_radar.features import (
 )
 from ponzi_radar.synth import SynthParams, generate
 
-from conftest import canonical_lines, random_valid_log, tx_line, txid_of
+from conftest import canonical_lines, hand_ledger, random_valid_log, tx_line, txid_of
 from test_clustering import co_spend_components
 
 
@@ -333,7 +332,7 @@ def assert_ingest_matches(lines, clusters=None):
         expected = outcome(reference_features, ref_ledgers[ci], n_addr)
         assert outcome(extract_features, ledger, n_addr) == expected
         # A ledger built by hand goes through a batch of one.
-        assert outcome(extract_features, ClusterLedger(*ref_ledgers[ci]), n_addr) == expected
+        assert outcome(extract_features, hand_ledger(*ref_ledgers[ci]), n_addr) == expected
         first, last, _ = ledger_days(ref_ledgers[ci])
         if isinstance(expected, FeatureVector) and last - first < 10_000:
             assert expected.max_daily_balance_delta == reference_balance_delta(ref_ledgers[ci])
@@ -522,7 +521,7 @@ def test_gini_terms_past_two_to_53_match_reference():
     amounts = [5, 0, 2, 2**52 - 35]
     ref = RefLedger(tuple(LedgerEvent(i, txid_of(("g", i)), a, frozenset())
                           for i, a in enumerate(amounts)), ())
-    ledger = ClusterLedger(*ref)
+    ledger = hand_ledger(*ref)
     assert extract_features(ledger, 1) == reference_features(ref, 1)
     assert extract_features(ledger, 1).gini_in == 0.7499999999999991
 

@@ -118,7 +118,7 @@ def synth_dataset(**params) -> Dataset:
 
     log, labels = generate(SynthParams(**params))
     clusters = build_clusters(log)
-    table = dict(enumerate(cluster_feature_table(log, clusters)))
+    table = cluster_feature_table(log, clusters)
     return assemble(table, _ponzi_cluster_map(clusters.index_of, labels))
 
 
