@@ -17,11 +17,11 @@ line and appends its fields to flat columns (`LogBuilder.add_record`);
 `LogBuilder.extend` appends whole columns. Each address string is stored once,
 in first-seen output order, and named by an integer id from then on. The
 resolve pass (`LogBuilder.build`) sorts the transactions by (timestamp, txid)
-and resolves every input at once: an input resolves only to an output of an
-earlier transaction whose index is in range, and the first spender in sorted
-order owns the output. `validate_tx_log` finds dangling references, double
-spends and negative fees in the same arrays. `TxLog.transactions` builds
-`Transaction` objects only when asked; `serialize_tx_log` writes the arrays.
+and resolves every input at once: an input resolves to an output of an
+earlier transaction whose index is in range, even one that another input also
+spends. `validate_tx_log` finds dangling references, double spends and
+negative fees in the same arrays. `TxLog.transactions` builds `Transaction`
+objects only when asked; `serialize_tx_log` writes the arrays.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from .errors import ParseError
 
 _MAX_SATOSHI = 2**63 - 1
 MAX_ABS_TIME = 2**62  # |timestamp| must be below this
-_HEX64 = re.compile("[0-9a-fA-F]{64}")
-_is_hex64 = _HEX64.fullmatch
+_is_hex64 = re.compile("[0-9a-fA-F]{64}").fullmatch
 _TX_FIELDS = frozenset({"txid", "time", "coinbase", "in", "out"})
 _IN_FIELDS = frozenset({"tx", "idx"})
 _OUT_FIELDS = frozenset({"addr", "val"})
@@ -155,8 +154,8 @@ class TxLog:
     - `addresses[a]` is the address string of id `a`.
     - `odd_prevs` maps each input whose `in_prev_tx` is -1 to its outpoint.
 
-    Construction resolves inputs in order, so a reference is only valid if
-    its output exists earlier in the sorted log and was not already spent.
+    Construction resolves every input whose output lies earlier in the sorted
+    log, a second spender's input included (`validate_tx_log` reports it).
     """
 
     txids: tuple[str, ...]
@@ -203,20 +202,18 @@ class TxLog:
         )
 
 
-def _hex64(value: object, what: str, line: int) -> str:
-    if isinstance(value, str) and _HEX64.fullmatch(value):
-        return value.lower()
-    if not isinstance(value, str) or len(value) != 64:
-        raise ParseError(f"{what} must be a 64-character hex string", line)
-    raise ParseError(f"{what} contains non-hex characters", line)
+def _not_hex64(value: object, what: str, line: int) -> ParseError:
+    """The error for a `what` that is not a 64-character hex string."""
+    if type(value) is str and len(value) == 64:
+        return ParseError(f"{what} contains non-hex characters", line)
+    return ParseError(f"{what} must be a 64-character hex string", line)
 
 
-def _uint(value: object, what: str, line: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what} must be an integer", line)
-    if value < 0:
-        raise ParseError(f"negative value for {what}", line)
-    return value
+def _not_uint(value: object, what: str, line: int) -> ParseError:
+    """The error for a `what` that is not a non-negative integer."""
+    if type(value) is int:
+        return ParseError(f"negative value for {what}", line)
+    return ParseError(f"{what} must be an integer", line)
 
 
 class LogBuilder:
@@ -278,7 +275,9 @@ class LogBuilder:
                     raise ParseError(f"missing field: {key}", line)
 
         txid = obj["txid"]
-        txid = txid.lower() if type(txid) is str and _is_hex64(txid) else _hex64(txid, "txid", line)
+        if type(txid) is not str or not _is_hex64(txid):
+            raise _not_hex64(txid, "txid", line)
+        txid = txid.lower()
         ts = obj["time"]
         if type(ts) is not int:
             raise ParseError("timestamp not parseable (expected integer seconds)", line)
@@ -297,11 +296,11 @@ class LogBuilder:
                 raise ParseError("input must be an object with fields tx, idx", line)
             prev = entry["tx"]
             if type(prev) is not str or not _is_hex64(prev):
-                _hex64(prev, "input tx", line)
+                raise _not_hex64(prev, "input tx", line)
             prev_txids.append(prev.lower())
             idx = entry["idx"]
             if type(idx) is not int or idx < 0:
-                _uint(idx, "input idx", line)
+                raise _not_uint(idx, "input idx", line)
             prev_idx.append(idx)
         if coinbase and raw_in:
             raise ParseError("coinbase transaction must have no inputs", line)
@@ -330,7 +329,7 @@ class LogBuilder:
                 aid = ids[addr] = len(ids)
             val = entry["val"]
             if type(val) is not int or val < 0:
-                _uint(val, "output val", line)
+                raise _not_uint(val, "output val", line)
             total += val
             if total > _MAX_SATOSHI:
                 raise ParseError("sum of output values exceeds 63-bit satoshi range", line)
@@ -380,13 +379,11 @@ class LogBuilder:
             prev_idx = np.array([i if i in _INT64 else -1 for i in self.prev_idx],
                                 dtype=np.int64)
             prev_tx[[i not in _INT64 for i in self.prev_idx]] = -1
-        odd = np.flatnonzero(prev_tx < 0)
         prev_tx = np.where(prev_tx >= 0, rank[prev_tx], -1)[in_perm]
         prev_idx = prev_idx[in_perm]
-        position = np.empty(len(in_perm), dtype=np.int64)
-        position[in_perm] = np.arange(len(in_perm))
-        odd_prevs = {int(position[j]): OutPoint(self.prev_txids[j], self.prev_idx[j])
-                     for j in odd.tolist()}
+        odd = np.flatnonzero(prev_tx < 0)
+        odd_prevs = {k: OutPoint(self.prev_txids[j], self.prev_idx[j])
+                     for k, j in zip(odd.tolist(), in_perm[odd].tolist())}
 
         # Resolve: an earlier transaction, an index in range.
         tx_of_prev = np.maximum(prev_tx, 0)
@@ -456,9 +453,10 @@ def validate_tx_log(log: TxLog) -> ValidationReport:
     """Report dangling references, double spends and negative fees.
 
     Problems are report entries, not exceptions; `report.ok` is True iff all
-    three lists are empty. A fee is checked only for a non-coinbase
-    transaction whose inputs all resolve; negative ones are listed in log
-    order with their exact value.
+    three lists are empty. A double-spent output is listed with its spenders
+    in sorted order. A fee is checked only for a non-coinbase transaction
+    whose inputs all resolve; negative ones are listed in log order with
+    their exact value.
     """
     txids, in_tx, in_start = log.txids, log.in_tx, log.in_start.tolist()
     resolved = log.in_addr >= 0
@@ -467,8 +465,8 @@ def validate_tx_log(log: TxLog) -> ValidationReport:
         for j, t in zip(np.flatnonzero(~resolved).tolist(), in_tx[~resolved].tolist())
     )
 
-    # Inputs that resolve to one output, in spending order: the first owns
-    # it, and the spends are listed in the order their second spender comes.
+    # Inputs that resolve to one output, in sorted order; the spends are
+    # listed in the order their second spender comes.
     spends = np.flatnonzero(resolved)
     source = log.out_start[log.in_prev_tx[spends]] + log.in_prev_idx[spends]
     by_output = np.argsort(source, kind="stable")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from decimal import Decimal, ROUND_HALF_EVEN
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
@@ -244,14 +243,11 @@ def apply_model(model: Model, cost: CostMatrix, dataset: Dataset) -> ApplyResult
     return ApplyResult(confusion, predictions, metrics_with_auc(confusion, p, dataset.y))
 
 
-_3DP = Decimal("0.001")
-
-
 def format_metric(value: float | None) -> str:
     """Three decimals, round half to even; None prints as 'undefined'."""
     if value is None:
         return "undefined"
-    return str(Decimal(value).quantize(_3DP, rounding=ROUND_HALF_EVEN))
+    return format(value, ".3f")
 
 
 def report_row(setting: str, cm: ConfusionMatrix, metrics: MetricsReport) -> tuple:

@@ -210,7 +210,10 @@ class TestValidate:
         assert len(report.double_spends) == 1
         entry = report.double_spends[0]
         assert entry.prev == (t0, 0)
-        assert set(entry.spenders) == {s1, s2}
+        assert entry.spenders == (s1, s2)  # in sorted order
+        # Both spenders resolve to the output, the second one too.
+        assert log.in_addr.tolist() == [0, 0]
+        assert log.in_value.tolist() == [100, 100]
 
     def test_dangling_reference(self):
         log = parse_lines([

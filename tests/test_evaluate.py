@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import random
 from collections import Counter
@@ -474,6 +475,16 @@ class TestReport:
         assert format_metric(0.96875) == "0.969"
         assert format_metric(1.0) == "1.000"
         assert format_metric(0.0625) == "0.062"  # .0625 rounds half to even
+        # Every exact tie in [0, 1] is an odd multiple of 1/16; each rounds to
+        # the even neighbour, the float just below it down and just above it up.
+        ties = {0.0625: ("0.062", "0.062", "0.063"), 0.1875: ("0.188", "0.187", "0.188"),
+                0.3125: ("0.312", "0.312", "0.313"), 0.4375: ("0.438", "0.437", "0.438"),
+                0.5625: ("0.562", "0.562", "0.563"), 0.6875: ("0.688", "0.687", "0.688"),
+                0.8125: ("0.812", "0.812", "0.813"), 0.9375: ("0.938", "0.937", "0.938")}
+        for tie, (at, below, above) in ties.items():
+            assert format_metric(tie) == at
+            assert format_metric(math.nextafter(tie, 0.0)) == below
+            assert format_metric(math.nextafter(tie, 1.0)) == above
 
     def test_report_csv_shape(self):
         cm = ConfusionMatrix(31, 1, 77, 6323)
