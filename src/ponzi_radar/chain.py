@@ -31,6 +31,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -45,6 +46,7 @@ _TX_FIELDS = frozenset({"txid", "time", "coinbase", "in", "out"})
 _IN_FIELDS = frozenset({"tx", "idx"})
 _OUT_FIELDS = frozenset({"addr", "val"})
 _INT64 = range(-2**63, 2**63)
+_WRITE_LINES = 2048  # log lines per write
 
 
 class OutPoint(NamedTuple):
@@ -350,9 +352,13 @@ class LogBuilder:
         """The resolve pass: sort by (timestamp, txid), then resolve every input."""
         n = len(self.txids)
         time = np.array(self.times, dtype=np.int64)
-        txid_rank = np.empty(n, dtype=np.int64)
-        txid_rank[sorted(range(n), key=self.txids.__getitem__)] = np.arange(n)
-        order = np.lexsort((txid_rank, time))
+        order = np.argsort(time, kind="stable")
+        # Txids order only the transactions whose timestamps tie.
+        tied = np.flatnonzero(np.diff(time[order]) == 0)
+        if len(tied):
+            at = np.union1d(tied, tied + 1)
+            order[at] = sorted(order[at].tolist(),
+                               key=lambda i: (self.times[i], self.txids[i]))
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
         txids = tuple([self.txids[i] for i in order.tolist()])
@@ -511,6 +517,8 @@ def serialize_tx_log(log: TxLog) -> Iterator[str]:
 
 
 def write_tx_log(log: TxLog, fp: IO[str]) -> None:
-    for line in serialize_tx_log(log):
-        fp.write(line)
-        fp.write("\n")
+    """Write the canonical log lines, each ending in "\\n", `_WRITE_LINES` at a time."""
+    lines = serialize_tx_log(log)
+    while chunk := list(islice(lines, _WRITE_LINES)):
+        chunk.append("")
+        fp.write("\n".join(chunk))

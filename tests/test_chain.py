@@ -51,6 +51,21 @@ class TestParse:
         ])
         assert [t.txid for t in log.transactions] == [b, a]
 
+    def test_txids_order_only_tied_times(self):
+        # Two runs of tied timestamps, each arriving in descending txid order,
+        # around a transaction alone at its timestamp whose txid is the largest.
+        a, b, c, d, solo = "ee" * 32, "cc" * 32, "bb" * 32, "aa" * 32, "ff" * 32
+        log = parse_lines([
+            tx_line(a, 200, coinbase=True, outputs=[("a", 1)]),
+            tx_line(b, 200, coinbase=True, outputs=[("b", 1)]),
+            tx_line(solo, 150, inputs=[(d, 0)], outputs=[("s", 1)]),
+            tx_line(c, 100, coinbase=True, outputs=[("c", 1)]),
+            tx_line(d, 100, coinbase=True, outputs=[("d", 1)]),
+        ])
+        assert log.txids == (d, c, solo, b, a)
+        assert log.time.tolist() == [100, 100, 150, 200, 200]
+        assert log.in_prev_tx.tolist() == [0] and log.in_addr.tolist() == [log.out_addr[0]]
+
     def test_line_order_irrelevant(self):
         lines, _ = fan_out_then_join_lines()
         log1 = parse_lines(lines)
@@ -176,6 +191,38 @@ class TestParseMessages:
         line = line.replace('"' + "0" * 64 + '"', json.dumps(txid))
         with pytest.raises(ParseError, match=message):
             parse_lines([line])
+
+    @pytest.mark.parametrize("prev, message", [
+        ("zz", "input tx must be a 64-character hex string"),
+        ("z" * 64, "input tx contains non-hex characters"),
+    ])
+    def test_bad_input_tx_messages(self, prev, message):
+        good = tx_line(txid_of("ok"), 1, coinbase=True, outputs=[("a", 1)])
+        bad = tx_line(txid_of("spend"), 2, inputs=[(prev, 0)], outputs=[("b", 1)])
+        with pytest.raises(ParseError) as err:
+            parse_lines([good, bad])
+        assert str(err.value) == f"line 2: {message}"
+        assert err.value.line == 2
+
+    def test_output_sum_past_63_bits(self):
+        # Each value fits in 63 bits; their sum does only up to 2**63 - 1.
+        fits = tx_line(txid_of("fits"), 1, coinbase=True,
+                       outputs=[("a", 2**62), ("b", 2**62 - 1)])
+        over = tx_line(txid_of("over"), 2, coinbase=True, outputs=[("a", 2**62), ("b", 2**62)])
+        assert parse_lines([fits]).out_value.tolist() == [2**62, 2**62 - 1]
+        with pytest.raises(ParseError) as err:
+            parse_lines([fits, over])
+        assert str(err.value) == "line 2: sum of output values exceeds 63-bit satoshi range"
+        assert err.value.line == 2
+
+    def test_duplicate_txid_names_its_first_line(self):
+        dup = txid_of("dup")
+        line = tx_line(dup, 5, coinbase=True, outputs=[("a", 1)])
+        with pytest.raises(ParseError) as err:
+            parse_lines([tx_line(txid_of("x"), 1, coinbase=True, outputs=[("x", 1)]), line,
+                         tx_line(txid_of("y"), 2, coinbase=True, outputs=[("y", 1)]), line])
+        assert str(err.value) == f"line 4: duplicate txid {dup} (first seen on line 2)"
+        assert err.value.line == 4
 
     @pytest.mark.parametrize("record, message", [
         ({"txid": "0" * 64, "time": 1, "coinbase": True, "in": [], "out": [], "x": 1, "a": 2},

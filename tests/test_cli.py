@@ -10,8 +10,10 @@ import pytest
 
 import ponzi_radar
 from ponzi_radar import dataset as ds
+from ponzi_radar.chain import write_tx_log
 from ponzi_radar.cli import main
 from ponzi_radar.learn import load_model, save_model
+from ponzi_radar.synth import SynthParams, generate
 
 from conftest import HOSTILE_LINES, tx_line, txid_of
 
@@ -625,6 +627,31 @@ def test_synth_writes_neither_output_unless_both_can_be(tmp_path):
     assert main(argv) == 2
     assert log.read_text() == "earlier run\n"
     assert [p.name for p in tmp_path.iterdir()] == ["x.jsonl"]
+
+
+@pytest.mark.parametrize("on_stdout", ["log", "labels"])
+def test_synth_one_output_on_stdout(tmp_path, capsys, on_stdout):
+    argv = ["synth", "--ponzi", "1", "--background", "20"]
+    log, labels, target = tmp_path / "log.jsonl", tmp_path / "labels.csv", tmp_path / "target"
+    assert main([*argv, "-o", str(log), "--labels", str(labels)]) == 0
+    capsys.readouterr()
+    if on_stdout == "log":
+        targets, in_file, on_out = ["--labels", str(target)], labels, log
+    else:
+        targets, in_file, on_out = ["-o", str(target), "--labels", "-"], log, labels
+    assert main([*argv, *targets]) == 0
+    assert capsys.readouterr().out == on_out.read_bytes().decode()
+    assert target.read_bytes() == in_file.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_synth_seed_bounds_accepted(tmp_path, seed):
+    log, labels = tmp_path / "log.jsonl", tmp_path / "labels.csv"
+    assert main(["synth", "--ponzi", "1", "--background", "20", "--seed", str(seed),
+                 "-o", str(log), "--labels", str(labels)]) == 0
+    expected = io.StringIO()
+    write_tx_log(generate(SynthParams(1, 20, seed))[0], expected)
+    assert log.read_bytes().decode() == expected.getvalue()
 
 
 @pytest.mark.parametrize("targets, named", [
